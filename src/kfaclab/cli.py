@@ -43,6 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="run a training experiment from a config file")
     p_train.add_argument("config", help="path to the run config")
     p_train.add_argument("--resume", default=None, help="checkpoint to continue from")
+    # also accepted after the subcommand; SUPPRESS keeps a value given before it
+    p_train.add_argument("--out-dir", default=argparse.SUPPRESS, help="override train.out_dir")
 
     p_cost = sub.add_parser("cost", help="analytic cost reports for a layer manifest")
     p_cost.add_argument("manifest", help="manifest path or bundled name (resnet50)")

@@ -1,5 +1,12 @@
 """Deterministic single-process simulation of a data-parallel cluster.
 
+The step contract keeps every worker's weights and momentum bit-identical,
+so the cluster holds ONE weight set and ONE momentum set that every worker
+references, and applies each update once.  What differs between workers is
+kept per worker: the data shard, the captures of that worker's local
+forward/backward pass (held as local values, never on the shared network),
+and the factor state (averaged factors, decompositions, staleness stamps).
+
 Workers run sequentially in worker-index order and every collective reduces
 over a fixed pairwise tree of worker indices, so runs are bit-reproducible.
 The tree shape also guarantees that averaging P identical tensors returns
@@ -14,8 +21,10 @@ averaging all-reduce):
 * ``mpd_kfac_*``: every worker builds factor statistics for every layer,
   factors are all-reduced, and each layer's decomposition is computed by its
   round-robin owner.  The ``co`` variant broadcasts decompositions and every
-  worker preconditions everything locally; the ``mo`` variant preconditions
-  at the owner and broadcasts preconditioned gradients.
+  worker preconditions everything locally (the copies are bit-identical, so
+  the simulator applies one local copy once per layer on behalf of all P);
+  the ``mo`` variant preconditions at the owner and broadcasts
+  preconditioned gradients.
 * ``dp_kfac``: each worker builds factor statistics from its LOCAL
   shard for its OWN layers only, preconditions the aggregated gradient
   there, and broadcasts the result.  Factor communication never happens.
@@ -33,7 +42,7 @@ import numpy as np
 
 from . import kfac
 from .costmodel import LayerDims, layer_counts, round_robin_partition
-from .errors import ArgumentError, KfacLabError, ShapeError
+from .errors import ArgumentError, KfacLabError, NumericError, ShapeError
 from .kfac import FactorState, KfacHyper
 from .model import Batch, Network, NetworkSpec, backward, forward, init_momentum, init_network, sgd_step
 
@@ -103,6 +112,9 @@ def validate_partition(assignment: Sequence[Sequence[int]], n_layers: int):
 
 @dataclass
 class WorkerState:
+    """One worker's view: its own factor states, plus references to the
+    cluster's shared weights (``replica``) and momentum buffers."""
+
     rank: int
     replica: Network
     factors: dict[int, FactorState]
@@ -112,12 +124,14 @@ class WorkerState:
 @dataclass
 class Cluster:
     config: ClusterConfig
+    net: Network
+    momentum: list[np.ndarray]
     workers: list[WorkerState]
     log: CollectiveLog = field(default_factory=CollectiveLog)
 
     @property
     def n_layers(self) -> int:
-        return self.workers[0].replica.depth
+        return self.net.depth
 
     def owner_of(self, layer: int) -> int:
         for p, part in enumerate(self.config.assignment):
@@ -128,7 +142,7 @@ class Cluster:
     def layer_dims(self) -> list[LayerDims]:
         return [
             LayerDims(l.weight.shape[1], l.weight.shape[0])
-            for l in self.workers[0].replica.layers
+            for l in self.net.layers
         ]
 
 
@@ -139,9 +153,10 @@ def build_cluster(
     seed: int,
     assignment: Optional[tuple[tuple[int, ...], ...]] = None,
 ) -> Cluster:
-    """Identical replicas on every worker, layer ownership round-robin unless
-    an explicit partition is given."""
+    """One shared weight/momentum set, per-worker factor states, layer
+    ownership round-robin unless an explicit partition is given."""
     net = init_network(spec, seed)
+    momentum = init_momentum(net)
     if assignment is None:
         assignment = assign_layers_round_robin(net.depth, workers)
     validate_partition(assignment, net.depth)
@@ -154,17 +169,16 @@ def build_cluster(
             owned = {i: FactorState() for i in assignment[p]}
         else:  # mpd variants keep averaged factors for every layer
             owned = {i: FactorState() for i in range(net.depth)}
-        replica = net.clone()
-        states.append(WorkerState(p, replica, owned, init_momentum(replica)))
-    return Cluster(config=config, workers=states)
+        states.append(WorkerState(p, net, owned, momentum))
+    return Cluster(config=config, net=net, momentum=momentum, workers=states)
 
 
 # ---------------------------------------------------------------------------
 # collectives
 
 
-def _tree_sum(tensors: list[np.ndarray]) -> np.ndarray:
-    level = [t.copy() for t in tensors]
+def _tree_sum(tensors: Sequence[np.ndarray]) -> np.ndarray:
+    level = tensors
     while len(level) > 1:
         merged = []
         for i in range(0, len(level) - 1, 2):
@@ -193,7 +207,7 @@ def all_reduce_avg(
     n_workers = len(tensors)
     if counters is not None:
         setattr(counters, stage, getattr(counters, stage) + 2 * (n_workers - 1) * tensors[0].size)
-    return _tree_sum(list(tensors)) / n_workers
+    return _tree_sum(tensors) / n_workers
 
 
 def broadcast(
@@ -244,30 +258,44 @@ class StepResult:
     preconditioned_by: Optional[dict[int, int]] = None
 
 
-def _local_grads(cluster: Cluster, shards: Sequence[Batch]) -> tuple[list[list[np.ndarray]], float]:
+@dataclass(frozen=True)
+class LocalPass:
+    """One worker's forward/backward over its own shard: the local gradients
+    and, per layer, the two K-FAC captures (input batch and per-sample
+    pre-activation gradient batch)."""
+
+    grads: list[np.ndarray]
+    inputs: list[np.ndarray]
+    preact_grads: list[np.ndarray]
+
+
+def _local_grads(cluster: Cluster, shards: Sequence[Batch], t: int) -> tuple[list[LocalPass], float]:
     if len(shards) != cluster.config.workers:
         raise ArgumentError(
             f"got {len(shards)} shards for {cluster.config.workers} workers"
         )
-    grads, losses = [], []
-    for worker, shard in zip(cluster.workers, shards):
-        losses.append(forward(worker.replica, shard))
-        grads.append(backward(worker.replica, shard))
-    return grads, float(np.mean(losses))
+    passes, losses = [], []
+    for p, shard in enumerate(shards):
+        loss, captures = forward(cluster.net, shard)
+        if not np.isfinite(loss):
+            raise NumericError(f"worker {p}, iteration {t}: training loss is {loss}")
+        grads, preact_grads = backward(cluster.net, shard, captures)
+        passes.append(LocalPass(grads, [c.input for c in captures], preact_grads))
+        losses.append(loss)
+    return passes, float(np.mean(losses))
 
 
 def _aggregate_grads(
-    cluster: Cluster, local: list[list[np.ndarray]], counters: StepCounters
+    cluster: Cluster, local: list[LocalPass], counters: StepCounters
 ) -> list[np.ndarray]:
     return [
-        all_reduce_avg([local[p][i] for p in range(cluster.config.workers)], counters, "gradcomm")
+        all_reduce_avg([lp.grads[i] for lp in local], counters, "gradcomm")
         for i in range(cluster.n_layers)
     ]
 
 
 def _apply_update(cluster: Cluster, grads: list[np.ndarray], lr: float, momentum: float):
-    for worker in cluster.workers:
-        sgd_step(worker.replica, grads, lr, worker.momentum, momentum)
+    sgd_step(cluster.net, grads, lr, cluster.momentum, momentum)
 
 
 def _rethrow(exc: KfacLabError, worker: int, layer: int):
@@ -279,7 +307,7 @@ def ssgd_step(
 ) -> StepResult:
     """Synchronous data-parallel SGD: average gradients, identical update."""
     counters = cluster.log.new_step()
-    local, loss = _local_grads(cluster, shards)
+    local, loss = _local_grads(cluster, shards, t)
     agg = _aggregate_grads(cluster, local, counters)
     counters.gradcomp = sum(g.size for g in agg)
     _apply_update(cluster, agg, lr, momentum)
@@ -297,7 +325,7 @@ def dp_kfac_step(
     """Distributed preconditioning: local-shard factors for owned layers only,
     zero factor communication, preconditioned gradients broadcast."""
     counters = cluster.log.new_step()
-    local, loss = _local_grads(cluster, shards)
+    local, loss = _local_grads(cluster, shards, t)
     agg = _aggregate_grads(cluster, local, counters)
     counters.gradcomp = sum(g.size for g in agg)
 
@@ -307,15 +335,14 @@ def dp_kfac_step(
     owners: dict[int, int] = {}
     precond: dict[int, np.ndarray] = {}
     factor_work, inverse_work = [], []
-    for worker in cluster.workers:
+    for worker, own in zip(cluster.workers, local):
         owned_f = 0
         for i in sorted(worker.factors):
-            layer = worker.replica.layers[i]
             try:
                 pg, _ = kfac.kfac_layer_step(
                     worker.factors[i],
-                    layer.captured_input,
-                    layer.captured_preact_grad,
+                    own.inputs[i],
+                    own.preact_grads[i],
                     agg[i],
                     hyper,
                     t,
@@ -354,7 +381,7 @@ def mpd_kfac_step(
         raise ArgumentError(f"unknown mpd variant {variant!r}")
     counters = cluster.log.new_step()
     P = cluster.config.workers
-    local, loss = _local_grads(cluster, shards)
+    local, loss = _local_grads(cluster, shards, t)
     agg = _aggregate_grads(cluster, local, counters)
     counters.gradcomp = sum(g.size for g in agg)
     dims = cluster.layer_dims()
@@ -362,14 +389,11 @@ def mpd_kfac_step(
     if kfac.is_factor_update(t, hyper):
         # raw local factors for every layer on every worker, then averaged
         raw: list[list[tuple[np.ndarray, np.ndarray]]] = []
-        for worker in cluster.workers:
+        for worker, own in zip(cluster.workers, local):
             per_layer = []
             for i in range(cluster.n_layers):
-                layer = worker.replica.layers[i]
                 try:
-                    per_layer.append(
-                        kfac.compute_factors(layer.captured_input, layer.captured_preact_grad)
-                    )
+                    per_layer.append(kfac.compute_factors(own.inputs[i], own.preact_grads[i]))
                 except KfacLabError as exc:
                     _rethrow(exc, worker.rank, i)
             raw.append(per_layer)
@@ -394,34 +418,20 @@ def mpd_kfac_step(
                 _broadcast_decomposition(cluster, owner, i, state, hyper, counters, t)
         counters.inversecomp = max(inverse_work)
 
+    owners = {i: cluster.owner_of(i) for i in range(cluster.n_layers)}
     update: list[np.ndarray] = []
-    if variant == "co":
-        # every worker preconditions every layer from its own (identical) state
-        per_worker = []
-        for worker in cluster.workers:
-            row = []
-            for i in range(cluster.n_layers):
-                try:
-                    row.append(kfac.apply_preconditioner(worker.factors[i], agg[i], hyper))
-                except KfacLabError as exc:
-                    _rethrow(exc, worker.rank, i)
-            per_worker.append(row)
-        for worker, row in zip(cluster.workers, per_worker):
-            sgd_step(worker.replica, row, lr, worker.momentum, momentum)
-        owners = {i: cluster.owner_of(i) for i in range(cluster.n_layers)}
-        return StepResult(loss, counters, preconditioned_by=owners)
-
-    owners = {}
     for i in range(cluster.n_layers):
-        owner = cluster.owner_of(i)
-        state = cluster.workers[owner].factors[i]
+        # co: every worker holds a bit-identical copy of the decomposition and
+        # would compute the same bits, so worker 0's local copy is applied once
+        # for all of them; mo: the owner applies it and broadcasts the result
+        rank = 0 if variant == "co" else owners[i]
         try:
-            pg = kfac.apply_preconditioner(state, agg[i], hyper)
+            pg = kfac.apply_preconditioner(cluster.workers[rank].factors[i], agg[i], hyper)
         except KfacLabError as exc:
-            _rethrow(exc, owner, i)
-        owners[i] = owner
-        copies = broadcast(owner, pg, P, counters, "predcomm")
-        update.append(copies[0])
+            _rethrow(exc, rank, i)
+        if variant == "mo":
+            pg = broadcast(rank, pg, P, counters, "predcomm")[0]
+        update.append(pg)
     _apply_update(cluster, update, lr, momentum)
     return StepResult(loss, counters, preconditioned_by=owners)
 

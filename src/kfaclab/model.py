@@ -1,14 +1,19 @@
-"""Minimal fully-connected network with per-layer statistics capture.
+"""Minimal fully-connected network with explicit per-layer captures.
 
 Layers compute ``s_i = W_i a_{i-1}`` with an elementwise activation on all
 hidden layers; the last layer's pre-activation output feeds the loss
-directly.  The forward pass records every layer's input batch and the
-backward pass records every layer's per-sample pre-activation gradient
-batch; curvature factors are second moments of exactly these two captures.
+directly.  ``forward`` returns, next to the loss, every layer's input batch
+and pre-activation; ``backward`` takes those captures back (it reuses the
+pre-activations instead of recomputing them) and returns, next to the
+gradients, every layer's per-sample pre-activation gradient batch.
+Curvature factors are second moments of the layer inputs and of these
+pre-activation gradients.  The network itself holds weights only, so any
+number of callers can run passes over one weight set without overwriting
+each other's captures.
 
 Scaling convention: ``backward`` returns gradients of the MEAN batch loss,
-while the captured pre-activation gradients are per-sample loss gradients
-(so that ``mean(g g^T)`` over the batch estimates the expectation without a
+while the pre-activation gradients are per-sample loss gradients (so that
+``mean(g g^T)`` over the batch estimates the expectation without a
 batch-size factor).
 
 Shapes are columns-are-samples: a batch of B samples in d dimensions is a
@@ -19,11 +24,11 @@ appended to every layer input and the weight gains one column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ArgumentError, OrderingError, ShapeError
+from .errors import ArgumentError, ShapeError
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 LOSSES = ("softmax_cross_entropy", "mean_squared_error")
@@ -101,11 +106,9 @@ class Batch:
 
 @dataclass
 class LayerState:
-    """One layer's weight plus the latest forward/backward captures."""
+    """One layer's weight."""
 
     weight: np.ndarray
-    captured_input: Optional[np.ndarray] = None
-    captured_preact_grad: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -117,9 +120,13 @@ class Network:
     def depth(self) -> int:
         return self.spec.depth
 
-    def clone(self) -> "Network":
-        """Deep copy of weights; captured batches are not carried over."""
-        return Network(self.spec, [LayerState(l.weight.copy()) for l in self.layers])
+
+class LayerCapture(NamedTuple):
+    """What one forward pass records for one layer: the (bias-augmented)
+    input batch ``a_{i-1}`` and the pre-activation batch ``s_i``."""
+
+    input: np.ndarray
+    preact: np.ndarray
 
 
 def init_network(spec: NetworkSpec, seed: int) -> Network:
@@ -199,64 +206,66 @@ def predict(net: Network, inputs: np.ndarray) -> np.ndarray:
 
 
 def mean_loss(net: Network, batch: Batch) -> float:
-    """Mean batch loss without touching captured state."""
+    """Mean batch loss, without captures."""
     outputs = predict(net, batch.inputs)
     return float(np.mean(_per_sample_losses(outputs, batch.targets, net.spec.loss_kind)))
 
 
-def forward(net: Network, batch: Batch) -> float:
-    """Forward pass: returns the mean batch loss and captures every layer's
-    (bias-augmented) input batch on the layer states."""
+def forward(net: Network, batch: Batch) -> tuple[float, list[LayerCapture]]:
+    """Forward pass: returns the mean batch loss and every layer's capture."""
     if batch.inputs.shape[0] != net.spec.layer_dims[0]:
         raise ShapeError(
             f"batch input rows {batch.inputs.shape[0]} do not match d_0={net.spec.layer_dims[0]}"
         )
     act, _ = _ACT_FNS[net.spec.activation]
     a = batch.inputs
+    captures = []
     for i, layer in enumerate(net.layers):
         a_in = _augment(a, net.spec.bias_mode)
-        layer.captured_input = a_in
-        layer.captured_preact_grad = None
         s = layer.weight @ a_in
+        captures.append(LayerCapture(a_in, s))
         a = act(s) if i < net.depth - 1 else s
-    return float(np.mean(_per_sample_losses(a, batch.targets, net.spec.loss_kind)))
+    return float(np.mean(_per_sample_losses(a, batch.targets, net.spec.loss_kind))), captures
 
 
-def backward(net: Network, batch: Batch) -> list[np.ndarray]:
-    """Backward pass over the most recent forward.
+def backward(
+    net: Network, batch: Batch, captures: list[LayerCapture]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Backward pass over the captures ``forward`` returned for this batch.
 
     Returns the per-layer gradients of the mean batch loss,
-    ``(1/B) * g_i @ a_{i-1}^T``, and captures per-sample pre-activation
-    gradients ``g_i`` on the layer states.  Pre-activations are recomputed
-    from the captured inputs, so forward() must have run on this batch.
+    ``(1/B) * g_i @ a_{i-1}^T``, and the per-layer per-sample pre-activation
+    gradients ``g_i``.
     """
     B = batch.size
-    for i, layer in enumerate(net.layers):
-        if layer.captured_input is None:
-            raise OrderingError(f"backward before forward: layer {i} has no captured input")
-        if layer.captured_input.shape[1] != B:
-            raise OrderingError(
-                f"captured batch size {layer.captured_input.shape[1]} does not match batch of {B}"
+    if len(captures) != net.depth:
+        raise ShapeError(f"got captures for {len(captures)} layers, network has {net.depth}")
+    for i, (a_in, s) in enumerate(captures):
+        rows, cols = net.spec.weight_shape(i)
+        if a_in.shape != (cols, B) or s.shape != (rows, B):
+            raise ShapeError(
+                f"layer {i} captures have shapes {a_in.shape} and {s.shape}; "
+                f"a batch of {B} needs {(cols, B)} and {(rows, B)}"
             )
     _, act_deriv = _ACT_FNS[net.spec.activation]
-    preacts = [layer.weight @ layer.captured_input for layer in net.layers]
-    g = _per_sample_output_grads(preacts[-1], batch.targets, net.spec.loss_kind)
+    g = _per_sample_output_grads(captures[-1].preact, batch.targets, net.spec.loss_kind)
     grads: list[Optional[np.ndarray]] = [None] * net.depth
+    preact_grads: list[Optional[np.ndarray]] = [None] * net.depth
     for i in range(net.depth - 1, -1, -1):
         layer = net.layers[i]
-        layer.captured_preact_grad = g
-        grads[i] = (g @ layer.captured_input.T) / B
+        preact_grads[i] = g
+        grads[i] = (g @ captures[i].input.T) / B
         if i > 0:
             core = layer.weight[:, :-1] if net.spec.bias_mode == "homogeneous" else layer.weight
-            g = act_deriv(preacts[i - 1]) * (core.T @ g)
-    return grads  # type: ignore[return-value]
+            g = act_deriv(captures[i - 1].preact) * (core.T @ g)
+    return grads, preact_grads  # type: ignore[return-value]
 
 
 def finite_diff_grad(net: Network, batch: Batch, h: float = 1e-5) -> list[np.ndarray]:
     """Central finite-difference estimate of d(mean loss)/dW, elementwise.
 
     Verification oracle: O(#weights) loss evaluations, O(h^2) accurate.
-    Leaves weights and captured state untouched.
+    Leaves the weights untouched.
     """
     if h <= 0:
         raise ArgumentError("finite-difference step h must be positive")

@@ -10,6 +10,7 @@ regenerates shuffle order instead of persisting RNG state.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -98,8 +99,8 @@ def _take(dataset: Dataset, idx: np.ndarray) -> Batch:
 
 
 def evaluate(cluster: Cluster, batch: Batch) -> tuple[float, Optional[float]]:
-    """Held-out loss (and accuracy for classification) on worker 0's replica."""
-    net = cluster.workers[0].replica
+    """Held-out loss (and accuracy for classification) on the cluster's weights."""
+    net = cluster.net
     outputs = predict(net, batch.inputs)
     loss = float(np.mean(_per_sample_losses(outputs, batch.targets, net.spec.loss_kind)))
     if net.spec.loss_kind == "softmax_cross_entropy":
@@ -218,10 +219,9 @@ class Checkpoint:
 def _cluster_arrays(cluster: Cluster) -> tuple[dict[str, np.ndarray], dict]:
     arrays: dict[str, np.ndarray] = {}
     factor_meta: dict[str, dict] = {}
-    # replicas are identical by the step contract; weights stored once
-    for i, layer in enumerate(cluster.workers[0].replica.layers):
+    for i, layer in enumerate(cluster.net.layers):
         arrays[f"layer{i}/weight"] = layer.weight
-    for i, m in enumerate(cluster.workers[0].momentum):
+    for i, m in enumerate(cluster.momentum):
         arrays[f"layer{i}/momentum"] = m
     for worker in cluster.workers:
         for i, state in worker.factors.items():
@@ -271,29 +271,95 @@ def save_checkpoint(path: Path, cluster: Cluster, iteration: int, epoch: int):
     atomic_write_bytes(path, bytes(out))
 
 
+_HEADER_START = 20  # magic (8) + u32 version (4) + u64 header length (8)
+_META_KEYS = (("iteration", int), ("epoch", int), ("algorithm", str), ("workers", int),
+              ("factor_states", dict))
+_FACTOR_META_KEYS = (("initialized", bool), ("last_factor_update", int),
+                     ("last_inverse_update", int))
+
+
 def load_checkpoint(path) -> Checkpoint:
-    data = Path(path).read_bytes()
+    """Parse a checkpoint file.  Any departure from the layout written by
+    :func:`save_checkpoint` raises DataFormatError naming the byte offset."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read checkpoint: {exc.strerror or exc}") from exc
+
+    def bad(offset: int, what: str) -> DataFormatError:
+        return DataFormatError(f"{path}: {what} at byte offset {offset}")
+
     if data[:8] != CHECKPOINT_MAGIC:
-        raise DataFormatError(f"{path}: bad checkpoint magic at byte offset 0")
+        raise bad(0, "bad checkpoint magic")
+    if len(data) < _HEADER_START:
+        raise bad(len(data), f"truncated header ({len(data)} of {_HEADER_START} fixed bytes)")
     version = struct.unpack("<I", data[8:12])[0]
     if version != CHECKPOINT_VERSION:
-        raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
+        raise bad(8, f"unsupported checkpoint version {version}")
     header_len = struct.unpack("<Q", data[12:20])[0]
-    header = json.loads(data[20:20 + header_len].decode())
-    offset = 20 + header_len
+    if _HEADER_START + header_len > len(data):
+        raise bad(12, f"header length {header_len} runs past the end of the "
+                      f"{len(data)}-byte file")
+    raw = data[_HEADER_START:_HEADER_START + header_len]
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as exc:
+        raise bad(_HEADER_START + exc.start, "header is not UTF-8") from exc
+    try:
+        header = json.loads(text)
+    except json.JSONDecodeError as exc:
+        pos = _HEADER_START + len(text[:exc.pos].encode())
+        raise bad(pos, f"header is not valid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise bad(_HEADER_START, "header JSON nests too deeply") from exc
+
+    if (type(header) is not dict or type(header.get("meta")) is not dict
+            or type(header.get("arrays")) is not list):
+        raise bad(_HEADER_START, "header must hold a 'meta' object and an 'arrays' list")
+    meta = header["meta"]
+    for key, kind in _META_KEYS:
+        if type(meta.get(key)) is not kind:
+            raise bad(_HEADER_START, f"header meta needs {kind.__name__} {key!r}")
+    for prefix, fm in meta["factor_states"].items():
+        for key, kind in _FACTOR_META_KEYS:
+            if type(fm) is not dict or type(fm.get(key)) is not kind:
+                raise bad(_HEADER_START,
+                          f"factor state {prefix!r} needs {kind.__name__} {key!r}")
+
+    offset = _HEADER_START + header_len
     arrays = {}
     for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        if type(entry) is not dict or type(entry.get("name")) is not str:
+            raise bad(_HEADER_START, f"array entry {entry!r} has no name")
+        name, shape = entry["name"], entry.get("shape")
+        # stored arrays are matrices, vectors or scalars
+        if (type(shape) is not list or len(shape) > 2
+                or any(type(d) is not int or d < 0 for d in shape)):
+            raise bad(_HEADER_START, f"array {name!r} has invalid shape {shape!r}")
+        if entry.get("dtype") != "<f8":
+            raise bad(_HEADER_START,
+                      f"array {name!r} has unsupported dtype {entry.get('dtype')!r}")
+        if name in arrays:
+            raise bad(_HEADER_START, f"array {name!r} listed twice")
+        count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(data):
-            raise DataFormatError(f"{path}: truncated array data at byte offset {offset}")
-        arrays[entry["name"]] = np.frombuffer(
+            raise bad(offset, f"truncated data of array {name!r}")
+        arrays[name] = np.frombuffer(
             data, dtype="<f8", count=count, offset=offset
         ).reshape(shape).copy()
         offset += nbytes
-    meta = header["meta"]
+    if offset != len(data):
+        raise bad(offset, f"{len(data) - offset} trailing bytes after the last array")
     return Checkpoint(iteration=meta["iteration"], epoch=meta["epoch"], meta=meta, arrays=arrays)
+
+
+def _stored(ckpt: Checkpoint, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    arr = ckpt.arrays.get(name)
+    if arr is None or arr.shape != shape:
+        found = "missing" if arr is None else f"of shape {arr.shape}"
+        raise DataFormatError(f"checkpoint array {name!r} is {found}; the run needs {shape}")
+    return arr
 
 
 def restore_cluster(cluster: Cluster, ckpt: Checkpoint, cfg: RunConfig):
@@ -301,11 +367,11 @@ def restore_cluster(cluster: Cluster, ckpt: Checkpoint, cfg: RunConfig):
         raise ArgumentError(
             "checkpoint was produced with a different algorithm/worker configuration"
         )
+    for i, layer in enumerate(cluster.net.layers):
+        layer.weight[...] = _stored(ckpt, f"layer{i}/weight", layer.weight.shape)
+    for i, m in enumerate(cluster.momentum):
+        m[...] = _stored(ckpt, f"layer{i}/momentum", m.shape)
     for worker in cluster.workers:
-        for i, layer in enumerate(worker.replica.layers):
-            layer.weight[...] = ckpt.arrays[f"layer{i}/weight"]
-        for i, m in enumerate(worker.momentum):
-            m[...] = ckpt.arrays[f"layer{i}/momentum"]
         for i, state in worker.factors.items():
             prefix = f"worker{worker.rank}/layer{i}"
             fm = ckpt.meta["factor_states"].get(prefix)

@@ -120,8 +120,8 @@ def run_grad_suite() -> list[CheckResult]:
         else:
             targets = rng.standard_normal((dims[-1], B))
         batch = Batch(inputs, targets)
-        forward(net, batch)
-        bp = backward(net, batch)
+        _, captures = forward(net, batch)
+        bp, _ = backward(net, batch, captures)
         fd = finite_diff_grad(net, batch, h=1e-5)
         for gb, gf in zip(bp, fd):
             denom = np.maximum(1.0, np.maximum(np.abs(gb), np.abs(gf)))
@@ -140,7 +140,7 @@ def _blob_spec() -> tuple[NetworkSpec, Batch]:
 
 
 def run_dist_suite() -> list[CheckResult]:
-    """Replica equivalences of the simulated cluster."""
+    """Worker-count equivalences of the simulated cluster."""
     results: list[CheckResult] = []
     spec, batch = _blob_spec()
     hyper = KfacHyper()
@@ -151,7 +151,7 @@ def run_dist_suite() -> list[CheckResult]:
         for t in range(20):
             shards = distsim.shard_batch(batch, workers, "replicate")
             distsim.dp_kfac_step(cluster, shards, hyper, 0.05, 0.9, t)
-        return np.concatenate([l.weight.ravel() for l in cluster.workers[0].replica.layers])
+        return np.concatenate([l.weight.ravel() for l in cluster.net.layers])
 
     single = run_dp(1)
     ok = all(np.array_equal(run_dp(p), single) for p in (2, 4))
@@ -164,7 +164,7 @@ def run_dist_suite() -> list[CheckResult]:
         for t in range(10):
             shards = distsim.shard_batch(batch, 4, "disjoint")
             distsim.mpd_kfac_step(cluster, shards, hyper, 0.05, 0.9, t, variant=variant)
-        return np.concatenate([l.weight.ravel() for l in cluster.workers[0].replica.layers])
+        return np.concatenate([l.weight.ravel() for l in cluster.net.layers])
 
     delta = float(np.abs(run_mpd("co") - run_mpd("mo")).max())
     _check(results, "dist", "mpd co vs mo weight agreement", delta <= 1e-14,
@@ -176,21 +176,19 @@ def run_dist_suite() -> list[CheckResult]:
         for t in range(20):
             shards = distsim.shard_batch(batch, workers, "disjoint")
             distsim.ssgd_step(cluster, shards, 0.05, 0.9, t)
-        return np.concatenate([l.weight.ravel() for l in cluster.workers[0].replica.layers])
+        return np.concatenate([l.weight.ravel() for l in cluster.net.layers])
 
     delta = float(np.abs(run_ssgd(2) - run_ssgd(1)).max())
     _check(results, "dist", "disjoint ssgd vs full-batch SGD", delta <= 1e-13,
            f"max |delta| = {delta:.2e} (tol 1e-13)")
 
-    # replica consistency + ownership trace
+    # one shared weight set + ownership trace
     cluster = distsim.build_cluster(spec, "dp_kfac", 4, seed=9)
     shards = distsim.shard_batch(batch, 4, "disjoint")
     res = distsim.dp_kfac_step(cluster, shards, hyper, 0.05, 0.9, 0)
-    consistent = all(
-        np.array_equal(w.replica.layers[i].weight, cluster.workers[0].replica.layers[i].weight)
-        for w in cluster.workers for i in range(cluster.n_layers)
-    )
-    _check(results, "dist", "replica weights identical after a step", consistent)
+    shared = all(w.replica is cluster.net and w.momentum is cluster.momentum
+                 for w in cluster.workers)
+    _check(results, "dist", "every worker references the one weight/momentum set", shared)
     owned_once = sorted(res.preconditioned_by) == list(range(cluster.n_layers))
     _check(results, "dist", "every layer preconditioned exactly once", owned_once,
            f"ownership {res.preconditioned_by}")

@@ -91,8 +91,8 @@ def test_criterion_3_gradient_correctness():
         else:
             targets = rng.standard_normal((dims[-1], B))
         batch = Batch(inputs, targets)
-        forward(net, batch)
-        bp = backward(net, batch)
+        _, captures = forward(net, batch)
+        bp, _ = backward(net, batch, captures)
         fd = finite_diff_grad(net, batch, h=1e-5)
         for gb, gf in zip(bp, fd):
             denom = np.maximum(1.0, np.maximum(np.abs(gb), np.abs(gf)))

@@ -111,6 +111,55 @@ def test_numeric_failure_exit_code_keeps_partial_csv(config_path, tmp_path, caps
     assert lines[0].startswith("iteration,")
 
 
+def test_out_dir_accepted_after_train_subcommand(config_path, tmp_path):
+    # the argument order the README shows
+    out = tmp_path / "blobs_ssgd"
+    code = cli.main(["train", str(config_path), "--train.algorithm=ssgd", "--out-dir", str(out)])
+    assert code == 0
+    assert (out / "metrics.csv").is_file()
+    manifest = json.loads((out / "run.json").read_text())
+    assert manifest["config"]["train"]["algorithm"] == "ssgd"
+
+
+DIVERGING_CONFIG = """
+[network]
+layer_dims = 16,16
+activation = identity
+loss_kind = mean_squared_error
+
+[data]
+kind = deep_linear_regression
+dim = 16
+out_dim = 16
+
+[train]
+algorithm = ssgd
+workers = 2
+epochs = 8
+batch_size = 64
+seed = 0
+
+[hyper]
+lr = 5
+"""
+
+
+def test_diverged_run_exits_numeric_and_keeps_rows(tmp_path, capsys):
+    # the loss first overflows at iteration 160; the run must stop there
+    # with the numeric exit code instead of finishing on inf/nan weights
+    cfg = tmp_path / "diverge.ini"
+    cfg.write_text(DIVERGING_CONFIG)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["--out-dir", str(out), "train", str(cfg)])
+    assert code == cli.EXIT_NUMERIC
+    assert "worker 0, iteration 160" in capsys.readouterr().err
+    rows = (out / "metrics.csv").read_text().splitlines()[1:]
+    assert len(rows) == 160
+    assert all(np.isfinite(float(r.split(",")[3])) for r in rows)
+    assert not (out / "final.ckpt").exists()
+
+
 def test_cost_command_toy_manifest(tmp_path, capsys):
     manifest = tmp_path / "toy.txt"
     manifest.write_text("4 3\n")

@@ -54,8 +54,8 @@ def test_noiseless_blobs_are_separable_by_small_net():
     batch = Batch(data.inputs, data.targets)
     momentum = init_momentum(net)
     for _ in range(300):
-        forward(net, batch)
-        sgd_step(net, backward(net, batch), lr=0.5, momentum_state=momentum, mu=0.9)
+        _, captures = forward(net, batch)
+        sgd_step(net, backward(net, batch, captures)[0], lr=0.5, momentum_state=momentum, mu=0.9)
     accuracy = np.mean(predict(net, data.inputs).argmax(axis=0) == data.targets)
     assert accuracy == 1.0
 

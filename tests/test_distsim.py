@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kfaclab import distsim
+from kfaclab import distsim, kfac
 from kfaclab.distsim import (
     LrSchedule,
     StepCounters,
@@ -16,7 +16,7 @@ from kfaclab.distsim import (
     ssgd_step,
     validate_partition,
 )
-from kfaclab.errors import ArgumentError, ShapeError
+from kfaclab.errors import ArgumentError, NumericError, ShapeError
 from kfaclab.kfac import KfacHyper
 from kfaclab.model import Batch, NetworkSpec, backward, forward, init_momentum, init_network, sgd_step
 
@@ -132,13 +132,11 @@ def test_shard_indivisible_batch_rejected():
 def test_shard_mean_of_shard_gradients_equals_full_batch():
     batch = _batch(B=16)
     net = init_network(SPEC, seed=0)
-    forward(net, batch)
-    full = backward(net, batch)
+    full, _ = backward(net, batch, forward(net, batch)[1])
     shards = shard_batch(batch, 4, "disjoint")
     partial = []
     for shard in shards:
-        forward(net, shard)
-        partial.append(backward(net, shard))
+        partial.append(backward(net, shard, forward(net, shard)[1])[0])
     for i in range(net.depth):
         mean = sum(p[i] for p in partial) / 4
         assert np.abs(mean - full[i]).max() <= 1e-13
@@ -200,6 +198,73 @@ def test_mpd_co_and_mo_agree():
     assert np.abs(run("co") - run("mo")).max() <= 1e-14
 
 
+def test_mpd_co_and_mo_bit_identical():
+    hyper = KfacHyper()
+    batch = _batch()
+
+    def run(variant):
+        cluster = build_cluster(SPEC, f"mpd_kfac_{variant}", 4, seed=5)
+        for t in range(12):
+            mpd_kfac_step(cluster, shard_batch(batch, 4, "disjoint"),
+                          hyper, 0.05, 0.9, t, variant)
+        return _weights(cluster)
+
+    assert np.array_equal(run("co"), run("mo"))
+
+
+def test_workers_share_one_weight_and_momentum_set():
+    for algorithm in distsim.ALGORITHMS:
+        cluster = build_cluster(SPEC, algorithm, 3, seed=0)
+        for worker in cluster.workers:
+            assert worker.replica is cluster.net
+            assert worker.momentum is cluster.momentum
+
+
+def test_dp_factors_come_from_each_owners_own_shard():
+    # one shared network must not let a later worker's pass overwrite the
+    # captures an earlier owner builds its factors from
+    spec = NetworkSpec((6, 8, 5, 7, 4), activation="tanh", bias_mode="homogeneous")
+    workers = 3
+    cluster = build_cluster(spec, "dp_kfac", workers, seed=1)
+    reference = init_network(spec, seed=1)
+    shards = shard_batch(_batch(B=30), workers, "disjoint")
+    dp_kfac_step(cluster, shards, KfacHyper(), 0.05, 0.9, 0)
+    for worker, shard in zip(cluster.workers, shards):
+        _, captures = forward(reference, shard)
+        _, preact_grads = backward(reference, shard, captures)
+        assert worker.factors
+        for i, state in worker.factors.items():
+            a_cov, g_cov = kfac.compute_factors(captures[i].input, preact_grads[i])
+            assert np.array_equal(state.a_cov, a_cov), (worker.rank, i)
+            assert np.array_equal(state.g_cov, g_cov), (worker.rank, i)
+
+
+def test_mpd_co_preconditions_each_layer_once_per_step(monkeypatch):
+    calls = []
+    original = kfac.apply_preconditioner
+
+    def counting(state, grad, hyper):
+        calls.append(grad.shape)
+        return original(state, grad, hyper)
+
+    monkeypatch.setattr(kfac, "apply_preconditioner", counting)
+    cluster = build_cluster(SPEC, "mpd_kfac_co", 4, seed=0)
+    for t in range(3):
+        calls.clear()
+        mpd_kfac_step(cluster, shard_batch(_batch(), 4, "disjoint"),
+                      KfacHyper(), 0.05, 0.9, t, "co")
+        assert len(calls) == cluster.n_layers
+
+
+def test_non_finite_loss_names_worker_and_iteration():
+    cluster = build_cluster(SPEC, "ssgd", 2, seed=0)
+    shards = shard_batch(_batch(), 2, "disjoint")
+    poisoned = Batch(np.full_like(shards[1].inputs, np.inf), shards[1].targets)
+    with pytest.raises(NumericError, match=r"worker 1, iteration 7"), \
+            np.errstate(invalid="ignore"):
+        ssgd_step(cluster, [shards[0], poisoned], 0.05, 0.9, 7)
+
+
 def test_replicas_identical_after_each_algorithm():
     batch = _batch()
     hyper = KfacHyper()
@@ -230,8 +295,8 @@ def test_ssgd_single_worker_equals_plain_sgd():
     momentum = init_momentum(reference)
     for t in range(10):
         ssgd_step(cluster, [batch], 0.05, 0.9, t)
-        forward(reference, batch)
-        sgd_step(reference, backward(reference, batch), 0.05, momentum, 0.9)
+        _, captures = forward(reference, batch)
+        sgd_step(reference, backward(reference, batch, captures)[0], 0.05, momentum, 0.9)
     ref = np.concatenate([l.weight.ravel() for l in reference.layers])
     assert np.array_equal(_weights(cluster), ref)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kfaclab.errors import ArgumentError, OrderingError, ShapeError
+from kfaclab.errors import ArgumentError, ShapeError
 from kfaclab.model import (
     Batch,
     NetworkSpec,
@@ -64,7 +64,7 @@ def test_forward_identity_net_zero_mse():
     for layer in net.layers:
         layer.weight[...] = np.eye(3)
     inputs = np.random.default_rng(0).standard_normal((3, 5))
-    assert forward(net, Batch(inputs, inputs)) == 0.0
+    assert forward(net, Batch(inputs, inputs))[0] == 0.0
 
 
 def test_forward_uniform_logits_gives_log_classes():
@@ -73,7 +73,7 @@ def test_forward_uniform_logits_gives_log_classes():
     net.layers[0].weight[...] = 0.0
     batch = Batch(np.random.default_rng(1).standard_normal((4, 7)),
                   np.arange(7) % 6)
-    assert abs(forward(net, batch) - np.log(6.0)) <= 1e-12
+    assert abs(forward(net, batch)[0] - np.log(6.0)) <= 1e-12
 
 
 def test_forward_matches_straight_line_reimplementation():
@@ -91,7 +91,7 @@ def test_forward_matches_straight_line_reimplementation():
     logits = net.layers[1].weight @ h
     shifted = logits - logits.max(axis=0)
     per_sample = np.log(np.exp(shifted).sum(axis=0)) - shifted[batch.targets, np.arange(6)]
-    assert abs(forward(net, batch) - per_sample.mean()) <= 1e-12
+    assert abs(forward(net, batch)[0] - per_sample.mean()) <= 1e-12
 
 
 def test_forward_is_pure_wrt_weights():
@@ -99,16 +99,16 @@ def test_forward_is_pure_wrt_weights():
     spec = NetworkSpec((4, 4, 2))
     net = init_network(spec, seed=0)
     batch = _random_batch(rng, spec, 5)
-    assert forward(net, batch) == forward(net, batch)
+    assert forward(net, batch)[0] == forward(net, batch)[0]
 
 
 def test_forward_captures_homogeneous_ones_row():
     rng = np.random.default_rng(4)
     spec = NetworkSpec((3, 4, 2), bias_mode="homogeneous")
     net = init_network(spec, seed=0)
-    forward(net, _random_batch(rng, spec, 5))
-    for layer in net.layers:
-        assert np.all(layer.captured_input[-1] == 1.0)
+    _, captures = forward(net, _random_batch(rng, spec, 5))
+    for capture in captures:
+        assert np.all(capture.input[-1] == 1.0)
 
 
 def test_backward_zero_gradient_at_optimum():
@@ -117,8 +117,8 @@ def test_backward_zero_gradient_at_optimum():
     net.layers[0].weight[...] = np.eye(3)
     inputs = np.random.default_rng(5).standard_normal((3, 4))
     batch = Batch(inputs, inputs)
-    forward(net, batch)
-    grads = backward(net, batch)
+    _, captures = forward(net, batch)
+    grads, _ = backward(net, batch, captures)
     assert np.abs(grads[0]).max() == 0.0
 
 
@@ -127,17 +127,24 @@ def test_backward_softmax_grad_columns_sum_to_zero():
     spec = NetworkSpec((4, 5, 3))
     net = init_network(spec, seed=1)
     batch = _random_batch(rng, spec, 8)
-    forward(net, batch)
-    backward(net, batch)
-    g_last = net.layers[-1].captured_preact_grad
+    _, captures = forward(net, batch)
+    _, preact_grads = backward(net, batch, captures)
+    g_last = preact_grads[-1]
     assert np.abs(g_last.sum(axis=0)).max() <= 1e-12
 
 
-def test_backward_requires_forward():
-    net = init_network(NetworkSpec((3, 2)), seed=0)
-    batch = Batch(np.zeros((3, 2)), np.array([0, 1]))
-    with pytest.raises(OrderingError):
-        backward(net, batch)
+def test_backward_rejects_mismatched_captures():
+    rng = np.random.default_rng(11)
+    spec = NetworkSpec((3, 4, 2))
+    net = init_network(spec, seed=0)
+    batch = _random_batch(rng, spec, 4)
+    _, other_batch_captures = forward(net, _random_batch(rng, spec, 5))
+    with pytest.raises(ShapeError):
+        backward(net, batch, other_batch_captures)
+    for other_dims in ((3, 4, 4, 2), (3, 5, 2)):  # deeper, then wider
+        _, other_net_captures = forward(init_network(NetworkSpec(other_dims), seed=0), batch)
+        with pytest.raises(ShapeError):
+            backward(net, batch, other_net_captures)
 
 
 def _max_rel_err(bp, fd):
@@ -155,8 +162,8 @@ def test_backward_matches_finite_differences(loss, bias):
     spec = NetworkSpec((4, 6, 3), activation="tanh", loss_kind=loss, bias_mode=bias)
     net = init_network(spec, seed=2)
     batch = _random_batch(rng, spec, 5)
-    forward(net, batch)
-    bp = backward(net, batch)
+    _, captures = forward(net, batch)
+    bp, _ = backward(net, batch, captures)
     fd = finite_diff_grad(net, batch, h=1e-5)
     assert _max_rel_err(bp, fd) <= 1e-5
 
@@ -178,8 +185,8 @@ def test_finite_diff_second_order_convergence():
     spec = NetworkSpec((3, 4, 2), activation="tanh", loss_kind="mean_squared_error")
     net = init_network(spec, seed=3)
     batch = _random_batch(rng, spec, 4)
-    forward(net, batch)
-    bp = backward(net, batch)
+    _, captures = forward(net, batch)
+    bp, _ = backward(net, batch, captures)
 
     def err(h):
         fd = finite_diff_grad(net, batch, h=h)
@@ -205,10 +212,10 @@ def test_loss_and_grads_invariant_under_sample_permutation():
     perm = rng.permutation(6)
     shuffled = Batch(batch.inputs[:, perm], batch.targets[perm])
 
-    loss_a = forward(net, batch)
-    grads_a = backward(net, batch)
-    loss_b = forward(net, shuffled)
-    grads_b = backward(net, shuffled)
+    loss_a, caps_a = forward(net, batch)
+    grads_a, _ = backward(net, batch, caps_a)
+    loss_b, caps_b = forward(net, shuffled)
+    grads_b, _ = backward(net, shuffled, caps_b)
     assert abs(loss_a - loss_b) <= 1e-12
     for ga, gb in zip(grads_a, grads_b):
         assert np.abs(ga - gb).max() <= 1e-12
@@ -241,14 +248,14 @@ def test_sgd_step_zero_lr_is_identity():
     assert np.array_equal(net.layers[0].weight, before)
 
 
-def test_predict_and_mean_loss_do_not_capture():
+def test_predict_and_mean_loss_match_forward():
     rng = np.random.default_rng(10)
     spec = NetworkSpec((3, 3, 2))
     net = init_network(spec, seed=5)
     batch = _random_batch(rng, spec, 4)
-    predict(net, batch.inputs)
-    mean_loss(net, batch)
-    assert net.layers[0].captured_input is None
+    loss, captures = forward(net, batch)
+    assert np.array_equal(predict(net, batch.inputs), captures[-1].preact)
+    assert mean_loss(net, batch) == loss
 
 
 def test_forward_shape_error():
