@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__, costmodel, verify
+from . import __version__, costmodel, kfac, verify
 from .config import load_config, parse_overrides
 from .datasets import gen_synthetic, quantize_for_idx, write_idx
 from .errors import ArgumentError, ConfigError, DataFormatError, NumericError
@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cost.add_argument("--p", default="1,2,4,8,64", help="comma-separated worker counts")
     p_cost.add_argument("--alg", default="all",
                         help="comma-separated algorithms or 'all'")
-    p_cost.add_argument("--inv-type", default="eigen", choices=("eigen", "inverse"))
+    p_cost.add_argument("--inv-type", default="eigen", choices=kfac.INV_TYPES)
     p_cost.add_argument("--f-freq", type=int, default=None,
                         help="also emit per-iteration costs amortized over this factor interval")
     p_cost.add_argument("--k-freq", type=int, default=None,
@@ -73,6 +73,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _holds_rows_before(csv_path: Path, iteration: int) -> bool:
+    """Whether ``csv_path`` is a metrics file with the documented header and
+    exactly the rows of iterations 0..iteration-1, in order."""
+    try:
+        text = csv_path.read_text()
+    except (OSError, UnicodeDecodeError):
+        return False
+    lines = text.splitlines()
+    return (text.endswith("\n") and lines[0] == csv_header()
+            and [line.split(",", 1)[0] for line in lines[1:]]
+            == [str(i) for i in range(iteration)])
+
+
 def cmd_train(args, overrides) -> int:
     if args.seed is not None:
         overrides["train.seed"] = str(args.seed)
@@ -84,9 +97,13 @@ def cmd_train(args, overrides) -> int:
     resume = load_checkpoint(args.resume) if args.resume else None
 
     csv_path = out_dir / "metrics.csv"
+    # a resumed run continues the directory's own metrics when they end
+    # exactly where the checkpoint does
+    append = resume is not None and _holds_rows_before(csv_path, resume.iteration)
     # written incrementally so a numeric abort still leaves the partial rows
-    with open(csv_path, "w") as fh:
-        fh.write(csv_header() + "\n")
+    with open(csv_path, "a" if append else "w") as fh:
+        if not append:
+            fh.write(csv_header() + "\n")
         def sink(row):
             fh.write(",".join(row.as_csv_fields()) + "\n")
             fh.flush()

@@ -14,10 +14,11 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .distsim import ALGORITHMS, SHARD_POLICIES, LrSchedule
+from .costmodel import ALGORITHMS
+from .distsim import SHARD_POLICIES, LrSchedule
 from .errors import ConfigError
 from .kfac import INV_TYPES, KfacHyper
-from .model import NetworkSpec
+from .model import ACTIVATIONS, BIAS_MODES, LOSSES, NetworkSpec
 from .datasets import SYNTHETIC_KINDS
 
 
@@ -113,9 +114,9 @@ def _enum(options):
 _SCHEMA: dict[str, dict[str, object]] = {
     "network": {
         "layer_dims": _int_list,
-        "activation": _enum(("relu", "tanh", "identity")),
-        "loss_kind": _enum(("softmax_cross_entropy", "mean_squared_error")),
-        "bias_mode": _enum(("none", "homogeneous")),
+        "activation": _enum(ACTIVATIONS),
+        "loss_kind": _enum(LOSSES),
+        "bias_mode": _enum(BIAS_MODES),
     },
     "data": {
         "kind": _enum(SYNTHETIC_KINDS + ("idx",)),

@@ -14,20 +14,27 @@ the input bits unchanged whenever P is a power of two (every partial sum is
 x + x, which is exact), which is what makes replicated-data cluster runs
 exactly equal to their single-worker counterparts.
 
-Three algorithm families share the gradient path (local backprop, then an
-averaging all-reduce):
+:func:`run_step` is the one step skeleton.  It does the work every
+algorithm shares once: local forward/backward passes, the averaging
+all-reduce of the gradients, and the GradComp count.  It then hands the
+aggregated gradients to the preconditioning of the cluster's configured
+algorithm and applies one momentum-SGD update:
 
-* ``ssgd``: momentum SGD on the aggregated gradient, no curvature.
+* ``ssgd``: no preconditioning, the aggregated gradient is the update.
 * ``mpd_kfac_*``: every worker builds factor statistics for every layer,
   factors are all-reduced, and each layer's decomposition is computed by its
   round-robin owner.  The ``co`` variant broadcasts decompositions and every
-  worker preconditions everything locally (the copies are bit-identical, so
-  the simulator applies one local copy once per layer on behalf of all P);
+  worker preconditions everything locally (every worker holds the same
+  decomposition, so the simulator applies it once per layer on behalf of
+  all P);
   the ``mo`` variant preconditions at the owner and broadcasts
   preconditioned gradients.
 * ``dp_kfac``: each worker builds factor statistics from its LOCAL
   shard for its OWN layers only, preconditions the aggregated gradient
   there, and broadcasts the result.  Factor communication never happens.
+
+A broadcast hands every receiver the same read-only tensor instead of P
+copies; its element count is still logged as (P-1) * N.
 
 Every step logs element counts per stage; the analytic model in
 :mod:`kfaclab.costmodel` must reproduce them exactly.
@@ -41,12 +48,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kfac
-from .costmodel import LayerDims, layer_counts, round_robin_partition
+from .costmodel import ALGORITHMS, LayerDims, layer_counts, round_robin_partition
 from .errors import ArgumentError, KfacLabError, NumericError, ShapeError
 from .kfac import FactorState, KfacHyper
 from .model import Batch, Network, NetworkSpec, backward, forward, init_momentum, init_network, sgd_step
 
-ALGORITHMS = ("ssgd", "mpd_kfac_co", "mpd_kfac_mo", "dp_kfac")
 SHARD_POLICIES = ("disjoint", "replicate")
 
 
@@ -88,26 +94,6 @@ class ClusterConfig:
             raise ArgumentError(f"unknown algorithm {self.algorithm!r}")
         if self.workers < 1:
             raise ArgumentError("worker count must be >= 1")
-        if len(self.assignment) != self.workers:
-            raise ArgumentError("assignment must list one layer set per worker")
-
-
-def assign_layers_round_robin(n_layers: int, workers: int) -> tuple[tuple[int, ...], ...]:
-    """Circular layer partition: worker p owns layers p, p+P, ... (0-based)."""
-    if n_layers < 1:
-        raise ArgumentError("need at least one layer")
-    return round_robin_partition(n_layers, workers)
-
-
-def validate_partition(assignment: Sequence[Sequence[int]], n_layers: int):
-    seen: set[int] = set()
-    for p, part in enumerate(assignment):
-        for i in part:
-            if i in seen:
-                raise ArgumentError(f"layer {i} assigned to more than one worker")
-            seen.add(i)
-    if seen != set(range(n_layers)):
-        raise ArgumentError(f"assignment does not cover layers 0..{n_layers - 1} exactly")
 
 
 @dataclass
@@ -151,15 +137,13 @@ def build_cluster(
     algorithm: str,
     workers: int,
     seed: int,
-    assignment: Optional[tuple[tuple[int, ...], ...]] = None,
 ) -> Cluster:
     """One shared weight/momentum set, per-worker factor states, layer
-    ownership round-robin unless an explicit partition is given."""
+    ownership by :func:`kfaclab.costmodel.round_robin_partition`, the
+    partition the cost model assumes."""
     net = init_network(spec, seed)
     momentum = init_momentum(net)
-    if assignment is None:
-        assignment = assign_layers_round_robin(net.depth, workers)
-    validate_partition(assignment, net.depth)
+    assignment = round_robin_partition(net.depth, workers)
     config = ClusterConfig(workers=workers, assignment=assignment, algorithm=algorithm)
     states = []
     for p in range(workers):
@@ -216,13 +200,19 @@ def broadcast(
     n_workers: int,
     counters: Optional[StepCounters] = None,
     stage: str = "predcomm",
-) -> list[np.ndarray]:
-    """Copy the root's tensor to every worker; logs (P-1) * N elements."""
+) -> np.ndarray:
+    """Send the root's tensor to every worker; logs (P-1) * N elements.
+
+    Every receiver would hold the same bits, so the one received tensor is
+    returned: a read-only view of the root's, shared by all workers.
+    """
     if not (0 <= root < n_workers):
         raise ArgumentError(f"broadcast root {root} outside 0..{n_workers - 1}")
     if counters is not None:
         setattr(counters, stage, getattr(counters, stage) + (n_workers - 1) * tensor.size)
-    return [tensor.copy() for _ in range(n_workers)]
+    received = tensor.view()
+    received.flags.writeable = False
+    return received
 
 
 def shard_batch(batch: Batch, workers: int, policy: str = "disjoint") -> list[Batch]:
@@ -285,50 +275,20 @@ def _local_grads(cluster: Cluster, shards: Sequence[Batch], t: int) -> tuple[lis
     return passes, float(np.mean(losses))
 
 
-def _aggregate_grads(
-    cluster: Cluster, local: list[LocalPass], counters: StepCounters
-) -> list[np.ndarray]:
-    return [
-        all_reduce_avg([lp.grads[i] for lp in local], counters, "gradcomm")
-        for i in range(cluster.n_layers)
-    ]
-
-
-def _apply_update(cluster: Cluster, grads: list[np.ndarray], lr: float, momentum: float):
-    sgd_step(cluster.net, grads, lr, cluster.momentum, momentum)
-
-
 def _rethrow(exc: KfacLabError, worker: int, layer: int):
     raise type(exc)(f"worker {worker}, layer {layer}: {exc}") from exc
 
 
-def ssgd_step(
-    cluster: Cluster, shards: Sequence[Batch], lr: float, momentum: float, t: int
-) -> StepResult:
-    """Synchronous data-parallel SGD: average gradients, identical update."""
-    counters = cluster.log.new_step()
-    local, loss = _local_grads(cluster, shards, t)
-    agg = _aggregate_grads(cluster, local, counters)
-    counters.gradcomp = sum(g.size for g in agg)
-    _apply_update(cluster, agg, lr, momentum)
-    return StepResult(loss, counters)
-
-
-def dp_kfac_step(
+def _dp_precondition(
     cluster: Cluster,
-    shards: Sequence[Batch],
+    local: list[LocalPass],
+    agg: list[np.ndarray],
     hyper: KfacHyper,
-    lr: float,
-    momentum: float,
+    counters: StepCounters,
     t: int,
-) -> StepResult:
+) -> tuple[list[np.ndarray], dict[int, int]]:
     """Distributed preconditioning: local-shard factors for owned layers only,
     zero factor communication, preconditioned gradients broadcast."""
-    counters = cluster.log.new_step()
-    local, loss = _local_grads(cluster, shards, t)
-    agg = _aggregate_grads(cluster, local, counters)
-    counters.gradcomp = sum(g.size for g in agg)
-
     f_up = kfac.is_factor_update(t, hyper)
     k_up = kfac.is_inverse_update(t, hyper)
     dims = cluster.layer_dims()
@@ -339,51 +299,36 @@ def dp_kfac_step(
         owned_f = 0
         for i in sorted(worker.factors):
             try:
-                pg, _ = kfac.kfac_layer_step(
-                    worker.factors[i],
-                    own.inputs[i],
-                    own.preact_grads[i],
-                    agg[i],
-                    hyper,
-                    t,
-                )
+                precond[i], _ = kfac.kfac_layer_step(
+                    worker.factors[i], own.inputs[i], own.preact_grads[i], agg[i], hyper, t)
             except KfacLabError as exc:
                 _rethrow(exc, worker.rank, i)
             owners[i] = worker.rank
-            precond[i] = pg
             owned_f += layer_counts(dims[i])[1]
         factor_work.append(owned_f if f_up else 0)
         inverse_work.append(owned_f if k_up else 0)
     counters.factorcomp = max(factor_work)
     counters.inversecomp = max(inverse_work)
-
-    update = []
-    for i in range(cluster.n_layers):
-        copies = broadcast(owners[i], precond[i], cluster.config.workers, counters, "predcomm")
-        update.append(copies[0])
-    _apply_update(cluster, update, lr, momentum)
-    return StepResult(loss, counters, preconditioned_by=owners)
+    update = [
+        broadcast(owners[i], precond[i], cluster.config.workers, counters, "predcomm")
+        for i in range(cluster.n_layers)
+    ]
+    return update, owners
 
 
-def mpd_kfac_step(
+def _mpd_precondition(
     cluster: Cluster,
-    shards: Sequence[Batch],
+    local: list[LocalPass],
+    agg: list[np.ndarray],
     hyper: KfacHyper,
-    lr: float,
-    momentum: float,
+    counters: StepCounters,
     t: int,
-    variant: str = "co",
-) -> StepResult:
+) -> tuple[list[np.ndarray], dict[int, int]]:
     """Model-parallel D-KFAC: global factors via all-reduce, decompositions at
-    the layer owner.  ``co`` broadcasts decompositions, ``mo`` broadcasts
-    preconditioned gradients."""
-    if variant not in ("co", "mo"):
-        raise ArgumentError(f"unknown mpd variant {variant!r}")
-    counters = cluster.log.new_step()
+    the layer owner.  COMM-OPT (``mpd_kfac_co``) broadcasts decompositions,
+    MEM-OPT (``mpd_kfac_mo``) broadcasts preconditioned gradients."""
+    comm_opt = cluster.config.algorithm == "mpd_kfac_co"
     P = cluster.config.workers
-    local, loss = _local_grads(cluster, shards, t)
-    agg = _aggregate_grads(cluster, local, counters)
-    counters.gradcomp = sum(g.size for g in agg)
     dims = cluster.layer_dims()
 
     if kfac.is_factor_update(t, hyper):
@@ -414,26 +359,25 @@ def mpd_kfac_step(
             except KfacLabError as exc:
                 _rethrow(exc, owner, i)
             inverse_work[owner] += layer_counts(dims[i])[1]
-            if variant == "co":
+            if comm_opt:
                 _broadcast_decomposition(cluster, owner, i, state, hyper, counters, t)
         counters.inversecomp = max(inverse_work)
 
     owners = {i: cluster.owner_of(i) for i in range(cluster.n_layers)}
     update: list[np.ndarray] = []
     for i in range(cluster.n_layers):
-        # co: every worker holds a bit-identical copy of the decomposition and
-        # would compute the same bits, so worker 0's local copy is applied once
-        # for all of them; mo: the owner applies it and broadcasts the result
-        rank = 0 if variant == "co" else owners[i]
+        # co: every worker holds the same decomposition and would compute the
+        # same bits, so worker 0's is applied once for all of them;
+        # mo: the owner applies it and broadcasts the result
+        rank = 0 if comm_opt else owners[i]
         try:
             pg = kfac.apply_preconditioner(cluster.workers[rank].factors[i], agg[i], hyper)
         except KfacLabError as exc:
             _rethrow(exc, rank, i)
-        if variant == "mo":
-            pg = broadcast(rank, pg, P, counters, "predcomm")[0]
+        if not comm_opt:
+            pg = broadcast(rank, pg, P, counters, "predcomm")
         update.append(pg)
-    _apply_update(cluster, update, lr, momentum)
-    return StepResult(loss, counters, preconditioned_by=owners)
+    return update, owners
 
 
 def _broadcast_decomposition(
@@ -446,25 +390,24 @@ def _broadcast_decomposition(
     t: int,
 ):
     """COMM-OPT payload: eigenbases plus eigenvalue vectors, or the two damped
-    inverses.  Receivers store identical copies in their own factor states."""
+    inverses.  Every worker's factor state then holds the received tensors."""
     P = cluster.config.workers
+    a_eig = g_eig = a_inv = g_inv = None
     if hyper.inv_type == "eigen":
-        tensors = [state.a_eig.q, state.a_eig.values, state.g_eig.q, state.g_eig.values]
+        a_q, a_v, g_q, g_v = (
+            broadcast(owner, arr, P, counters, "inversecomm")
+            for arr in (state.a_eig.q, state.a_eig.values, state.g_eig.q, state.g_eig.values)
+        )
+        a_eig, g_eig = kfac.EigenPair(a_q, a_v), kfac.EigenPair(g_q, g_v)
     else:
-        tensors = [state.a_damped_inv, state.g_damped_inv]
-    received = [broadcast(owner, arr, P, counters, "inversecomm") for arr in tensors]
-    for p, worker in enumerate(cluster.workers):
+        a_inv, g_inv = (
+            broadcast(owner, arr, P, counters, "inversecomm")
+            for arr in (state.a_damped_inv, state.g_damped_inv)
+        )
+    for worker in cluster.workers:
         dest = worker.factors[layer]
-        if hyper.inv_type == "eigen":
-            dest.a_eig = kfac.EigenPair(received[0][p], received[1][p])
-            dest.g_eig = kfac.EigenPair(received[2][p], received[3][p])
-            dest.a_damped_inv = None
-            dest.g_damped_inv = None
-        else:
-            dest.a_damped_inv = received[0][p]
-            dest.g_damped_inv = received[1][p]
-            dest.a_eig = None
-            dest.g_eig = None
+        dest.a_eig, dest.g_eig = a_eig, g_eig
+        dest.a_damped_inv, dest.g_damped_inv = a_inv, g_inv
         dest.last_inverse_update = t
 
 
@@ -498,10 +441,20 @@ def run_step(
     momentum: float,
     t: int,
 ) -> StepResult:
-    """Dispatch one step by the cluster's configured algorithm."""
-    algo = cluster.config.algorithm
-    if algo == "ssgd":
-        return ssgd_step(cluster, shards, lr, momentum, t)
-    if algo == "dp_kfac":
-        return dp_kfac_step(cluster, shards, hyper, lr, momentum, t)
-    return mpd_kfac_step(cluster, shards, hyper, lr, momentum, t, variant=algo[-2:])
+    """One synchronous step of the cluster's configured algorithm: local
+    passes, the gradient all-reduce, the algorithm's preconditioning (none
+    for ``ssgd``), then one momentum-SGD update of the shared weights."""
+    counters = cluster.log.new_step()
+    local, loss = _local_grads(cluster, shards, t)
+    update = [
+        all_reduce_avg([lp.grads[i] for lp in local], counters, "gradcomm")
+        for i in range(cluster.n_layers)
+    ]
+    counters.gradcomp = sum(g.size for g in update)
+    owners = None
+    if cluster.config.algorithm == "dp_kfac":
+        update, owners = _dp_precondition(cluster, local, update, hyper, counters, t)
+    elif cluster.config.algorithm != "ssgd":
+        update, owners = _mpd_precondition(cluster, local, update, hyper, counters, t)
+    sgd_step(cluster.net, update, lr, cluster.momentum, momentum)
+    return StepResult(loss, counters, preconditioned_by=owners)

@@ -37,14 +37,6 @@ class EigenPair(NamedTuple):
     values: np.ndarray
 
 
-def as_matrix(data) -> np.ndarray:
-    """Coerce nested sequences or an array to a 2-D float64 matrix."""
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    return arr
-
-
 def _require_matrix(m, name: str) -> np.ndarray:
     if not isinstance(m, np.ndarray) or m.ndim != 2:
         raise ShapeError(f"{name}: expected a 2-D ndarray")
@@ -56,20 +48,6 @@ def _require_square(m, name: str) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"{name}: expected a square matrix, got {m.shape[0]}x{m.shape[1]}")
     return m
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = _require_matrix(a, "matmul lhs")
-    b = _require_matrix(b, "matmul rhs")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul: inner dimensions differ, {a.shape[0]}x{a.shape[1]} @ {b.shape[0]}x{b.shape[1]}"
-        )
-    out = a @ b
-    if not np.isfinite(out).all():
-        raise NumericError("matmul produced non-finite values (overflow or non-finite input)")
-    return out
 
 
 def sym_eig(m: np.ndarray) -> EigenPair:

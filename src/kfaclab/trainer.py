@@ -24,6 +24,7 @@ from .config import RunConfig
 from .datasets import Dataset, gen_synthetic, load_idx
 from .distsim import Cluster, build_cluster, lr_schedule, run_step, shard_batch
 from .errors import ArgumentError, DataFormatError
+from .kfac import FactorState
 from .model import Batch, predict, _per_sample_losses
 from .numerics import EigenPair
 
@@ -362,7 +363,35 @@ def _stored(ckpt: Checkpoint, name: str, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
+def _restore_factor_state(state: FactorState, ckpt: Checkpoint, prefix: str,
+                          d_in: int, d_out: int):
+    fm = ckpt.meta["factor_states"].get(prefix)
+    if fm is None:
+        raise DataFormatError(f"checkpoint has no factor state {prefix!r}; the run needs one")
+
+    def group(*names, required=False):
+        """Arrays saved together: all of them, or None for each if absent."""
+        if not required and not any(f"{prefix}/{n}" in ckpt.arrays for n in names):
+            return [None] * len(names)
+        # a_* arrays are d_in wide, g_* d_out; *_v are eigenvalue vectors
+        return [_stored(ckpt, f"{prefix}/{n}", (d_in if n[0] == "a" else d_out,)
+                        * (1 if n.endswith("_v") else 2)) for n in names]
+
+    state.initialized = fm["initialized"]
+    state.last_factor_update = fm["last_factor_update"]
+    state.last_inverse_update = fm["last_inverse_update"]
+    # an initialized state cannot lack its averaged factors
+    state.a_cov, state.g_cov = group("a_cov", "g_cov", required=state.initialized)
+    state.a_damped_inv, state.g_damped_inv = group("a_damped_inv", "g_damped_inv")
+    eig = group("a_eig_q", "a_eig_v", "g_eig_q", "g_eig_v")
+    if eig[0] is not None:
+        state.a_eig, state.g_eig = EigenPair(*eig[:2]), EigenPair(*eig[2:])
+
+
 def restore_cluster(cluster: Cluster, ckpt: Checkpoint, cfg: RunConfig):
+    """Load a checkpoint's weights, momentum and every worker's factor
+    states into a freshly built cluster of the same configuration.  A
+    missing or mis-shaped array or factor state is a DataFormatError."""
     if ckpt.meta["algorithm"] != cfg.train.algorithm or ckpt.meta["workers"] != cfg.train.workers:
         raise ArgumentError(
             "checkpoint was produced with a different algorithm/worker configuration"
@@ -373,20 +402,5 @@ def restore_cluster(cluster: Cluster, ckpt: Checkpoint, cfg: RunConfig):
         m[...] = _stored(ckpt, f"layer{i}/momentum", m.shape)
     for worker in cluster.workers:
         for i, state in worker.factors.items():
-            prefix = f"worker{worker.rank}/layer{i}"
-            fm = ckpt.meta["factor_states"].get(prefix)
-            if fm is None:
-                continue
-            state.initialized = fm["initialized"]
-            state.last_factor_update = fm["last_factor_update"]
-            state.last_inverse_update = fm["last_inverse_update"]
-            state.a_cov = ckpt.arrays.get(f"{prefix}/a_cov")
-            state.g_cov = ckpt.arrays.get(f"{prefix}/g_cov")
-            state.a_damped_inv = ckpt.arrays.get(f"{prefix}/a_damped_inv")
-            state.g_damped_inv = ckpt.arrays.get(f"{prefix}/g_damped_inv")
-            if f"{prefix}/a_eig_q" in ckpt.arrays:
-                state.a_eig = EigenPair(ckpt.arrays[f"{prefix}/a_eig_q"],
-                                        ckpt.arrays[f"{prefix}/a_eig_v"])
-            if f"{prefix}/g_eig_q" in ckpt.arrays:
-                state.g_eig = EigenPair(ckpt.arrays[f"{prefix}/g_eig_q"],
-                                        ckpt.arrays[f"{prefix}/g_eig_v"])
+            d_out, d_in = cluster.net.layers[i].weight.shape
+            _restore_factor_state(state, ckpt, f"worker{worker.rank}/layer{i}", d_in, d_out)

@@ -1,9 +1,11 @@
 """Self-check suites runnable from the CLI: oracle, grad, dist, cost.
 
-Each check returns a named pass/fail result with a short diagnostic, so a
-broken invariant is identifiable from the report line alone.  The suites are
-smaller, faster versions of the full test suite, meant as a release gate and
-a field diagnostic.
+This module is the one implementation of acceptance criteria 1-6 (seeds,
+trial counts and tolerances pinned; ``tests/test_acceptance.py`` runs them
+through :data:`CRITERIA`).  Each suite reports its criteria plus extra
+checks of the conventions they rest on.  Every check returns a named
+pass/fail result with a short diagnostic, so a broken invariant is
+identifiable from the report line alone.
 """
 
 from __future__ import annotations
@@ -28,13 +30,57 @@ class CheckResult:
     detail: str = ""
 
 
-def _random_spd(rng, dim: int) -> np.ndarray:
+def _random_spd(rng, dim: int, floor: float = 1.0) -> np.ndarray:
     b = rng.standard_normal((dim, dim))
-    return b @ b.T / dim + np.eye(dim)
+    return b @ b.T / dim + floor * np.eye(dim)
 
 
-def _check(results, suite, name, passed, detail=""):
-    results.append(CheckResult(suite, name, bool(passed), detail))
+def _criterion(suite: str, number: int, title: str, passed, detail: str) -> CheckResult:
+    return CheckResult(suite, f"criterion {number}: {title}", bool(passed), detail)
+
+
+def criterion_1() -> CheckResult:
+    """Eigen damping against the dense damped-Kronecker solve."""
+    rng = np.random.default_rng(1001)
+    worst = 0.0
+    for _ in range(1000):
+        d_a, d_g = rng.integers(1, 7, size=2)
+        a, g = _random_spd(rng, d_a), _random_spd(rng, d_g)
+        grad = rng.standard_normal((d_g, d_a))
+        scale = max(np.abs(grad).max(), 1e-300)
+        a_eig, g_eig = numerics.sym_eig(a), numerics.sym_eig(g)
+        for gamma in (1e-3, 0.03, 1.0):
+            fast = kfac.precondition_eigen(a_eig, g_eig, grad, gamma)
+            exact = kfac.exact_precondition_oracle(a, g, grad, gamma)
+            worst = max(worst, float(np.abs(fast - exact).max()) / scale)
+    return _criterion("oracle", 1, "eigen damping vs dense Kronecker oracle", worst <= 1e-10,
+                      f"1000 factor pairs x 3 damping values, "
+                      f"max scaled deviation {worst:.2e} <= 1e-10")
+
+
+def criterion_2() -> CheckResult:
+    """Inverse damping against the factored oracle, and its gamma -> 0 limit."""
+    rng = np.random.default_rng(1002)
+    worst_f = worst_0 = 0.0
+    for _ in range(1000):
+        d_a, d_g = rng.integers(1, 7, size=2)
+        a, g = _random_spd(rng, d_a), _random_spd(rng, d_g)
+        grad = rng.standard_normal((d_g, d_a))
+        scale = max(np.abs(grad).max(), 1e-300)
+        for gamma in (1e-3, 0.03, 1.0):
+            fast = kfac.precondition_inverse(a, g, grad, gamma)
+            oracle = kfac.factored_precondition_oracle(a, g, grad, gamma)
+            worst_f = max(worst_f, float(np.abs(fast - oracle).max()) / scale)
+        # split-damping cross term decays as sqrt(gamma)/lambda^3: the exact
+        # agreement at gamma -> 0 is checked on strongly regularized spectra
+        a0, g0 = _random_spd(rng, d_a, floor=20.0), _random_spd(rng, d_g, floor=20.0)
+        tiny = kfac.precondition_inverse(a0, g0, grad, 1e-12)
+        exact = kfac.exact_precondition_oracle(a0, g0, grad, 1e-12)
+        worst_0 = max(worst_0, float(np.abs(tiny - exact).max()))
+    return _criterion("oracle", 2, "inverse damping vs factored oracle + gamma->0 limit",
+                      worst_f <= 1e-10 and worst_0 <= 1e-8,
+                      f"factored deviation {worst_f:.2e} <= 1e-10; "
+                      f"exact-oracle deviation at gamma=1e-12 {worst_0:.2e} <= 1e-8")
 
 
 def run_oracle_suite() -> list[CheckResult]:
@@ -51,69 +97,40 @@ def run_oracle_suite() -> list[CheckResult]:
         lhs = numerics.kron(a, g) @ numerics.vec(x)
         rhs = numerics.vec(g @ x @ a)  # valid because a is symmetric
         worst = max(worst, float(np.abs(lhs - rhs).max() / max(1.0, np.abs(x).max())))
-    _check(results, "oracle", "kron/vec mixed-product identity", worst <= 1e-12,
-           f"max deviation {worst:.2e} (tol 1e-12)")
+    results.append(CheckResult("oracle", "kron/vec mixed-product identity", worst <= 1e-12,
+                               f"max deviation {worst:.2e} (tol 1e-12)"))
 
     m = rng.standard_normal((4, 3))
-    rt = numerics.unvec(numerics.vec(m), 4, 3)
-    _check(results, "oracle", "vec/unvec round trip", np.array_equal(rt, m),
-           "bit-identical" if np.array_equal(rt, m) else "values changed")
+    same = np.array_equal(numerics.unvec(numerics.vec(m), 4, 3), m)
+    results.append(CheckResult("oracle", "vec/unvec round trip", same,
+                               "bit-identical" if same else "values changed"))
 
     worst_eig = worst_inv = 0.0
     for _ in range(60):
         d = int(rng.integers(2, 7))
         s = _random_spd(rng, d)
         q, v = numerics.sym_eig(s)
-        recon = float(np.abs(q @ np.diag(v) @ q.T - s).max())
-        worst_eig = max(worst_eig, recon)
+        worst_eig = max(worst_eig, float(np.abs(q @ np.diag(v) @ q.T - s).max()))
         inv = numerics.sym_inverse(s)
         worst_inv = max(worst_inv, float(np.abs(s @ inv - np.eye(d)).max()))
-    _check(results, "oracle", "sym_eig reconstruction", worst_eig <= 1e-9,
-           f"max |Q v Q^T - M| = {worst_eig:.2e}")
-    _check(results, "oracle", "sym_inverse residual", worst_inv <= 1e-8,
-           f"max |M M^-1 - I| = {worst_inv:.2e}")
-
-    worst_e = worst_f = worst_zero = 0.0
-    for _ in range(40):
-        d_a, d_g = rng.integers(1, 7, size=2)
-        a, g = _random_spd(rng, d_a), _random_spd(rng, d_g)
-        grad = rng.standard_normal((d_g, d_a))
-        scale = max(1e-300, float(np.abs(grad).max()))
-        for gamma in (1e-3, 0.03, 1.0):
-            eig = kfac.precondition_eigen(numerics.sym_eig(a), numerics.sym_eig(g), grad, gamma)
-            exact = kfac.exact_precondition_oracle(a, g, grad, gamma)
-            worst_e = max(worst_e, float(np.abs(eig - exact).max()) / scale)
-            inv = kfac.precondition_inverse(a, g, grad, gamma)
-            factored = kfac.factored_precondition_oracle(a, g, grad, gamma)
-            worst_f = max(worst_f, float(np.abs(inv - factored).max()) / scale)
-        # the split-damping cross term vanishes as sqrt(gamma)/lambda^3, so the
-        # zero-damping agreement is checked on strongly regularized spectra
-        a20, g20 = a + 19.0 * np.eye(d_a), g + 19.0 * np.eye(d_g)
-        tiny = kfac.precondition_inverse(a20, g20, grad, 1e-12)
-        exact0 = kfac.exact_precondition_oracle(a20, g20, grad, 1e-12)
-        worst_zero = max(worst_zero, float(np.abs(tiny - exact0).max()) / scale)
-    _check(results, "oracle", "eigen damping vs dense oracle", worst_e <= 1e-10,
-           f"max scaled deviation {worst_e:.2e} (tol 1e-10)")
-    _check(results, "oracle", "inverse damping vs factored oracle", worst_f <= 1e-10,
-           f"max scaled deviation {worst_f:.2e} (tol 1e-10)")
-    _check(results, "oracle", "inverse damping -> exact oracle as gamma -> 0",
-           worst_zero <= 1e-8, f"max scaled deviation {worst_zero:.2e} (tol 1e-8)")
-    return results
+    results.append(CheckResult("oracle", "sym_eig reconstruction", worst_eig <= 1e-9,
+                               f"max |Q v Q^T - M| = {worst_eig:.2e}"))
+    results.append(CheckResult("oracle", "sym_inverse residual", worst_inv <= 1e-8,
+                               f"max |M M^-1 - I| = {worst_inv:.2e}"))
+    return results + [criterion_1(), criterion_2()]
 
 
-def run_grad_suite() -> list[CheckResult]:
-    """Backprop against central finite differences on small tanh nets."""
-    results: list[CheckResult] = []
-    rng = np.random.default_rng(77)
+def _worst_fd_error(rng, trials: int, bias_mode: str) -> float:
+    """Largest relative backprop-vs-central-difference error over random
+    small tanh nets (classification and regression alternating)."""
     worst = 0.0
-    for trial in range(10):
+    for trial in range(trials):
         depth = int(rng.integers(1, 4))
-        dims = [int(rng.integers(2, 9)) for _ in range(depth + 1)]
+        dims = tuple(int(rng.integers(2, 9)) for _ in range(depth + 1))
         loss = "softmax_cross_entropy" if trial % 2 == 0 else "mean_squared_error"
-        spec = NetworkSpec(tuple(dims), activation="tanh", loss_kind=loss,
-                           bias_mode="homogeneous" if trial % 3 == 0 else "none")
+        spec = NetworkSpec(dims, activation="tanh", loss_kind=loss, bias_mode=bias_mode)
         net = init_network(spec, seed=trial)
-        B = int(rng.integers(1, 6))
+        B = int(rng.integers(1, 7))
         inputs = rng.standard_normal((dims[0], B))
         if loss == "softmax_cross_entropy":
             targets = rng.integers(0, dims[-1], size=B)
@@ -126,110 +143,148 @@ def run_grad_suite() -> list[CheckResult]:
         for gb, gf in zip(bp, fd):
             denom = np.maximum(1.0, np.maximum(np.abs(gb), np.abs(gf)))
             worst = max(worst, float((np.abs(gb - gf) / denom).max()))
-    _check(results, "grad", "finite-difference gradient check", worst <= 1e-5,
-           f"max relative error {worst:.2e} (tol 1e-5)")
-    return results
+    return worst
 
 
-def _blob_spec() -> tuple[NetworkSpec, Batch]:
-    rng = np.random.default_rng(5)
-    spec = NetworkSpec((6, 8, 4), activation="tanh", bias_mode="homogeneous")
-    inputs = rng.standard_normal((6, 32))
-    targets = rng.integers(0, 4, size=32)
-    return spec, Batch(inputs, targets)
+def criterion_3() -> CheckResult:
+    worst = _worst_fd_error(np.random.default_rng(1003), 50, "none")
+    return _criterion("grad", 3, "backprop vs central finite differences", worst <= 1e-5,
+                      f"50 random tanh nets, max relative error {worst:.2e} <= 1e-5")
+
+
+def run_grad_suite() -> list[CheckResult]:
+    """Backprop against central finite differences on small tanh nets."""
+    worst = _worst_fd_error(np.random.default_rng(77), 10, "homogeneous")
+    return [
+        criterion_3(),
+        CheckResult("grad", "finite-difference gradient check, homogeneous bias",
+                    worst <= 1e-5, f"10 random tanh nets, max relative error "
+                                   f"{worst:.2e} (tol 1e-5)"),
+    ]
+
+
+SPEC_DIST = NetworkSpec((6, 8, 4), activation="tanh", bias_mode="homogeneous")
+
+
+def _dist_batch() -> Batch:
+    rng = np.random.default_rng(77)
+    return Batch(rng.standard_normal((6, 32)), rng.integers(0, 4, size=32))
+
+
+def _final_weights(cluster: distsim.Cluster) -> np.ndarray:
+    return np.concatenate([l.weight.ravel() for l in cluster.net.layers])
+
+
+def criterion_4() -> CheckResult:
+    batch = _dist_batch()
+    hyper = KfacHyper()
+
+    def run(algorithm, workers, policy, steps=20):
+        cluster = distsim.build_cluster(SPEC_DIST, algorithm, workers, seed=5)
+        for t in range(steps):
+            shards = distsim.shard_batch(batch, workers, policy)
+            distsim.run_step(cluster, shards, hyper, 0.05, 0.9, t)
+        return _final_weights(cluster)
+
+    single = run("dp_kfac", 1, "replicate")
+    bitwise = all(np.array_equal(run("dp_kfac", p, "replicate"), single) for p in (2, 4, 8))
+    ssgd_delta = float(np.abs(run("ssgd", 2, "disjoint") - run("ssgd", 1, "disjoint")).max())
+    co_mo_delta = float(np.abs(
+        run("mpd_kfac_co", 4, "disjoint") - run("mpd_kfac_mo", 4, "disjoint")
+    ).max())
+    return _criterion("dist", 4, "distributed equivalences over 20 steps",
+                      bitwise and ssgd_delta <= 1e-13 and co_mo_delta <= 1e-14,
+                      f"dp replicate bit-identical for P in {{2,4,8}}: {bitwise}; "
+                      f"ssgd disjoint vs full batch {ssgd_delta:.2e} <= 1e-13; "
+                      f"co vs mo {co_mo_delta:.2e} <= 1e-14")
 
 
 def run_dist_suite() -> list[CheckResult]:
     """Worker-count equivalences of the simulated cluster."""
-    results: list[CheckResult] = []
-    spec, batch = _blob_spec()
-    hyper = KfacHyper()
-
-    # replicated data: P workers must match one worker bit for bit
-    def run_dp(workers: int) -> np.ndarray:
-        cluster = distsim.build_cluster(spec, "dp_kfac", workers, seed=3)
-        for t in range(20):
-            shards = distsim.shard_batch(batch, workers, "replicate")
-            distsim.dp_kfac_step(cluster, shards, hyper, 0.05, 0.9, t)
-        return np.concatenate([l.weight.ravel() for l in cluster.net.layers])
-
-    single = run_dp(1)
-    ok = all(np.array_equal(run_dp(p), single) for p in (2, 4))
-    _check(results, "dist", "replicate-shard dp_kfac == single worker (20 steps)", ok,
-           "bit-identical" if ok else "weights diverged")
-
-    # co and mo are the same math with different communication
-    def run_mpd(variant: str) -> np.ndarray:
-        cluster = distsim.build_cluster(spec, f"mpd_kfac_{variant}", 4, seed=3)
-        for t in range(10):
-            shards = distsim.shard_batch(batch, 4, "disjoint")
-            distsim.mpd_kfac_step(cluster, shards, hyper, 0.05, 0.9, t, variant=variant)
-        return np.concatenate([l.weight.ravel() for l in cluster.net.layers])
-
-    delta = float(np.abs(run_mpd("co") - run_mpd("mo")).max())
-    _check(results, "dist", "mpd co vs mo weight agreement", delta <= 1e-14,
-           f"max |delta| = {delta:.2e} (tol 1e-14)")
-
-    # disjoint ssgd against full-batch single-worker SGD
-    def run_ssgd(workers: int) -> np.ndarray:
-        cluster = distsim.build_cluster(spec, "ssgd", workers, seed=3)
-        for t in range(20):
-            shards = distsim.shard_batch(batch, workers, "disjoint")
-            distsim.ssgd_step(cluster, shards, 0.05, 0.9, t)
-        return np.concatenate([l.weight.ravel() for l in cluster.net.layers])
-
-    delta = float(np.abs(run_ssgd(2) - run_ssgd(1)).max())
-    _check(results, "dist", "disjoint ssgd vs full-batch SGD", delta <= 1e-13,
-           f"max |delta| = {delta:.2e} (tol 1e-13)")
-
-    # one shared weight set + ownership trace
-    cluster = distsim.build_cluster(spec, "dp_kfac", 4, seed=9)
-    shards = distsim.shard_batch(batch, 4, "disjoint")
-    res = distsim.dp_kfac_step(cluster, shards, hyper, 0.05, 0.9, 0)
+    results = [criterion_4()]
+    cluster = distsim.build_cluster(SPEC_DIST, "dp_kfac", 4, seed=9)
+    shards = distsim.shard_batch(_dist_batch(), 4, "disjoint")
+    res = distsim.run_step(cluster, shards, KfacHyper(), 0.05, 0.9, 0)
     shared = all(w.replica is cluster.net and w.momentum is cluster.momentum
                  for w in cluster.workers)
-    _check(results, "dist", "every worker references the one weight/momentum set", shared)
+    results.append(CheckResult("dist", "every worker references the one weight/momentum set",
+                               shared))
     owned_once = sorted(res.preconditioned_by) == list(range(cluster.n_layers))
-    _check(results, "dist", "every layer preconditioned exactly once", owned_once,
-           f"ownership {res.preconditioned_by}")
+    results.append(CheckResult("dist", "every layer preconditioned exactly once", owned_once,
+                               f"ownership {res.preconditioned_by}"))
     return results
+
+
+def criterion_5() -> CheckResult:
+    batch_small = Batch(np.random.default_rng(3).standard_normal((6, 16)),
+                        np.random.default_rng(4).integers(0, 4, size=16))
+    hyper = KfacHyper(f_freq=2, k_freq=2)
+    mismatches = []
+    dp_factorcomm_total = 0
+    for algorithm in costmodel.ALGORITHMS:
+        for workers in (1, 2, 4, 8, 64):
+            cluster = distsim.build_cluster(SPEC_DIST, algorithm, workers, seed=0)
+            for t in range(4):  # t = 0, 2 are full second-order updates
+                shards = distsim.shard_batch(batch_small, workers, "replicate")
+                distsim.run_step(cluster, shards, hyper, 0.05, 0.9, t)
+            report = costmodel.algorithm_cost(cluster.layer_dims(), workers,
+                                              algorithm, inv_type="eigen")
+            for t in (0, 2):
+                verdict = costmodel.verify_counters(report, cluster.log.steps[t])
+                if not verdict.ok:
+                    mismatches.append(f"{algorithm}/P={workers}/t={t}: {verdict.describe()}")
+            if algorithm == "dp_kfac":
+                dp_factorcomm_total += cluster.log.total("factorcomm")
+
+    layers = [costmodel.LayerDims(7, 8), costmodel.LayerDims(9, 4)]
+    mpd = costmodel.algorithm_cost(layers, 8, "mpd_kfac_mo")
+    dp = costmodel.algorithm_cost(layers, 8, "dp_kfac")
+    detail = (f"algorithms x P in {{1,2,4,8,64}}: {len(mismatches)} mismatches; "
+              f"dp factorcomm on all iterations = {dp_factorcomm_total}; "
+              f"factorcomm mpd->dp eliminated ({mpd.factorcomm} -> 0); "
+              f"factorcomp reduction mpd/dp = {mpd.factorcomp / dp.factorcomp:.2f}x "
+              f"(ideal {mpd.factorcomp / (mpd.factorcomp / 8):.0f}x, realized max refinement)")
+    if mismatches:
+        detail += "\n" + "\n".join(mismatches)
+    return _criterion("cost", 5, "complexity-table counters, exact integer equality",
+                      not mismatches and dp_factorcomm_total == 0, detail)
+
+
+def criterion_6() -> CheckResult:
+    layers = costmodel.resolve_manifest("resnet50")
+    n_g, n_f = costmodel.totals(layers)
+    dev_g = abs(n_g - 25.6e6) / 25.6e6
+    dev_f = abs(n_f - 153.9e6) / 153.9e6
+    dp = costmodel.algorithm_cost(layers, 64, "dp_kfac")
+    mpd = costmodel.algorithm_cost(layers, 64, "mpd_kfac_mo")
+    ratio = dp.memory / mpd.memory
+    ok = (dev_g <= 0.05 and dev_f <= 0.05 and dp.memory <= mpd.memory
+          and abs(ratio - 0.156) <= 0.005)
+    return _criterion("cost", 6, "ResNet-50 manifest totals and memory ratio", ok,
+                      f"N_g={n_g / 1e6:.2f}M ({dev_g:.2%} from 25.6M), "
+                      f"N_f={n_f / 1e6:.2f}M ({dev_f:.2%} from 153.9M), "
+                      f"dp/mpd memory at P=64 = {ratio:.4f} (~0.156)")
 
 
 def run_cost_suite() -> list[CheckResult]:
     """Simulated counters against the analytic complexity model."""
-    results: list[CheckResult] = []
-    spec, batch = _blob_spec()
-    hyper = KfacHyper()
-    mismatches = []
-    for algorithm in distsim.ALGORITHMS:
-        for workers in (1, 2, 4, 8):
-            cluster = distsim.build_cluster(spec, algorithm, workers, seed=1)
-            shards = distsim.shard_batch(batch, workers, "replicate")
-            distsim.run_step(cluster, shards, hyper, 0.05, 0.9, 0)
-            report = costmodel.algorithm_cost(cluster.layer_dims(), workers, algorithm,
-                                              inv_type=hyper.inv_type)
-            verdict = costmodel.verify_counters(report, cluster.log.steps[0])
-            if not verdict.ok:
-                mismatches.append(f"{algorithm}/P={workers}: {verdict.describe()}")
-    _check(results, "cost", "simulated counters == analytic formulas",
-           not mismatches, "; ".join(mismatches) or "exact for all algorithms, P in {1,2,4,8}")
-
-    cluster = distsim.build_cluster(spec, "dp_kfac", 4, seed=1)
+    cluster = distsim.build_cluster(SPEC_DIST, "dp_kfac", 4, seed=1)
     stale = KfacHyper(f_freq=5, k_freq=10)
     for t in range(12):
-        shards = distsim.shard_batch(batch, 4, "replicate")
-        distsim.dp_kfac_step(cluster, shards, stale, 0.05, 0.9, t)
+        shards = distsim.shard_batch(_dist_batch(), 4, "replicate")
+        distsim.run_step(cluster, shards, stale, 0.05, 0.9, t)
     factor_total = cluster.log.total("factorcomm")
-    _check(results, "cost", "dp_kfac factor communication is zero on every step",
-           factor_total == 0, f"total factorcomm = {factor_total}")
+    return [
+        criterion_5(),
+        criterion_6(),
+        CheckResult("cost", "dp_kfac factor communication is zero over stale steps",
+                    factor_total == 0,
+                    f"12 steps, f_freq=5, k_freq=10: total factorcomm = {factor_total}"),
+    ]
 
-    layers = costmodel.resolve_manifest("resnet50")
-    n_g, n_f = costmodel.totals(layers)
-    ok = abs(n_g - 25.6e6) / 25.6e6 <= 0.05 and abs(n_f - 153.9e6) / 153.9e6 <= 0.05
-    _check(results, "cost", "bundled ResNet-50 manifest totals", ok,
-           f"N_g={n_g / 1e6:.2f}M, N_f={n_f / 1e6:.2f}M")
-    return results
 
+CRITERIA: dict[int, Callable[[], CheckResult]] = dict(enumerate(
+    (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5, criterion_6), start=1))
 
 _SUITE_FNS: dict[str, Callable[[], list[CheckResult]]] = {
     "oracle": run_oracle_suite,

@@ -146,6 +146,77 @@ def test_missing_resume_file_exit_code(tmp_path, capsys):
     assert "absent.ckpt" in capsys.readouterr().err
 
 
+CO_CONFIG = ("[network]\nlayer_dims = 3,4,2\n\n[data]\nkind = gaussian_blobs\nclasses = 2\n"
+             "dim = 3\nsamples = 40\n\n[train]\nalgorithm = mpd_kfac_co\nworkers = 2\n"
+             "batch_size = 8\n")
+
+
+@pytest.fixture(scope="module")
+def co_run(tmp_path_factory):
+    """(config path, checkpoint) of a finished one-epoch mpd_kfac_co run."""
+    root = tmp_path_factory.mktemp("co")
+    cfg = root / "co.ini"
+    cfg.write_text(CO_CONFIG)
+    assert cli.main(["--out-dir", str(root / "run"), "train", str(cfg)]) == 0
+    return cfg, load_checkpoint(root / "run" / "final.ckpt")
+
+
+def _resume(tmp_path, capsys, cfg, meta, arrays):
+    """Resume ``cfg`` to two epochs from a checkpoint holding ``meta`` and
+    ``arrays``; returns (exit code, stderr)."""
+    names = sorted(arrays)
+    header = {"meta": meta, "arrays": [
+        {"name": n, "shape": list(arrays[n].shape), "dtype": "<f8"} for n in names]}
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(_pack(header, b"".join(arrays[n].tobytes() for n in names)))
+    capsys.readouterr()
+    code = cli.main(["--out-dir", str(tmp_path / "out"), "train", str(cfg),
+                     "--train.epochs=2", "--resume", str(path)])
+    return code, capsys.readouterr().err
+
+
+def test_rewritten_checkpoint_resumes(tmp_path, capsys, co_run):
+    cfg, ckpt = co_run
+    assert _resume(tmp_path, capsys, cfg, ckpt.meta, ckpt.arrays) == (0, "")
+
+
+def test_restore_rejects_eigenbasis_without_eigenvalues(tmp_path, capsys, co_run):
+    cfg, ckpt = co_run
+    arrays = dict(ckpt.arrays)
+    del arrays["worker0/layer0/a_eig_v"]
+    code, err = _resume(tmp_path, capsys, cfg, ckpt.meta, arrays)
+    assert code == cli.EXIT_DATA
+    assert "'worker0/layer0/a_eig_v' is missing" in err
+
+
+def test_restore_rejects_mis_shaped_factor(tmp_path, capsys, co_run):
+    cfg, ckpt = co_run
+    arrays = {**ckpt.arrays, "worker1/layer1/a_cov": np.eye(2)}
+    code, err = _resume(tmp_path, capsys, cfg, ckpt.meta, arrays)
+    assert code == cli.EXIT_DATA
+    assert "'worker1/layer1/a_cov' is of shape (2, 2); the run needs (4, 4)" in err
+
+
+def test_restore_rejects_missing_factor_state(tmp_path, capsys, co_run):
+    cfg, ckpt = co_run
+    meta = json.loads(json.dumps(ckpt.meta))
+    del meta["factor_states"]["worker1/layer1"]
+    arrays = {n: a for n, a in ckpt.arrays.items() if not n.startswith("worker1/layer1/")}
+    code, err = _resume(tmp_path, capsys, cfg, meta, arrays)
+    assert code == cli.EXIT_DATA
+    assert "no factor state 'worker1/layer1'" in err
+
+
+def test_restore_rejects_initialized_state_without_factors(tmp_path, capsys, co_run):
+    cfg, ckpt = co_run
+    assert ckpt.meta["factor_states"]["worker0/layer1"]["initialized"]
+    arrays = {n: a for n, a in ckpt.arrays.items()
+              if n not in ("worker0/layer1/a_cov", "worker0/layer1/g_cov")}
+    code, err = _resume(tmp_path, capsys, cfg, ckpt.meta, arrays)
+    assert code == cli.EXIT_DATA
+    assert "'worker0/layer1/a_cov' is missing" in err
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=4),

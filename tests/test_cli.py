@@ -75,6 +75,30 @@ def test_train_resume_matches_straight_run(config_path, tmp_path):
     assert resumed_rows[1:] == full_rows[len(full_rows) - len(resumed_rows) + 1:]
 
 
+def test_train_resume_into_same_dir_keeps_earlier_rows(config_path, tmp_path):
+    full_dir, run_dir = tmp_path / "full", tmp_path / "run"
+    cli.main(["--out-dir", str(full_dir), "train", str(config_path), "--train.epochs=4"])
+    assert cli.main(["--out-dir", str(run_dir), "train", str(config_path)]) == 0
+    assert cli.main(["--out-dir", str(run_dir), "train", str(config_path),
+                     "--train.epochs=4", "--resume", str(run_dir / "final.ckpt")]) == 0
+    for name in ("metrics.csv", "final.ckpt"):
+        assert (run_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
+    manifest = json.loads((run_dir / "run.json").read_text())
+    rows = (run_dir / "metrics.csv").read_text().splitlines()
+    assert len(rows) == 1 + manifest["iterations"]
+
+
+def test_train_resume_rewrites_metrics_that_do_not_end_at_the_checkpoint(config_path, tmp_path):
+    half_dir, run_dir = tmp_path / "half", tmp_path / "run"
+    cli.main(["--out-dir", str(half_dir), "train", str(config_path)])
+    cli.main(["--out-dir", str(run_dir), "train", str(config_path), "--train.epochs=3"])
+    cli.main(["--out-dir", str(run_dir), "train", str(config_path),
+              "--train.epochs=4", "--resume", str(half_dir / "final.ckpt")])
+    rows = (run_dir / "metrics.csv").read_text().splitlines()
+    iterations = json.loads((half_dir / "run.json").read_text())["iterations"]
+    assert rows[1].split(",")[0] == str(iterations)
+
+
 def test_dp_and_mpd_loss_columns_identical_single_worker(config_path, tmp_path):
     def losses(algorithm, out):
         code = cli.main([

@@ -2,19 +2,16 @@ import numpy as np
 import pytest
 
 from kfaclab import distsim, kfac
+from kfaclab.costmodel import round_robin_partition
 from kfaclab.distsim import (
     LrSchedule,
     StepCounters,
     all_reduce_avg,
-    assign_layers_round_robin,
     broadcast,
     build_cluster,
-    dp_kfac_step,
     lr_schedule,
-    mpd_kfac_step,
+    run_step,
     shard_batch,
-    ssgd_step,
-    validate_partition,
 )
 from kfaclab.errors import ArgumentError, NumericError, ShapeError
 from kfaclab.kfac import KfacHyper
@@ -38,30 +35,23 @@ SPEC = NetworkSpec((6, 8, 4), activation="tanh", bias_mode="homogeneous")
 
 
 def test_round_robin_one_layer_each():
-    assert assign_layers_round_robin(4, 4) == ((0,), (1,), (2,), (3,))
+    assert round_robin_partition(4, 4) == ((0,), (1,), (2,), (3,))
 
 
 def test_round_robin_five_layers_two_workers():
-    assert assign_layers_round_robin(5, 2) == ((0, 2, 4), (1, 3))
+    assert round_robin_partition(5, 2) == ((0, 2, 4), (1, 3))
 
 
 def test_round_robin_single_worker_owns_all():
-    assert assign_layers_round_robin(7, 1) == (tuple(range(7)),)
+    assert round_robin_partition(7, 1) == (tuple(range(7)),)
 
 
 def test_round_robin_more_workers_than_layers():
-    parts = assign_layers_round_robin(3, 8)
+    parts = round_robin_partition(3, 8)
     assert len(parts) == 8
     sizes = [len(p) for p in parts]
     assert max(sizes) - min(sizes) <= 1
-    validate_partition(parts, 3)
-
-
-def test_validate_partition_rejects_overlap_and_gap():
-    with pytest.raises(ArgumentError):
-        validate_partition(((0, 1), (1,)), 2)
-    with pytest.raises(ArgumentError):
-        validate_partition(((0,), ()), 2)
+    assert sorted(i for part in parts for i in part) == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +84,7 @@ def test_broadcast_single_worker_logs_nothing():
     counters = StepCounters()
     out = broadcast(0, np.arange(5.0), 1, counters, "predcomm")
     assert counters.predcomm == 0
-    assert np.array_equal(out[0], np.arange(5.0))
+    assert np.array_equal(out, np.arange(5.0))
 
 
 def test_broadcast_counter_volume_and_copies():
@@ -102,7 +92,8 @@ def test_broadcast_counter_volume_and_copies():
     src = np.random.default_rng(1).standard_normal(10)
     out = broadcast(1, src, 4, counters, "predcomm")
     assert counters.predcomm == 30  # (P-1) * N
-    assert all(np.array_equal(o, src) for o in out)
+    assert np.array_equal(out, src)
+    assert not out.flags.writeable
 
 
 def test_broadcast_invalid_root():
@@ -153,8 +144,8 @@ def test_dp_replicate_matches_single_worker_bitwise():
     def run(workers):
         cluster = build_cluster(SPEC, "dp_kfac", workers, seed=7)
         for t in range(20):
-            dp_kfac_step(cluster, shard_batch(batch, workers, "replicate"),
-                         hyper, 0.05, 0.9, t)
+            run_step(cluster, shard_batch(batch, workers, "replicate"),
+                     hyper, 0.05, 0.9, t)
         return _weights(cluster)
 
     reference = run(1)
@@ -168,8 +159,8 @@ def test_mpd_replicate_matches_single_worker():
     single = build_cluster(SPEC, "dp_kfac", 1, seed=7)
     multi = build_cluster(SPEC, "mpd_kfac_co", 2, seed=7)
     for t in range(10):
-        dp_kfac_step(single, [batch], hyper, 0.05, 0.9, t)
-        mpd_kfac_step(multi, shard_batch(batch, 2, "replicate"), hyper, 0.05, 0.9, t, "co")
+        run_step(single, [batch], hyper, 0.05, 0.9, t)
+        run_step(multi, shard_batch(batch, 2, "replicate"), hyper, 0.05, 0.9, t)
     assert np.array_equal(_weights(single), _weights(multi))
 
 
@@ -179,8 +170,8 @@ def test_dp_equals_mpd_on_one_worker():
     dp = build_cluster(SPEC, "dp_kfac", 1, seed=3)
     mo = build_cluster(SPEC, "mpd_kfac_mo", 1, seed=3)
     for t in range(8):
-        dp_kfac_step(dp, [batch], hyper, 0.1, 0.9, t)
-        mpd_kfac_step(mo, [batch], hyper, 0.1, 0.9, t, "mo")
+        run_step(dp, [batch], hyper, 0.1, 0.9, t)
+        run_step(mo, [batch], hyper, 0.1, 0.9, t)
     assert np.array_equal(_weights(dp), _weights(mo))
 
 
@@ -191,8 +182,8 @@ def test_mpd_co_and_mo_agree():
     def run(variant):
         cluster = build_cluster(SPEC, f"mpd_kfac_{variant}", 4, seed=5)
         for t in range(12):
-            mpd_kfac_step(cluster, shard_batch(batch, 4, "disjoint"),
-                          hyper, 0.05, 0.9, t, variant)
+            run_step(cluster, shard_batch(batch, 4, "disjoint"),
+                     hyper, 0.05, 0.9, t)
         return _weights(cluster)
 
     assert np.abs(run("co") - run("mo")).max() <= 1e-14
@@ -205,8 +196,8 @@ def test_mpd_co_and_mo_bit_identical():
     def run(variant):
         cluster = build_cluster(SPEC, f"mpd_kfac_{variant}", 4, seed=5)
         for t in range(12):
-            mpd_kfac_step(cluster, shard_batch(batch, 4, "disjoint"),
-                          hyper, 0.05, 0.9, t, variant)
+            run_step(cluster, shard_batch(batch, 4, "disjoint"),
+                     hyper, 0.05, 0.9, t)
         return _weights(cluster)
 
     assert np.array_equal(run("co"), run("mo"))
@@ -228,7 +219,7 @@ def test_dp_factors_come_from_each_owners_own_shard():
     cluster = build_cluster(spec, "dp_kfac", workers, seed=1)
     reference = init_network(spec, seed=1)
     shards = shard_batch(_batch(B=30), workers, "disjoint")
-    dp_kfac_step(cluster, shards, KfacHyper(), 0.05, 0.9, 0)
+    run_step(cluster, shards, KfacHyper(), 0.05, 0.9, 0)
     for worker, shard in zip(cluster.workers, shards):
         _, captures = forward(reference, shard)
         _, preact_grads = backward(reference, shard, captures)
@@ -251,8 +242,8 @@ def test_mpd_co_preconditions_each_layer_once_per_step(monkeypatch):
     cluster = build_cluster(SPEC, "mpd_kfac_co", 4, seed=0)
     for t in range(3):
         calls.clear()
-        mpd_kfac_step(cluster, shard_batch(_batch(), 4, "disjoint"),
-                      KfacHyper(), 0.05, 0.9, t, "co")
+        run_step(cluster, shard_batch(_batch(), 4, "disjoint"),
+                 KfacHyper(), 0.05, 0.9, t)
         assert len(calls) == cluster.n_layers
 
 
@@ -262,7 +253,7 @@ def test_non_finite_loss_names_worker_and_iteration():
     poisoned = Batch(np.full_like(shards[1].inputs, np.inf), shards[1].targets)
     with pytest.raises(NumericError, match=r"worker 1, iteration 7"), \
             np.errstate(invalid="ignore"):
-        ssgd_step(cluster, [shards[0], poisoned], 0.05, 0.9, 7)
+        run_step(cluster, [shards[0], poisoned], KfacHyper(), 0.05, 0.9, 7)
 
 
 def test_replicas_identical_after_each_algorithm():
@@ -281,8 +272,8 @@ def test_replicas_identical_after_each_algorithm():
 
 def test_dp_ownership_trace_matches_assignment():
     cluster = build_cluster(SPEC, "dp_kfac", 2, seed=0)
-    res = dp_kfac_step(cluster, shard_batch(_batch(), 2, "disjoint"),
-                       KfacHyper(), 0.05, 0.9, 0)
+    res = run_step(cluster, shard_batch(_batch(), 2, "disjoint"),
+                   KfacHyper(), 0.05, 0.9, 0)
     assert sorted(res.preconditioned_by) == list(range(cluster.n_layers))
     for layer, owner in res.preconditioned_by.items():
         assert layer in cluster.config.assignment[owner]
@@ -294,7 +285,7 @@ def test_ssgd_single_worker_equals_plain_sgd():
     reference = init_network(SPEC, seed=4)
     momentum = init_momentum(reference)
     for t in range(10):
-        ssgd_step(cluster, [batch], 0.05, 0.9, t)
+        run_step(cluster, [batch], KfacHyper(), 0.05, 0.9, t)
         _, captures = forward(reference, batch)
         sgd_step(reference, backward(reference, batch, captures)[0], 0.05, momentum, 0.9)
     ref = np.concatenate([l.weight.ravel() for l in reference.layers])
@@ -307,7 +298,7 @@ def test_ssgd_disjoint_matches_full_batch():
     def run(workers):
         cluster = build_cluster(SPEC, "ssgd", workers, seed=4)
         for t in range(20):
-            ssgd_step(cluster, shard_batch(batch, workers, "disjoint"), 0.05, 0.9, t)
+            run_step(cluster, shard_batch(batch, workers, "disjoint"), KfacHyper(), 0.05, 0.9, t)
         return _weights(cluster)
 
     assert np.abs(run(2) - run(1)).max() <= 1e-13
@@ -315,7 +306,7 @@ def test_ssgd_disjoint_matches_full_batch():
 
 def test_ssgd_logs_no_second_order_traffic():
     cluster = build_cluster(SPEC, "ssgd", 4, seed=0)
-    ssgd_step(cluster, shard_batch(_batch(), 4, "disjoint"), 0.05, 0.9, 0)
+    run_step(cluster, shard_batch(_batch(), 4, "disjoint"), KfacHyper(), 0.05, 0.9, 0)
     entry = cluster.log.steps[0]
     assert entry.factorcomm == entry.predcomm == entry.inversecomm == 0
     assert entry.factorcomp == entry.inversecomp == 0
@@ -328,7 +319,7 @@ def test_mpd_factorcomm_formula_single_layer():
     batch = Batch(np.random.default_rng(0).standard_normal((4, 8)),
                   np.random.default_rng(1).integers(0, 3, size=8))
     cluster = build_cluster(spec, "mpd_kfac_mo", 4, seed=0)
-    mpd_kfac_step(cluster, shard_batch(batch, 4, "disjoint"), KfacHyper(), 0.05, 0.9, 0, "mo")
+    run_step(cluster, shard_batch(batch, 4, "disjoint"), KfacHyper(), 0.05, 0.9, 0)
     assert cluster.log.steps[0].factorcomm == 150
 
 
@@ -339,8 +330,8 @@ def test_stale_iterations_skip_factor_traffic():
     dp = build_cluster(SPEC, "dp_kfac", 4, seed=0)
     for t in range(10):
         shards = shard_batch(batch, 4, "disjoint")
-        mpd_kfac_step(mpd, shards, hyper, 0.05, 0.9, t, "mo")
-        dp_kfac_step(dp, shards, hyper, 0.05, 0.9, t)
+        run_step(mpd, shards, hyper, 0.05, 0.9, t)
+        run_step(dp, shards, hyper, 0.05, 0.9, t)
     for t, entry in enumerate(mpd.log.steps):
         if t % 5 == 0:
             assert entry.factorcomm > 0 and entry.factorcomp > 0
@@ -367,8 +358,8 @@ def test_same_seed_same_log_and_weights():
     def run():
         cluster = build_cluster(SPEC, "dp_kfac", 4, seed=11)
         for t in range(5):
-            dp_kfac_step(cluster, shard_batch(_batch(), 4, "disjoint"),
-                         KfacHyper(), 0.05, 0.9, t)
+            run_step(cluster, shard_batch(_batch(), 4, "disjoint"),
+                     KfacHyper(), 0.05, 0.9, t)
         return _weights(cluster), cluster.log
 
     w1, log1 = run()
@@ -385,7 +376,7 @@ def test_kfac_errors_carry_worker_and_layer():
     # make the first worker's first-layer stats rank-deficient by zeroing inputs
     zero_inputs = Batch(np.zeros_like(shards[0].inputs), shards[0].targets)
     with pytest.raises(Exception, match=r"worker \d+, layer \d+"):
-        dp_kfac_step(cluster, [zero_inputs, shards[1]], hyper, 0.05, 0.9, 0)
+        run_step(cluster, [zero_inputs, shards[1]], hyper, 0.05, 0.9, 0)
 
 
 # ---------------------------------------------------------------------------

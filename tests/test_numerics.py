@@ -5,34 +5,6 @@ from kfaclab import numerics
 from kfaclab.errors import CapacityError, NumericError, ShapeError
 
 
-def test_matmul_identity():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(numerics.matmul(np.eye(2), m), m)
-
-
-def test_matmul_hand_example():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[1.0], [1.0]])
-    assert np.array_equal(numerics.matmul(a, b), np.array([[3.0], [7.0]]))
-
-
-def test_matmul_matches_triple_loop():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((5, 4))
-    b = rng.standard_normal((4, 3))
-    expected = np.zeros((5, 3))
-    for i in range(5):
-        for j in range(3):
-            for k in range(4):
-                expected[i, j] += a[i, k] * b[k, j]
-    assert np.abs(numerics.matmul(a, b) - expected).max() <= 1e-14
-
-
-def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
-        numerics.matmul(np.eye(2), np.eye(3))
-
-
 def test_sym_eig_diagonal():
     q, v = numerics.sym_eig(np.diag([3.0, 1.0]))
     assert np.allclose(v, [3.0, 1.0])
