@@ -1,7 +1,8 @@
 """Command-line entry points: train, cost, verify, gen-data.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 data/format error, 4 numeric failure.
+Exit codes: 0 success, 1 verification failure, 2 configuration error
+(ConfigError), 3 data/format error (DataFormatError, ArgumentError,
+ShapeError, CapacityError, OrderingError), 4 numeric failure (NumericError).
 """
 
 from __future__ import annotations
@@ -14,7 +15,16 @@ from pathlib import Path
 from . import __version__, costmodel, kfac, verify
 from .config import load_config, parse_overrides
 from .datasets import gen_synthetic, quantize_for_idx, write_idx
-from .errors import ArgumentError, ConfigError, DataFormatError, NumericError
+from .errors import (
+    ArgumentError,
+    CapacityError,
+    ConfigError,
+    DataFormatError,
+    KfacLabError,
+    NumericError,
+    OrderingError,
+    ShapeError,
+)
 from .trainer import (
     csv_header,
     load_checkpoint,
@@ -28,6 +38,19 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# every package error class ends the process with one documented code
+EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    DataFormatError: EXIT_DATA,
+    ArgumentError: EXIT_DATA,
+    ShapeError: EXIT_DATA,
+    CapacityError: EXIT_DATA,
+    OrderingError: EXIT_DATA,
+    NumericError: EXIT_NUMERIC,
+}
+_EXIT_LABELS = {EXIT_CONFIG: "config error", EXIT_DATA: "data error",
+                EXIT_NUMERIC: "numeric failure"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -229,15 +252,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_gen_data(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DataFormatError, ArgumentError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except KfacLabError as exc:
+        code = next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
+        print(f"{_EXIT_LABELS[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,9 @@ over a fixed pairwise tree of worker indices, so runs are bit-reproducible.
 The tree shape also guarantees that averaging P identical tensors returns
 the input bits unchanged whenever P is a power of two (every partial sum is
 x + x, which is exact), which is what makes replicated-data cluster runs
-exactly equal to their single-worker counterparts.
+exactly equal to their single-worker counterparts.  Only the first tree
+level allocates; later levels and the final division by P work in place on
+those fresh partial sums, never on the inputs.
 
 :func:`run_step` is the one step skeleton.  It does the work every
 algorithm shares once: local forward/backward passes, the averaging
@@ -22,13 +24,15 @@ algorithm and applies one momentum-SGD update:
 
 * ``ssgd``: no preconditioning, the aggregated gradient is the update.
 * ``mpd_kfac_*``: every worker builds factor statistics for every layer,
-  factors are all-reduced, and each layer's decomposition is computed by its
-  round-robin owner.  The ``co`` variant broadcasts decompositions and every
-  worker preconditions everything locally (every worker holds the same
-  decomposition, so the simulator applies it once per layer on behalf of
-  all P);
-  the ``mo`` variant preconditions at the owner and broadcasts
-  preconditioned gradients.
+  factors are all-reduced layer by layer, and each layer's decomposition is
+  computed by its round-robin owner.  The all-reduced factors are the same
+  bits on every worker, so their running average is folded once per layer
+  and every worker's factor state references the one result.  The ``co``
+  variant broadcasts decompositions and every worker preconditions
+  everything locally (every worker holds the same decomposition, so the
+  simulator applies it once per layer on behalf of all P); the ``mo``
+  variant preconditions at the owner and broadcasts preconditioned
+  gradients.
 * ``dp_kfac``: each worker builds factor statistics from its LOCAL
   shard for its OWN layers only, preconditions the aggregated gradient
   there, and broadcasts the result.  Factor communication never happens.
@@ -162,14 +166,22 @@ def build_cluster(
 
 
 def _tree_sum(tensors: Sequence[np.ndarray]) -> np.ndarray:
-    level = tensors
+    """Pairwise sum over worker indices, never writing to an input.
+
+    The first level allocates one fresh array per pair; every later level
+    adds into its left operand, which is always such a fresh partial sum (a
+    carried-over odd input only ever sits at the end of a level, where it is
+    a right operand or carried again).
+    """
+    level = list(tensors)
+    fresh = False
     while len(level) > 1:
-        merged = []
-        for i in range(0, len(level) - 1, 2):
-            merged.append(level[i] + level[i + 1])
+        merged = [np.add(level[i], level[i + 1], out=level[i] if fresh else None)
+                  for i in range(0, len(level) - 1, 2)]
         if len(level) % 2:
             merged.append(level[-1])
         level = merged
+        fresh = True
     return level[0]
 
 
@@ -180,7 +192,8 @@ def all_reduce_avg(
 ) -> np.ndarray:
     """Elementwise mean over workers via a fixed index-ordered pairwise tree.
 
-    Logs the ring all-reduce volume, 2(P-1) * N elements.
+    Returns a fresh array and leaves the inputs untouched.  Logs the ring
+    all-reduce volume, 2(P-1) * N elements.
     """
     if not tensors:
         raise ArgumentError("all_reduce_avg needs at least one tensor")
@@ -191,7 +204,11 @@ def all_reduce_avg(
     n_workers = len(tensors)
     if counters is not None:
         setattr(counters, stage, getattr(counters, stage) + 2 * (n_workers - 1) * tensors[0].size)
-    return _tree_sum(tensors) / n_workers
+    if n_workers == 1:
+        return tensors[0].copy()
+    total = _tree_sum(tensors)  # a fresh array when P > 1
+    total /= n_workers
+    return total
 
 
 def broadcast(
@@ -279,6 +296,14 @@ def _rethrow(exc: KfacLabError, worker: int, layer: int):
     raise type(exc)(f"worker {worker}, layer {layer}: {exc}") from exc
 
 
+def _check_finite(update: Sequence[np.ndarray], t: int, what: str,
+                  owners: Optional[dict[int, int]] = None):
+    for i, g in enumerate(update):
+        if not np.isfinite(g).all():
+            where = "" if owners is None else f"worker {owners[i]}, "
+            raise NumericError(f"{where}layer {i}, iteration {t}: {what} is not finite")
+
+
 def _dp_precondition(
     cluster: Cluster,
     local: list[LocalPass],
@@ -326,28 +351,35 @@ def _mpd_precondition(
 ) -> tuple[list[np.ndarray], dict[int, int]]:
     """Model-parallel D-KFAC: global factors via all-reduce, decompositions at
     the layer owner.  COMM-OPT (``mpd_kfac_co``) broadcasts decompositions,
-    MEM-OPT (``mpd_kfac_mo``) broadcasts preconditioned gradients."""
+    MEM-OPT (``mpd_kfac_mo``) broadcasts preconditioned gradients.
+
+    The factor stage runs layer-major: for each layer every worker's raw
+    pair is built and all-reduced at once, so only one layer's P raw pairs
+    are alive at a time.  Worker 0 folds the averaged pair into its running
+    averages; every other worker's state takes references to the same
+    ``a_cov``/``g_cov`` arrays and the same stamps, which is what P separate
+    folds of identical inputs would have produced bit for bit."""
     comm_opt = cluster.config.algorithm == "mpd_kfac_co"
     P = cluster.config.workers
     dims = cluster.layer_dims()
 
     if kfac.is_factor_update(t, hyper):
-        # raw local factors for every layer on every worker, then averaged
-        raw: list[list[tuple[np.ndarray, np.ndarray]]] = []
-        for worker, own in zip(cluster.workers, local):
-            per_layer = []
-            for i in range(cluster.n_layers):
-                try:
-                    per_layer.append(kfac.compute_factors(own.inputs[i], own.preact_grads[i]))
-                except KfacLabError as exc:
-                    _rethrow(exc, worker.rank, i)
-            raw.append(per_layer)
         counters.factorcomp = sum(layer_counts(d)[1] for d in dims)
         for i in range(cluster.n_layers):
-            a_avg = all_reduce_avg([raw[p][i][0] for p in range(P)], counters, "factorcomm")
-            g_avg = all_reduce_avg([raw[p][i][1] for p in range(P)], counters, "factorcomm")
-            for worker in cluster.workers:
-                kfac.update_running_average(worker.factors[i], a_avg, g_avg, hyper.xi, t)
+            raw = []
+            for worker, own in zip(cluster.workers, local):
+                try:
+                    raw.append(kfac.compute_factors(own.inputs[i], own.preact_grads[i]))
+                except KfacLabError as exc:
+                    _rethrow(exc, worker.rank, i)
+            a_avg = all_reduce_avg([a for a, _ in raw], counters, "factorcomm")
+            g_avg = all_reduce_avg([g for _, g in raw], counters, "factorcomm")
+            lead = cluster.workers[0].factors[i]
+            kfac.update_running_average(lead, a_avg, g_avg, hyper.xi, t)
+            for worker in cluster.workers[1:]:
+                dest = worker.factors[i]
+                dest.a_cov, dest.g_cov = lead.a_cov, lead.g_cov
+                dest.initialized, dest.last_factor_update = True, t
 
     if kfac.is_inverse_update(t, hyper):
         inverse_work = [0] * P
@@ -445,16 +477,22 @@ def run_step(
     passes, the gradient all-reduce, the algorithm's preconditioning (none
     for ``ssgd``), then one momentum-SGD update of the shared weights."""
     counters = cluster.log.new_step()
-    local, loss = _local_grads(cluster, shards, t)
-    update = [
-        all_reduce_avg([lp.grads[i] for lp in local], counters, "gradcomm")
-        for i in range(cluster.n_layers)
-    ]
-    counters.gradcomp = sum(g.size for g in update)
-    owners = None
-    if cluster.config.algorithm == "dp_kfac":
-        update, owners = _dp_precondition(cluster, local, update, hyper, counters, t)
-    elif cluster.config.algorithm != "ssgd":
-        update, owners = _mpd_precondition(cluster, local, update, hyper, counters, t)
-    sgd_step(cluster.net, update, lr, cluster.momentum, momentum)
+    # a diverging run overflows here; the finiteness checks report it as a
+    # NumericError instead of numpy warnings followed by inf/nan weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        local, loss = _local_grads(cluster, shards, t)
+        update = [
+            all_reduce_avg([lp.grads[i] for lp in local], counters, "gradcomm")
+            for i in range(cluster.n_layers)
+        ]
+        _check_finite(update, t, "aggregated gradient")
+        counters.gradcomp = sum(g.size for g in update)
+        owners = None
+        if cluster.config.algorithm == "dp_kfac":
+            update, owners = _dp_precondition(cluster, local, update, hyper, counters, t)
+        elif cluster.config.algorithm != "ssgd":
+            update, owners = _mpd_precondition(cluster, local, update, hyper, counters, t)
+        if owners is not None:
+            _check_finite(update, t, "preconditioned gradient", owners)
+        sgd_step(cluster.net, update, lr, cluster.momentum, momentum)
     return StepResult(loss, counters, preconditioned_by=owners)

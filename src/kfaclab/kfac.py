@@ -82,13 +82,25 @@ def is_inverse_update(t: int, hyper: KfacHyper) -> bool:
     return t % hyper.k_freq == 0
 
 
+def _second_moment(x: np.ndarray, batch: int) -> np.ndarray:
+    x = np.ascontiguousarray(x)
+    m = x @ x.T
+    m /= batch
+    return m
+
+
 def compute_factors(
     captured_inputs: np.ndarray, captured_preact_grads: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch second moments ``A = mean(a a^T)`` and ``G = mean(g g^T)``.
 
     Columns are samples; both captures must hold the same number of them.
-    Outputs are explicitly symmetrized.
+    Outputs are exactly symmetric for every capture layout: each capture is
+    first made C-contiguous (a no-op for most of the model's own captures),
+    so ``x @ x.T`` reads one buffer through its transpose and numpy computes
+    it as a symmetric rank-k product, one triangle mirrored to the other.
+    For C-order, column-slice and F-order captures the result equals the
+    explicit symmetrization ``(m + m.T) / 2`` bit for bit.
     """
     for name, arr in (("inputs", captured_inputs), ("gradients", captured_preact_grads)):
         if arr is None or arr.ndim != 2 or arr.shape[1] == 0:
@@ -99,9 +111,7 @@ def compute_factors(
             f"capture batch counts differ: {batch} inputs vs "
             f"{captured_preact_grads.shape[1]} gradients"
         )
-    a_new = captured_inputs @ captured_inputs.T / batch
-    g_new = captured_preact_grads @ captured_preact_grads.T / batch
-    return (a_new + a_new.T) / 2.0, (g_new + g_new.T) / 2.0
+    return _second_moment(captured_inputs, batch), _second_moment(captured_preact_grads, batch)
 
 
 def update_running_average(

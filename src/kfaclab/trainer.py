@@ -364,7 +364,7 @@ def _stored(ckpt: Checkpoint, name: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _restore_factor_state(state: FactorState, ckpt: Checkpoint, prefix: str,
-                          d_in: int, d_out: int):
+                          d_in: int, d_out: int, inv_type: str):
     fm = ckpt.meta["factor_states"].get(prefix)
     if fm is None:
         raise DataFormatError(f"checkpoint has no factor state {prefix!r}; the run needs one")
@@ -386,12 +386,25 @@ def _restore_factor_state(state: FactorState, ckpt: Checkpoint, prefix: str,
     eig = group("a_eig_q", "a_eig_v", "g_eig_q", "g_eig_v")
     if eig[0] is not None:
         state.a_eig, state.g_eig = EigenPair(*eig[:2]), EigenPair(*eig[2:])
+    # a refreshed state must hold the decomposition the run preconditions with
+    if state.last_inverse_update >= 0:
+        held = ("eigen" if state.a_eig is not None
+                else "inverse" if state.a_damped_inv is not None else None)
+        if held != inv_type:
+            stored = f"inv_type {held!r} decompositions" if held else "no decompositions"
+            raise DataFormatError(
+                f"checkpoint factor state {prefix!r} holds {stored} (refreshed at "
+                f"iteration {state.last_inverse_update}), but the run uses inv_type "
+                f"{inv_type!r}"
+            )
 
 
 def restore_cluster(cluster: Cluster, ckpt: Checkpoint, cfg: RunConfig):
     """Load a checkpoint's weights, momentum and every worker's factor
     states into a freshly built cluster of the same configuration.  A
-    missing or mis-shaped array or factor state is a DataFormatError."""
+    missing or mis-shaped array or factor state is a DataFormatError, and so
+    is a refreshed factor state that lacks the decomposition of the run's
+    ``inv_type`` (a resume that switches the damping scheme)."""
     if ckpt.meta["algorithm"] != cfg.train.algorithm or ckpt.meta["workers"] != cfg.train.workers:
         raise ArgumentError(
             "checkpoint was produced with a different algorithm/worker configuration"
@@ -403,4 +416,5 @@ def restore_cluster(cluster: Cluster, ckpt: Checkpoint, cfg: RunConfig):
     for worker in cluster.workers:
         for i, state in worker.factors.items():
             d_out, d_in = cluster.net.layers[i].weight.shape
-            _restore_factor_state(state, ckpt, f"worker{worker.rank}/layer{i}", d_in, d_out)
+            _restore_factor_state(state, ckpt, f"worker{worker.rank}/layer{i}", d_in, d_out,
+                                  cfg.hyper.inv_type)

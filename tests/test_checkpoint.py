@@ -217,6 +217,35 @@ def test_restore_rejects_initialized_state_without_factors(tmp_path, capsys, co_
     assert "'worker0/layer1/a_cov' is missing" in err
 
 
+@pytest.mark.parametrize("saved, resumed", [("eigen", "inverse"), ("inverse", "eigen")])
+def test_resume_with_other_damping_scheme_is_data_error(tmp_path, capsys, saved, resumed):
+    # four iterations with k_freq = 3: the last refresh is at iteration 3 and
+    # the resumed run's first step (iteration 4) would reuse its results
+    cfg = tmp_path / "dp.ini"
+    cfg.write_text(CO_CONFIG.replace("mpd_kfac_co", "dp_kfac"))
+    run = ["train", str(cfg), f"--hyper.inv_type={saved}", "--hyper.k_freq=3"]
+    assert cli.main(["--out-dir", str(tmp_path / "run"), *run]) == 0
+    capsys.readouterr()
+    code = cli.main(["--out-dir", str(tmp_path / "out"), "train", str(cfg),
+                     f"--hyper.inv_type={resumed}", "--hyper.k_freq=3", "--train.epochs=2",
+                     "--resume", str(tmp_path / "run" / "final.ckpt")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA
+    assert (f"factor state 'worker0/layer0' holds inv_type '{saved}' decompositions "
+            f"(refreshed at iteration 3), but the run uses inv_type '{resumed}'") in err
+    assert "Traceback" not in err
+
+
+def test_restore_rejects_refreshed_state_without_decomposition(tmp_path, capsys, co_run):
+    cfg, ckpt = co_run
+    arrays = {n: a for n, a in ckpt.arrays.items()
+              if not (n.startswith("worker1/layer1/") and "_eig_" in n)}
+    code, err = _resume(tmp_path, capsys, cfg, ckpt.meta, arrays)
+    assert code == cli.EXIT_DATA
+    assert "'worker1/layer1' holds no decompositions" in err
+    assert "the run uses inv_type 'eigen'" in err
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=4),

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kfaclab import cli, numerics, verify
+from kfaclab import cli, errors, numerics, verify
 from kfaclab.datasets import load_idx
 
 SMALL_CONFIG = """
@@ -122,6 +122,32 @@ def test_config_error_exit_code(tmp_path):
     assert cli.main(["train", str(tmp_path / "missing.ini")]) == cli.EXIT_CONFIG
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# the documented contract (README, cli docstring), written out independently
+DOCUMENTED_EXIT_CODES = {
+    "ConfigError": 2, "DataFormatError": 3, "ArgumentError": 3, "ShapeError": 3,
+    "CapacityError": 3, "OrderingError": 3, "NumericError": 4,
+}
+
+
+def test_every_package_error_has_a_documented_exit_code(monkeypatch, capsys):
+    classes = list(_subclasses(errors.KfacLabError))
+    assert sorted(c.__name__ for c in classes) == sorted(DOCUMENTED_EXIT_CODES)
+    for cls in classes:
+        def fail(args, cls=cls):
+            raise cls("planted failure")
+
+        monkeypatch.setattr(cli, "cmd_verify", fail)
+        code = cli.main(["verify", "oracle"])
+        assert code == DOCUMENTED_EXIT_CODES[cls.__name__], cls.__name__
+        assert "planted failure" in capsys.readouterr().err
+
+
 def test_numeric_failure_exit_code_keeps_partial_csv(config_path, tmp_path, capsys):
     # zero damping on rank-deficient local factors fails inside the first
     # preconditioning step; the metrics file must survive with its header
@@ -174,8 +200,7 @@ def test_diverged_run_exits_numeric_and_keeps_rows(tmp_path, capsys):
     cfg = tmp_path / "diverge.ini"
     cfg.write_text(DIVERGING_CONFIG)
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = cli.main(["--out-dir", str(out), "train", str(cfg)])
+    code = cli.main(["--out-dir", str(out), "train", str(cfg)])
     assert code == cli.EXIT_NUMERIC
     assert "worker 0, iteration 160" in capsys.readouterr().err
     rows = (out / "metrics.csv").read_text().splitlines()[1:]

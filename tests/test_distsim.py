@@ -80,6 +80,32 @@ def test_all_reduce_shape_mismatch_names_worker():
         all_reduce_avg([np.zeros(3), np.zeros(4)])
 
 
+def _allocating_tree_avg(tensors):
+    """Reference all-reduce: the same pairwise tree, a fresh array at every
+    level."""
+    level = list(tensors)
+    while len(level) > 1:
+        merged = [level[i] + level[i + 1] for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            merged.append(level[-1])
+        level = merged
+    return level[0] / len(tensors)
+
+
+def test_all_reduce_leaves_inputs_and_matches_allocating_tree():
+    rng = np.random.default_rng(3)
+    for workers in range(1, 10):
+        # mixed magnitudes, so a changed summation order changes the bits
+        tensors = [rng.standard_normal((5, 7)) * np.exp(rng.uniform(-8, 8, (5, 7)))
+                   for _ in range(workers)]
+        for inputs in (tensors, [tensors[0]] * workers):
+            kept = [x.copy() for x in inputs]
+            out = all_reduce_avg(inputs)
+            assert out.tobytes() == _allocating_tree_avg(kept).tobytes(), workers
+            assert all(np.array_equal(x, k) for x, k in zip(inputs, kept)), workers
+            assert not any(np.shares_memory(out, x) for x in inputs), workers
+
+
 def test_broadcast_single_worker_logs_nothing():
     counters = StepCounters()
     out = broadcast(0, np.arange(5.0), 1, counters, "predcomm")
@@ -230,6 +256,92 @@ def test_dp_factors_come_from_each_owners_own_shard():
             assert np.array_equal(state.g_cov, g_cov), (worker.rank, i)
 
 
+def test_mpd_folds_each_layer_once_into_one_shared_average(monkeypatch):
+    calls = []
+    original = kfac.update_running_average
+
+    def counting(state, a_new, g_new, xi, t):
+        calls.append(t)
+        return original(state, a_new, g_new, xi, t)
+
+    monkeypatch.setattr(kfac, "update_running_average", counting)
+    for algorithm in ("mpd_kfac_co", "mpd_kfac_mo"):
+        cluster = build_cluster(SPEC, algorithm, 4, seed=0)
+        for t in range(3):
+            calls.clear()
+            run_step(cluster, shard_batch(_batch(), 4, "disjoint"),
+                     KfacHyper(), 0.05, 0.9, t)
+            assert calls == [t] * cluster.n_layers
+            for i in range(cluster.n_layers):
+                lead = cluster.workers[0].factors[i]
+                for worker in cluster.workers[1:]:
+                    state = worker.factors[i]
+                    assert state.a_cov is lead.a_cov and state.g_cov is lead.g_cov
+                    assert state.initialized and state.last_factor_update == t
+
+
+def _symmetrized_second_moment(x):
+    m = x @ x.T / x.shape[1]
+    return (m + m.T) / 2.0
+
+
+def _worker_major_factor_stage(states, passes, hyper, t, owners, comm_opt):
+    """Reference worker-major MPD factor stage: every worker builds every
+    layer's raw factors with an explicit symmetrization, each layer is
+    averaged by the allocating tree and folded into every worker's own copy,
+    then the owner (under COMM-OPT every worker, with the same bits)
+    rebuilds the decomposition."""
+    n_layers = len(owners)
+    if kfac.is_factor_update(t, hyper):
+        raw = [[(_symmetrized_second_moment(inputs[i]), _symmetrized_second_moment(grads[i]))
+                for i in range(n_layers)] for inputs, grads in passes]
+        for i in range(n_layers):
+            a_avg = _allocating_tree_avg([r[i][0] for r in raw])
+            g_avg = _allocating_tree_avg([r[i][1] for r in raw])
+            for worker_states in states:
+                kfac.update_running_average(worker_states[i], a_avg, g_avg, hyper.xi, t)
+    if kfac.is_inverse_update(t, hyper):
+        for p, worker_states in enumerate(states):
+            for i in range(n_layers):
+                if comm_opt or owners[i] == p:
+                    kfac.refresh_inverses(worker_states[i], hyper, t)
+
+
+def _factor_state_bits(state):
+    eig = [(pair.q.tobytes(), pair.values.tobytes()) if pair is not None else None
+           for pair in (state.a_eig, state.g_eig)]
+    arrays = [a.tobytes() if a is not None else None
+              for a in (state.a_cov, state.g_cov, state.a_damped_inv, state.g_damped_inv)]
+    return (state.initialized, state.last_factor_update, state.last_inverse_update,
+            eig, arrays)
+
+
+@pytest.mark.parametrize("freqs", [(1, 1), (2, 3)])
+@pytest.mark.parametrize("inv_type", kfac.INV_TYPES)
+@pytest.mark.parametrize("algorithm", ["mpd_kfac_co", "mpd_kfac_mo"])
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_mpd_factor_states_match_worker_major_oracle(workers, algorithm, inv_type, freqs):
+    hyper = KfacHyper(inv_type=inv_type, f_freq=freqs[0], k_freq=freqs[1])
+    cluster = build_cluster(SPEC, algorithm, workers, seed=4)
+    owners = [cluster.owner_of(i) for i in range(cluster.n_layers)]
+    oracle = [{i: kfac.FactorState() for i in range(cluster.n_layers)}
+              for _ in range(workers)]
+    for t in range(7):
+        shards = shard_batch(_batch(seed=t, B=48), workers, "disjoint")
+        passes = []
+        for shard in shards:
+            _, captures = forward(cluster.net, shard)
+            _, preact_grads = backward(cluster.net, shard, captures)
+            passes.append(([c.input for c in captures], preact_grads))
+        _worker_major_factor_stage(oracle, passes, hyper, t, owners,
+                                   algorithm == "mpd_kfac_co")
+        run_step(cluster, shards, hyper, 0.05, 0.9, t)
+        for worker, want in zip(cluster.workers, oracle):
+            for i in range(cluster.n_layers):
+                assert (_factor_state_bits(worker.factors[i])
+                        == _factor_state_bits(want[i])), (t, worker.rank, i)
+
+
 def test_mpd_co_preconditions_each_layer_once_per_step(monkeypatch):
     calls = []
     original = kfac.apply_preconditioner
@@ -251,9 +363,42 @@ def test_non_finite_loss_names_worker_and_iteration():
     cluster = build_cluster(SPEC, "ssgd", 2, seed=0)
     shards = shard_batch(_batch(), 2, "disjoint")
     poisoned = Batch(np.full_like(shards[1].inputs, np.inf), shards[1].targets)
-    with pytest.raises(NumericError, match=r"worker 1, iteration 7"), \
-            np.errstate(invalid="ignore"):
+    with pytest.raises(NumericError, match=r"worker 1, iteration 7"):
         run_step(cluster, [shards[0], poisoned], KfacHyper(), 0.05, 0.9, 7)
+
+
+def test_non_finite_aggregated_gradient_names_layer_and_iteration(monkeypatch):
+    original = distsim.backward
+
+    def poisoned(net, batch, captures):
+        grads, preact_grads = original(net, batch, captures)
+        grads[1][0, 0] = np.nan
+        return grads, preact_grads
+
+    monkeypatch.setattr(distsim, "backward", poisoned)
+    cluster = build_cluster(SPEC, "ssgd", 2, seed=0)
+    before = _weights(cluster)
+    with pytest.raises(NumericError, match=r"^layer 1, iteration 5: aggregated gradient"):
+        run_step(cluster, shard_batch(_batch(), 2, "disjoint"), KfacHyper(), 0.05, 0.9, 5)
+    assert np.array_equal(_weights(cluster), before)
+
+
+@pytest.mark.parametrize("algorithm", ["dp_kfac", "mpd_kfac_co", "mpd_kfac_mo"])
+def test_non_finite_preconditioned_gradient_names_owner_layer_and_iteration(
+        monkeypatch, algorithm):
+    original = kfac.apply_preconditioner
+
+    def poisoned(state, grad, hyper):
+        out = original(state, grad, hyper)
+        return out * np.inf if grad.shape == (4, 9) else out  # layer 1 only
+
+    monkeypatch.setattr(kfac, "apply_preconditioner", poisoned)
+    cluster = build_cluster(SPEC, algorithm, 2, seed=0)
+    before = _weights(cluster)
+    with pytest.raises(NumericError,
+                       match=r"^worker 1, layer 1, iteration 3: preconditioned gradient"):
+        run_step(cluster, shard_batch(_batch(), 2, "disjoint"), KfacHyper(), 0.05, 0.9, 3)
+    assert np.array_equal(_weights(cluster), before)
 
 
 def test_replicas_identical_after_each_algorithm():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kfaclab import kfac, numerics
 from kfaclab.errors import ArgumentError, CapacityError, NumericError, OrderingError
@@ -48,6 +50,43 @@ def test_compute_factors_outputs_psd_and_symmetric():
         assert np.array_equal(g, g.T)
         assert np.linalg.eigvalsh(a).min() >= -1e-10
         assert np.linalg.eigvalsh(g).min() >= -1e-10
+
+
+def _capture(rng, d, b, layout, scale=1.0):
+    """A d x b capture in one of the memory layouts callers hand in."""
+    if layout == "c_order":
+        return scale * rng.standard_normal((d, b))
+    if layout == "column_slice":  # a worker's shard of a wider batch
+        return (scale * rng.standard_normal((d, b + 5)))[:, 2:b + 2]
+    if layout == "f_order":
+        return np.asfortranarray(scale * rng.standard_normal((d, b)))
+    return (scale * rng.standard_normal((d, 2 * b)))[:, ::2]  # non-unit inner stride
+
+
+def _symmetrized_second_moment(x):
+    """Reference second moment with an explicit symmetrization."""
+    m = x @ x.T / x.shape[1]
+    return (m + m.T) / 2.0
+
+
+# numpy's product of a strided capture with more than 192 rows and its own
+# transpose is not exactly symmetric, so the dimensions straddle that size
+_DIMS = st.integers(1, 40) | st.integers(185, 260)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d_a=_DIMS, d_g=_DIMS,
+       b=st.integers(1, 40), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       layout=st.sampled_from(["c_order", "column_slice", "f_order", "strided"]))
+def test_compute_factors_exactly_symmetric_for_every_layout(seed, d_a, d_g, b, scale, layout):
+    rng = np.random.default_rng(seed)
+    captures = (_capture(rng, d_a, b, layout, scale), _capture(rng, d_g, b, layout))
+    kept = [x.copy() for x in captures]
+    for out, x, before in zip(kfac.compute_factors(*captures), captures, kept):
+        assert np.array_equal(out, out.T)
+        assert np.array_equal(x, before)
+        if layout != "strided":
+            assert out.tobytes() == _symmetrized_second_moment(x).tobytes()
 
 
 def test_compute_factors_rejects_empty_or_mismatched():
