@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (ConfigError), 3 data/format error (DataFormatError, ArgumentError,
 ShapeError, CapacityError, OrderingError), 4 numeric failure (NumericError).
+Once its output directory exists, ``train`` records in ``run.json`` how it
+ended (status, exit code, error message, last iteration written) on every
+exit path.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from .errors import (
 from .trainer import (
     csv_header,
     load_checkpoint,
-    run_training,
+    prepare_training,
+    run_prepared,
     save_checkpoint,
     write_run_manifest,
 )
@@ -109,6 +113,13 @@ def _holds_rows_before(csv_path: Path, iteration: int) -> bool:
             == [str(i) for i in range(iteration)])
 
 
+def _report(exc: KfacLabError) -> int:
+    """Print a package error under its exit-code label; returns the code."""
+    code = next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
+    print(f"{_EXIT_LABELS[code]}: {exc}", file=sys.stderr)
+    return code
+
+
 def cmd_train(args, overrides) -> int:
     if args.seed is not None:
         overrides["train.seed"] = str(args.seed)
@@ -117,27 +128,48 @@ def cmd_train(args, overrides) -> int:
     cfg = load_config(args.config, overrides)
     out_dir = Path(cfg.train.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    resume = load_checkpoint(args.resume) if args.resume else None
-
     csv_path = out_dir / "metrics.csv"
-    # a resumed run continues the directory's own metrics when they end
-    # exactly where the checkpoint does
-    append = resume is not None and _holds_rows_before(csv_path, resume.iteration)
-    # written incrementally so a numeric abort still leaves the partial rows
-    with open(csv_path, "a" if append else "w") as fh:
-        if not append:
-            fh.write(csv_header() + "\n")
-        def sink(row):
-            fh.write(",".join(row.as_csv_fields()) + "\n")
-            fh.flush()
-        try:
-            result = run_training(cfg, row_sink=sink, resume_from=resume)
-        except NumericError as exc:
-            print(f"numeric failure: {exc}", file=sys.stderr)
-            print(f"partial metrics kept at {csv_path}", file=sys.stderr)
-            return EXIT_NUMERIC
+    manifest_path = out_dir / "run.json"
+    last_iteration = None  # of the last row this invocation wrote
+    csv_written = False
 
-    write_run_manifest(out_dir / "run.json", cfg, extra={
+    def sink(row):
+        nonlocal last_iteration
+        fh.write(",".join(row.as_csv_fields()) + "\n")
+        fh.flush()
+        last_iteration = row.iteration
+
+    def outcome(status, exit_code, error):
+        return {"status": status, "exit_code": exit_code, "error": error,
+                "last_iteration": last_iteration}
+
+    try:
+        resume = load_checkpoint(args.resume) if args.resume else None
+        # data and checkpoint are checked here, before metrics.csv is touched
+        run = prepare_training(cfg, resume_from=resume)
+        # a resumed run continues the directory's own metrics when they end
+        # exactly where the checkpoint does
+        append = resume is not None and _holds_rows_before(csv_path, resume.iteration)
+        # written incrementally so a numeric abort still leaves the partial rows
+        with open(csv_path, "a" if append else "w") as fh:
+            csv_written = True
+            if not append:
+                fh.write(csv_header() + "\n")
+            result = run_prepared(run, row_sink=sink)
+    except KfacLabError as exc:
+        code = _report(exc)
+        write_run_manifest(manifest_path, cfg, extra=outcome("failed", code, str(exc)))
+        if csv_written:
+            print(f"partial metrics kept at {csv_path}", file=sys.stderr)
+        return code
+    except BaseException as exc:
+        # an interrupt or an internal fault: record it, keep the traceback
+        write_run_manifest(manifest_path, cfg, extra=outcome(
+            "failed", None, f"{type(exc).__name__}: {exc}"))
+        raise
+
+    write_run_manifest(manifest_path, cfg, extra={
+        **outcome("finished", EXIT_OK, None),
         "iterations": result.final_iteration,
         "iters_per_epoch": result.iters_per_epoch,
     })
@@ -150,7 +182,7 @@ def cmd_train(args, overrides) -> int:
     print(f"final train loss {last.train_loss:.6f}"
           + (f", eval loss {last.eval_loss:.6f}" if last.eval_loss is not None else "")
           + (f", eval accuracy {last.eval_accuracy:.4f}" if last.eval_accuracy is not None else ""))
-    print(f"outputs: {csv_path}, {out_dir / 'run.json'}, {out_dir / 'final.ckpt'}")
+    print(f"outputs: {csv_path}, {manifest_path}, {out_dir / 'final.ckpt'}")
     return EXIT_OK
 
 
@@ -253,9 +285,7 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         return cmd_gen_data(args)
     except KfacLabError as exc:
-        code = next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
-        print(f"{_EXIT_LABELS[code]}: {exc}", file=sys.stderr)
-        return code
+        return _report(exc)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ are missing required keys.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Optional
@@ -96,10 +97,15 @@ class RunConfig:
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
+    """Comma- or space-separated integers; an empty item (``64,,10``) is an
+    error, not a skipped entry."""
     raw = raw.strip()
     if not raw:
         return ()
-    return tuple(int(x) for x in raw.replace(",", " ").split())
+    items = [item.strip() for item in raw.split(",")]
+    if "" in items:
+        raise ValueError("empty list item")
+    return tuple(int(x) for item in items for x in item.split())
 
 
 def _enum(options):
@@ -225,17 +231,50 @@ def config_from_dict(d: Mapping) -> RunConfig:
     return cfg
 
 
+def _at_least(low):
+    return (lambda v: v >= low), f">= {low}"
+
+
+# dotted key -> (test, requirement); comparisons are False for NaN, so the
+# float ranges also reject non-finite values
+_RANGES = {
+    "data.classes": _at_least(2),
+    "data.dim": _at_least(1),
+    "data.samples": _at_least(1),
+    "data.noise": ((lambda v: 0.0 <= v < math.inf), "finite and >= 0"),
+    "data.out_dim": _at_least(1),
+    "data.eval_fraction": ((lambda v: 0.0 <= v < 1.0), "in [0, 1)"),
+    "train.workers": _at_least(1),
+    "train.epochs": _at_least(1),
+    "train.batch_size": _at_least(1),
+    "train.seed": _at_least(0),
+    "hyper.lr": ((lambda v: 0.0 < v < math.inf), "finite and > 0"),
+    "hyper.momentum": ((lambda v: 0.0 <= v < 1.0), "in [0, 1)"),
+    "hyper.xi": ((lambda v: 0.0 < v <= 1.0), "in (0, 1]"),
+    "hyper.gamma": ((lambda v: 0.0 <= v < math.inf), "finite and >= 0"),
+    "hyper.f_freq": _at_least(1),
+    "hyper.k_freq": _at_least(1),
+    "hyper.warmup_iters": _at_least(0),
+    "hyper.decay_epochs": ((lambda v: all(e >= 0 for e in v)), "a list of epochs >= 0"),
+}
+
+
 def validate_config(cfg: RunConfig):
+    for dotted, (test, requirement) in _RANGES.items():
+        section, _, key = dotted.partition(".")
+        value = getattr(getattr(cfg, section), key)
+        try:
+            ok = test(value)
+        except TypeError:  # a manifest value of the wrong type
+            ok = False
+        if not ok:
+            raise ConfigError(f"{dotted} must be {requirement}, got {value!r}")
     t, d = cfg.train, cfg.data
-    if t.workers < 1 or t.epochs < 1 or t.batch_size < 1:
-        raise ConfigError("train.workers, train.epochs, and train.batch_size must be >= 1")
     if t.shard_policy == "disjoint" and t.batch_size % t.workers != 0:
         raise ConfigError(
             f"train.batch_size={t.batch_size} not divisible by train.workers={t.workers} "
             "under disjoint sharding"
         )
-    if not (0.0 <= d.eval_fraction < 1.0):
-        raise ConfigError("data.eval_fraction must lie in [0, 1)")
     if d.kind == "idx":
         for label, p in (("data.images", d.images), ("data.labels", d.labels)):
             if not p:

@@ -14,6 +14,8 @@ pixel values are scaled to [0, 1] and images flattened to columns.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Mapping
@@ -87,43 +89,56 @@ def gen_synthetic(kind: str, params: Mapping, seed: int) -> Dataset:
     return Dataset(inputs, targets, task="regression")
 
 
-def _read_exact(fh, n: int, offset: int, path, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise DataFormatError(
-            f"{path}: truncated {what} at byte offset {offset + len(data)} "
-            f"(wanted {n} bytes, got {len(data)})"
-        )
-    return data
+def _read_idx(path, magic: int, n_dims: int, what: str) -> tuple[tuple[int, ...], bytes]:
+    """The header dimensions and the payload of one IDX file.
+
+    The payload size the header declares is checked against the file size
+    before any of it is read: a short file, trailing bytes or a size too
+    large to exist raise DataFormatError naming the byte offset.
+    """
+    header_len = 4 + 4 * n_dims
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read IDX file: {exc.strerror or exc}") from exc
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(header_len)
+        if len(head) < 4:
+            raise DataFormatError(
+                f"{path}: truncated magic at byte offset {len(head)} (wanted 4 bytes)")
+        found = struct.unpack(">I", head[:4])[0]
+        if found != magic:
+            raise DataFormatError(
+                f"{path}: bad magic 0x{found:08x} at byte offset 0 (expected 0x{magic:08x})")
+        if len(head) < header_len:
+            raise DataFormatError(
+                f"{path}: truncated header at byte offset {len(head)} "
+                f"(wanted {header_len} bytes)")
+        dims = struct.unpack(f">{n_dims}I", head[4:])
+        end = header_len + math.prod(dims)
+        if end > size:
+            raise DataFormatError(
+                f"{path}: truncated {what} at byte offset {size} (the header at byte "
+                f"offset 4 declares {end - header_len} bytes, ending at offset {end})")
+        if end < size:
+            raise DataFormatError(
+                f"{path}: {size - end} trailing bytes at byte offset {end} after the {what}")
+        payload = fh.read(end - header_len)
+    if len(payload) != end - header_len:
+        raise DataFormatError(f"{path}: {what} ends early at byte offset "
+                              f"{header_len + len(payload)}; the file shrank while read")
+    return dims, payload
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an IDX image/label file pair as a classification dataset."""
-    with open(images_path, "rb") as fh:
-        magic = struct.unpack(">I", _read_exact(fh, 4, 0, images_path, "magic"))[0]
-        if magic != IDX_IMAGES_MAGIC:
-            raise DataFormatError(
-                f"{images_path}: bad magic 0x{magic:08x} at byte offset 0 "
-                f"(expected 0x{IDX_IMAGES_MAGIC:08x})"
-            )
-        n, rows, cols = struct.unpack(">III", _read_exact(fh, 12, 4, images_path, "header"))
-        pixels = _read_exact(fh, n * rows * cols, 16, images_path, "pixel data")
-        extra = fh.read(1)
-        if extra:
-            raise DataFormatError(f"{images_path}: trailing bytes at offset {16 + n * rows * cols}")
-    with open(labels_path, "rb") as fh:
-        magic = struct.unpack(">I", _read_exact(fh, 4, 0, labels_path, "magic"))[0]
-        if magic != IDX_LABELS_MAGIC:
-            raise DataFormatError(
-                f"{labels_path}: bad magic 0x{magic:08x} at byte offset 0 "
-                f"(expected 0x{IDX_LABELS_MAGIC:08x})"
-            )
-        n_labels = struct.unpack(">I", _read_exact(fh, 4, 4, labels_path, "header"))[0]
-        label_bytes = _read_exact(fh, n_labels, 8, labels_path, "label data")
+    (n, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3, "pixel data")
+    (n_labels,), label_bytes = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, "label data")
     if n_labels != n:
         raise DataFormatError(
             f"image/label counts differ: {n} images in {images_path}, "
-            f"{n_labels} labels in {labels_path}"
+            f"{n_labels} labels in {labels_path} (counts at byte offset 4)"
         )
     images = np.frombuffer(pixels, dtype=np.uint8).reshape(n, rows * cols)
     inputs = images.astype(np.float64).T / 255.0

@@ -64,8 +64,8 @@ class KfacHyper:
     k_freq: int = 1
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ArgumentError("damping gamma must be >= 0")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ArgumentError("damping gamma must be finite and >= 0")
         if not (0.0 < self.xi <= 1.0):
             raise ArgumentError("running-average weight xi must lie in (0, 1]")
         if self.inv_type not in INV_TYPES:
@@ -147,6 +147,15 @@ def pi_scalar(a_cov: np.ndarray, g_cov: np.ndarray) -> float:
     return float(np.sqrt((tr_a / a_cov.shape[0]) / (tr_g / g_cov.shape[0])))
 
 
+def _plus_diagonal(m: np.ndarray, shift: float) -> np.ndarray:
+    """``m + shift * I`` as one copy of ``m`` with ``shift`` added to its
+    diagonal in place: the same bits as the dense sum, without materializing
+    the identity (an off-diagonal -0.0 stays -0.0, where the sum gives 0.0)."""
+    out = np.array(m, dtype=np.float64, order="C")
+    out.reshape(-1)[:: out.shape[0] + 1] += shift
+    return out
+
+
 def damped_inverses(
     a_cov: np.ndarray, g_cov: np.ndarray, gamma: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -155,11 +164,11 @@ def damped_inverses(
     pi = pi_scalar(a_cov, g_cov)
     root = np.sqrt(gamma)
     try:
-        a_inv = sym_inverse(a_cov + pi * root * np.eye(a_cov.shape[0]))
+        a_inv = sym_inverse(_plus_diagonal(a_cov, pi * root))
     except NumericError as exc:
         raise NumericError(f"damped input factor A is not invertible: {exc}") from exc
     try:
-        g_inv = sym_inverse(g_cov + (root / pi) * np.eye(g_cov.shape[0]))
+        g_inv = sym_inverse(_plus_diagonal(g_cov, root / pi))
     except NumericError as exc:
         raise NumericError(f"damped gradient factor G is not invertible: {exc}") from exc
     return a_inv, g_inv

@@ -14,14 +14,21 @@ formulas (two-sided small-matrix products) interchangeable with the dense
 Kronecker solve used by the verification oracle.  ``kron`` itself is
 oracle-only and guarded by an element cap so it cannot sneak into a
 training-scale code path.
+
+The two decompositions, :func:`sym_eig` and :func:`sym_inverse`, raise
+:class:`NumericError` for non-finite input, a failed factorization or a
+non-finite result, so a bad factor never turns silently into NaN weights.
+``sym_inverse`` runs LAPACK ``potrf`` + ``potri`` on a private copy and
+mirrors one triangle, so its result is exactly symmetric.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import CapacityError, NumericError, ShapeError
 
@@ -75,21 +82,45 @@ def sym_eig(m: np.ndarray) -> EigenPair:
     return EigenPair(q=q, values=values)
 
 
+@functools.lru_cache(maxsize=32)
+def _strict_upper(n: int) -> np.ndarray:
+    """Read-only boolean mask of the strictly upper triangle of an n x n matrix."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
+
+
 def sym_inverse(m: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via Cholesky."""
+    """Inverse of a symmetric positive definite matrix via Cholesky.
+
+    Reads the lower triangle of ``m`` and leaves ``m`` untouched.  A private
+    copy is factored by LAPACK ``potrf`` and inverted in place by ``potri``;
+    the computed triangle is then mirrored into the other, so the result is
+    exactly symmetric.  Non-finite input or output and a failed
+    factorization (not positive definite) raise :class:`NumericError`.
+    """
     m = _require_square(m, "sym_inverse")
     n = m.shape[0]
-    try:
-        chol = scipy.linalg.cho_factor(m, lower=True)
-        inv = scipy.linalg.cho_solve(chol, np.eye(n))
-    except (np.linalg.LinAlgError, ValueError) as exc:
+    # potrf does not report a NaN pivot, so non-finite input is caught here
+    if not np.isfinite(m).all():
+        raise NumericError(f"cannot invert a {n}x{n} matrix with non-finite entries")
+    if n == 0:  # potri rejects the leading dimension of an empty array
+        return np.empty((0, 0))
+    # the transposed copy is Fortran-ordered, as LAPACK wants, and its upper
+    # triangle is the lower triangle of m; both calls work on it in place
+    chol, info = scipy.linalg.lapack.dpotrf(
+        np.array(m, dtype=np.float64).T, lower=0, clean=0, overwrite_a=1)
+    if info == 0:
+        inv_t, info = scipy.linalg.lapack.dpotri(chol, lower=0, overwrite_c=1)
+    if info != 0:
         raise NumericError(
             f"Cholesky inversion failed for a {n}x{n} matrix (not positive definite?)"
-        ) from exc
+        )
+    inv = inv_t.T  # the inverse sits in its lower triangle
+    np.copyto(inv, inv.T, where=_strict_upper(n))
     if not np.isfinite(inv).all():
         raise NumericError(f"inverse of a {n}x{n} matrix has non-finite entries")
-    # cho_solve output can be asymmetric in the last ulp
-    return (inv + inv.T) / 2.0
+    return inv
 
 
 def kron(a: np.ndarray, b: np.ndarray, element_cap: int = KRON_ELEMENT_CAP) -> np.ndarray:

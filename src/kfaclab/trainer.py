@@ -110,17 +110,25 @@ def evaluate(cluster: Cluster, batch: Batch) -> tuple[float, Optional[float]]:
     return loss, None
 
 
-def run_training(
-    cfg: RunConfig,
-    row_sink: Optional[Callable[[MetricsRow], None]] = None,
-    resume_from: Optional["Checkpoint"] = None,
-) -> TrainResult:
-    """Run the configured training job; one metrics row per iteration.
+@dataclass
+class PreparedRun:
+    """A run set up to take its first step: data provisioned and split, the
+    cluster built and, on resume, restored from the checkpoint."""
 
-    ``row_sink`` is called with each row as soon as it exists so callers can
-    stream to disk.  ``resume_from`` continues an earlier run of the same
-    config at its stored iteration (data order is regenerated from the seed).
-    """
+    cfg: RunConfig
+    dataset: Dataset
+    train_idx: np.ndarray
+    eval_batch: Optional[Batch]
+    cluster: Cluster
+    iters_per_epoch: int
+    start_epoch: int
+    start_iteration: int
+
+
+def prepare_training(cfg: RunConfig, resume_from: Optional["Checkpoint"] = None) -> PreparedRun:
+    """Everything before the first step.  A data set that does not fit the
+    network and a checkpoint that does not fit the run fail here, before any
+    step runs or any row exists."""
     seeds = _child_seeds(cfg.train.seed)
     dataset = provision_dataset(cfg)
     if dataset.input_dim != cfg.network.layer_dims[0]:
@@ -147,14 +155,29 @@ def run_training(
             raise ArgumentError(
                 f"checkpoint already at epoch {start_epoch}; config trains {cfg.train.epochs}"
             )
+    eval_batch = _take(dataset, eval_idx) if len(eval_idx) > 0 else None
+    return PreparedRun(cfg=cfg, dataset=dataset, train_idx=train_idx, eval_batch=eval_batch,
+                       cluster=cluster, iters_per_epoch=iters_per_epoch,
+                       start_epoch=start_epoch, start_iteration=t)
 
+
+def run_prepared(
+    run: PreparedRun, row_sink: Optional[Callable[[MetricsRow], None]] = None
+) -> TrainResult:
+    """The epoch loop of a prepared run; one metrics row per iteration,
+    passed to ``row_sink`` as soon as it exists so callers can stream it."""
+    cfg, dataset, train_idx, cluster = run.cfg, run.dataset, run.train_idx, run.cluster
+    shuffle_seed = _child_seeds(cfg.train.seed)["shuffle"]
+    B = cfg.train.batch_size
+    iters_per_epoch = run.iters_per_epoch
+    t = run.start_iteration
     hyper = cfg.hyper.kfac_hyper()
     sched = cfg.hyper.schedule(cfg.train.workers)
-    eval_batch = _take(dataset, eval_idx) if len(eval_idx) > 0 else None
+    eval_batch = run.eval_batch
 
     rows: list[MetricsRow] = []
-    for epoch in range(start_epoch, cfg.train.epochs):
-        order = np.random.default_rng([seeds["shuffle"], epoch]).permutation(len(train_idx))
+    for epoch in range(run.start_epoch, cfg.train.epochs):
+        order = np.random.default_rng([shuffle_seed, epoch]).permutation(len(train_idx))
         for b in range(iters_per_epoch):
             batch = _take(dataset, train_idx[order[b * B: (b + 1) * B]])
             shards = shard_batch(batch, cfg.train.workers, cfg.train.shard_policy)
@@ -177,6 +200,20 @@ def run_training(
             t += 1
     return TrainResult(rows=rows, cluster=cluster, iters_per_epoch=iters_per_epoch,
                        final_iteration=t)
+
+
+def run_training(
+    cfg: RunConfig,
+    row_sink: Optional[Callable[[MetricsRow], None]] = None,
+    resume_from: Optional["Checkpoint"] = None,
+) -> TrainResult:
+    """Run the configured training job; one metrics row per iteration.
+
+    ``row_sink`` is called with each row as soon as it exists so callers can
+    stream to disk.  ``resume_from`` continues an earlier run of the same
+    config at its stored iteration (data order is regenerated from the seed).
+    """
+    return run_prepared(prepare_training(cfg, resume_from), row_sink)
 
 
 # ---------------------------------------------------------------------------

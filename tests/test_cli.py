@@ -99,6 +99,37 @@ def test_train_resume_rewrites_metrics_that_do_not_end_at_the_checkpoint(config_
     assert rows[1].split(",")[0] == str(iterations)
 
 
+def test_rejected_resume_keeps_the_directory_outputs(config_path, tmp_path):
+    # an eigen checkpoint cannot continue as an inverse run (exit 3); the
+    # metrics and checkpoint of the run already in the directory must survive
+    half_dir, run_dir = tmp_path / "half", tmp_path / "run"
+    assert cli.main(["--out-dir", str(half_dir), "train", str(config_path)]) == 0
+    assert cli.main(["--out-dir", str(run_dir), "train", str(config_path),
+                     "--train.epochs=3"]) == 0
+    kept = {name: (run_dir / name).read_bytes() for name in ("metrics.csv", "final.ckpt")}
+    code = cli.main(["--out-dir", str(run_dir), "train", str(config_path),
+                     "--train.epochs=4", "--hyper.inv_type=inverse",
+                     "--resume", str(half_dir / "final.ckpt")])
+    assert code == cli.EXIT_DATA
+    for name, data in kept.items():
+        assert (run_dir / name).read_bytes() == data, name
+    manifest = json.loads((run_dir / "run.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["exit_code"] == cli.EXIT_DATA
+    assert "inv_type 'inverse'" in manifest["error"]
+    assert manifest["last_iteration"] is None
+
+
+def test_finished_run_manifest_records_its_outcome(config_path, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "train", str(config_path)]) == 0
+    manifest = json.loads((out / "run.json").read_text())
+    assert manifest["status"] == "finished"
+    assert manifest["exit_code"] == 0
+    assert manifest["error"] is None
+    assert manifest["last_iteration"] == manifest["iterations"] - 1
+
+
 def test_dp_and_mpd_loss_columns_identical_single_worker(config_path, tmp_path):
     def losses(algorithm, out):
         code = cli.main([
@@ -207,6 +238,33 @@ def test_diverged_run_exits_numeric_and_keeps_rows(tmp_path, capsys):
     assert len(rows) == 160
     assert all(np.isfinite(float(r.split(",")[3])) for r in rows)
     assert not (out / "final.ckpt").exists()
+
+
+def test_diverged_run_manifest_says_why_it_stopped(tmp_path, capsys):
+    cfg = tmp_path / "diverge.ini"
+    cfg.write_text(DIVERGING_CONFIG)
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "train", str(cfg)]) == cli.EXIT_NUMERIC
+    manifest = json.loads((out / "run.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["exit_code"] == cli.EXIT_NUMERIC
+    assert "worker 0, iteration 160" in manifest["error"]
+    assert manifest["last_iteration"] == 159
+    assert manifest["config"]["hyper"]["lr"] == 5.0
+
+
+def test_interrupted_run_manifest_records_the_exception(config_path, tmp_path, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_prepared", interrupt)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["--out-dir", str(out), "train", str(config_path)])
+    manifest = json.loads((out / "run.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["exit_code"] is None
+    assert manifest["error"].startswith("KeyboardInterrupt")
 
 
 def test_cost_command_toy_manifest(tmp_path, capsys):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kfaclab.config import (
+    _SCHEMA,
     DataConfig,
     HyperConfig,
     RunConfig,
@@ -125,6 +128,48 @@ def test_network_data_dimension_consistency(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("override", [
+    "hyper.gamma=nan", "hyper.lr=inf", "hyper.momentum=2", "hyper.xi=nan",
+    "data.noise=-1", "data.samples=-5", "hyper.k_freq=0", "network.layer_dims=8,,3",
+    "train.seed=-1", "hyper.lr=0", "hyper.gamma=1e400",
+])
+def test_out_of_range_value_is_config_error(tmp_path, override):
+    path = _write(tmp_path, GOOD_CONFIG)
+    with pytest.raises(ConfigError, match=override.split("=")[0].replace(".", r"\.")):
+        load_config(path, parse_overrides([override]))
+
+
+def test_int_list_separators(tmp_path):
+    path = _write(tmp_path, GOOD_CONFIG)
+    for raw in ("8,8,3", "8 8 3", " 8, 8 ,3 "):
+        assert load_config(path, {"network.layer_dims": raw}).network.layer_dims == (8, 8, 3)
+
+
+_KEYS = [f"{section}.{key}" for section, keys in _SCHEMA.items() for key in keys]
+_VALUES = (st.text(max_size=12)
+           | st.integers(-10 ** 6, 10 ** 6).map(str)
+           | st.floats().map(repr)
+           | st.sampled_from(["nan", "inf", "-inf", "1e400", "0", "-0.0", "1", "2", ",", "8,,3",
+                              "8,8,3", "3", "idx", "eigen", "inverse", "ssgd", "identity",
+                              "mean_squared_error", "deep_linear_regression", ""]))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(overrides=st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=8), _VALUES,
+                                 max_size=4))
+def test_fuzzed_overrides_load_or_raise_config_error(tmp_path, overrides):
+    path = _write(tmp_path, GOOD_CONFIG)
+    try:
+        cfg = load_config(path, overrides)
+    except ConfigError:
+        return
+    # whatever loads is a run the trainer accepts as configured
+    assert all(np.isfinite([cfg.hyper.lr, cfg.hyper.momentum, cfg.hyper.xi,
+                            cfg.hyper.gamma, cfg.data.noise]))
+    assert cfg.hyper.kfac_hyper() is not None
+
+
 def test_run_training_is_deterministic():
     a = run_training(_small_cfg())
     b = run_training(_small_cfg())
@@ -220,6 +265,17 @@ def test_run_manifest_config_block_reproduces_run(tmp_path):
     rebuilt = run_training(rebuilt_cfg)
     assert [r.as_csv_fields() for r in rebuilt.rows] == \
            [r.as_csv_fields() for r in original.rows]
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("hyper", "lr", "fast"), ("hyper", "gamma", float("nan")), ("train", "seed", -1),
+])
+def test_run_manifest_config_block_values_are_checked(section, key, value):
+    from kfaclab.config import config_from_dict
+    d = _small_cfg().to_dict()
+    d[section][key] = value
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        config_from_dict(d)
 
 
 def test_resume_past_end_rejected(tmp_path):

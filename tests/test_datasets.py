@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kfaclab.datasets import (
     Dataset,
@@ -130,3 +134,68 @@ def test_quantize_rejects_regression():
     data = Dataset(np.zeros((4, 3)), np.zeros((2, 3)), task="regression")
     with pytest.raises(ArgumentError):
         quantize_for_idx(data, 2, 2)
+
+
+def _idx_pair(tmp_path, images: bytes, labels: bytes):
+    img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+    img.write_bytes(images)
+    lab.write_bytes(labels)
+    return img, lab
+
+
+_TWO_IMAGES = struct.pack(">IIII", 0x00000803, 2, 2, 2) + bytes(range(8))
+_TWO_LABELS = struct.pack(">II", 0x00000801, 2) + b"\x00\x01"
+
+
+def test_idx_trailing_label_bytes_name_offset(tmp_path):
+    with pytest.raises(DataFormatError, match="1 trailing bytes at byte offset 10"):
+        load_idx(*_idx_pair(tmp_path, _TWO_IMAGES, _TWO_LABELS + b"\x07"))
+
+
+def test_idx_trailing_pixel_bytes_name_offset(tmp_path):
+    with pytest.raises(DataFormatError, match="2 trailing bytes at byte offset 24"):
+        load_idx(*_idx_pair(tmp_path, _TWO_IMAGES + b"\x00\x00", _TWO_LABELS))
+
+
+def test_idx_oversized_header_is_data_error_before_reading(tmp_path):
+    # 2**32-1 images of (2**32-1)**2 pixels: the declared size cannot exist
+    huge = struct.pack(">IIII", 0x00000803, *(2 ** 32 - 1,) * 3) + bytes(8)
+    with pytest.raises(DataFormatError, match="truncated pixel data at byte offset 24"):
+        load_idx(*_idx_pair(tmp_path, huge, _TWO_LABELS))
+
+
+def test_idx_unreadable_file_is_data_error(tmp_path):
+    with pytest.raises(DataFormatError, match="cannot read"):
+        load_idx(tmp_path, tmp_path / "absent.idx")
+
+
+def _idx_bytes(magic, dims, payload_len):
+    """An IDX file whose header may or may not match its payload."""
+    return st.builds(
+        lambda m, d, body: struct.pack(f">I{len(d)}I", m, *d) + body,
+        magic, dims, st.binary(max_size=payload_len))
+
+
+_SMALL = st.integers(0, 6)
+_ANY_U32 = st.integers(0, 2 ** 32 - 1)
+_IMAGES = (_idx_bytes(st.just(0x00000803), st.tuples(_SMALL, _SMALL, _SMALL), 80)
+           | _idx_bytes(st.just(0x00000803) | _ANY_U32, st.tuples(_ANY_U32, _ANY_U32, _ANY_U32), 16)
+           | st.binary(max_size=40))
+_LABELS = (_idx_bytes(st.just(0x00000801), st.tuples(_SMALL), 8)
+           | _idx_bytes(st.just(0x00000801) | _ANY_U32, st.tuples(_ANY_U32), 8)
+           | st.binary(max_size=16))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(images=_IMAGES, labels=_LABELS)
+def test_fuzzed_idx_pair_loads_or_raises_data_format_error(tmp_path, images, labels):
+    try:
+        data = load_idx(*_idx_pair(tmp_path, images, labels))
+    except DataFormatError as exc:
+        assert "byte offset" in str(exc)
+    else:
+        # a loaded pair holds exactly the declared bytes
+        n, rows, cols = struct.unpack(">III", images[4:16])
+        assert len(images) == 16 + n * rows * cols and len(labels) == 8 + n
+        assert data.inputs.shape == (rows * cols, n) and data.targets.shape == (n,)

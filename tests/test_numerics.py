@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kfaclab import numerics
 from kfaclab.errors import CapacityError, NumericError, ShapeError
@@ -70,6 +72,66 @@ def test_sym_inverse_involution_on_well_conditioned():
 def test_sym_inverse_rejects_non_spd():
     with pytest.raises(NumericError):
         numerics.sym_inverse(np.diag([1.0, -1.0]))
+
+
+def _spd(n: int, seed: int, shift: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, n + 3))
+    return b @ b.T / (n + 3) + shift * np.eye(n)
+
+
+# sizes 10 ... 193 include the ones the training workloads invert and both
+# sides of LAPACK's blocked/unblocked switch (block size 64)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 260), seed=st.integers(0, 2 ** 32 - 1),
+       shift=st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
+@example(n=10, seed=0, shift=0.1)
+@example(n=64, seed=1, shift=0.1)
+@example(n=65, seed=2, shift=0.1)
+@example(n=192, seed=3, shift=1e-3)
+@example(n=193, seed=4, shift=1e-3)
+def test_sym_inverse_matches_dense_oracle(n, seed, shift):
+    m = _spd(n, seed, shift)
+    before = m.copy()
+    inv = numerics.sym_inverse(m)
+    assert np.array_equal(m, before)  # input untouched
+    assert np.array_equal(inv, inv.T)  # exactly symmetric
+    ref = np.linalg.solve(m, np.eye(n))
+    # backward-stable Cholesky inversion: error grows with n, eps and cond(m)
+    bound = 8 * n * np.finfo(float).eps * np.linalg.cond(m)
+    assert np.abs(inv - ref).max() <= bound * np.abs(ref).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 70), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_sym_inverse_rejects_non_pd_and_non_finite(n, seed, data):
+    m = _spd(n, seed, 0.1)
+    before = m.copy()
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1))
+    bad_pivot = m.copy()
+    bad_pivot[i, i] = -data.draw(st.sampled_from([0.0, 1e-300, 1.0, 1e300]))
+    with pytest.raises(NumericError):
+        numerics.sym_inverse(bad_pivot)
+    for value in (np.nan, np.inf, -np.inf):
+        poisoned = m.copy()
+        poisoned[i, j] = value  # in either triangle
+        with pytest.raises(NumericError):
+            numerics.sym_inverse(poisoned)
+    with pytest.raises(NumericError):
+        numerics.sym_inverse(np.zeros((n, n)))
+    assert np.array_equal(m, before)
+
+
+def test_sym_inverse_of_empty_matrix_is_empty(capfd):
+    assert numerics.sym_inverse(np.zeros((0, 0))).shape == (0, 0)
+    assert capfd.readouterr().err == ""  # no LAPACK argument complaint
+
+
+def test_sym_inverse_non_finite_result_is_numeric_error():
+    # positive pivots whose inverse overflows
+    with pytest.raises(NumericError, match="non-finite"):
+        numerics.sym_inverse(np.diag([1.0, 1e-320]))
 
 
 def test_kron_scalars():
