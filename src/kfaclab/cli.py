@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (ConfigError), 3 data/format error (DataFormatError, ArgumentError,
 ShapeError, CapacityError, OrderingError), 4 numeric failure (NumericError).
-Once its output directory exists, ``train`` records in ``run.json`` how it
-ended (status, exit code, error message, last iteration written) on every
-exit path.
+An output directory that cannot be created or written is a configuration
+error naming ``train.out_dir``.  Once its output directory exists, ``train``
+records in ``run.json`` how it ended (status, exit code, error message, last
+iteration written) on every exit path.
 """
 
 from __future__ import annotations
@@ -120,6 +121,10 @@ def _report(exc: KfacLabError) -> int:
     return code
 
 
+def _unusable_out_dir(action: str, path: Path, exc: OSError) -> ConfigError:
+    return ConfigError(f"train.out_dir: cannot {action} {path}: {exc.strerror or exc}")
+
+
 def cmd_train(args, overrides) -> int:
     if args.seed is not None:
         overrides["train.seed"] = str(args.seed)
@@ -127,7 +132,10 @@ def cmd_train(args, overrides) -> int:
         overrides["train.out_dir"] = str(args.out_dir)
     cfg = load_config(args.config, overrides)
     out_dir = Path(cfg.train.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _unusable_out_dir("create", out_dir, exc) from exc
     csv_path = out_dir / "metrics.csv"
     manifest_path = out_dir / "run.json"
     last_iteration = None  # of the last row this invocation wrote
@@ -151,7 +159,11 @@ def cmd_train(args, overrides) -> int:
         # exactly where the checkpoint does
         append = resume is not None and _holds_rows_before(csv_path, resume.iteration)
         # written incrementally so a numeric abort still leaves the partial rows
-        with open(csv_path, "a" if append else "w") as fh:
+        try:
+            fh = open(csv_path, "a" if append else "w")
+        except OSError as exc:
+            raise _unusable_out_dir("open", csv_path, exc) from exc
+        with fh:
             csv_written = True
             if not append:
                 fh.write(csv_header() + "\n")

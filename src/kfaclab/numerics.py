@@ -19,7 +19,10 @@ The two decompositions, :func:`sym_eig` and :func:`sym_inverse`, raise
 :class:`NumericError` for non-finite input, a failed factorization or a
 non-finite result, so a bad factor never turns silently into NaN weights.
 ``sym_inverse`` runs LAPACK ``potrf`` + ``potri`` on a private copy and
-mirrors one triangle, so its result is exactly symmetric.
+mirrors one triangle, so its result is exactly symmetric.  It reaches LAPACK
+through scipy, which is imported at the first ``sym_inverse`` call: the
+import costs about 25 MiB of resident memory and 0.25 s, and eigen-damped
+and S-SGD runs never invert.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import functools
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .errors import CapacityError, NumericError, ShapeError
 
@@ -90,6 +92,14 @@ def _strict_upper(n: int) -> np.ndarray:
     return mask
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK wrappers, imported on first use."""
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack
+
+
 def sym_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix via Cholesky.
 
@@ -106,12 +116,12 @@ def sym_inverse(m: np.ndarray) -> np.ndarray:
         raise NumericError(f"cannot invert a {n}x{n} matrix with non-finite entries")
     if n == 0:  # potri rejects the leading dimension of an empty array
         return np.empty((0, 0))
+    lapack = _lapack()
     # the transposed copy is Fortran-ordered, as LAPACK wants, and its upper
     # triangle is the lower triangle of m; both calls work on it in place
-    chol, info = scipy.linalg.lapack.dpotrf(
-        np.array(m, dtype=np.float64).T, lower=0, clean=0, overwrite_a=1)
+    chol, info = lapack.dpotrf(np.array(m, dtype=np.float64).T, lower=0, clean=0, overwrite_a=1)
     if info == 0:
-        inv_t, info = scipy.linalg.lapack.dpotri(chol, lower=0, overwrite_c=1)
+        inv_t, info = lapack.dpotri(chol, lower=0, overwrite_c=1)
     if info != 0:
         raise NumericError(
             f"Cholesky inversion failed for a {n}x{n} matrix (not positive definite?)"

@@ -9,6 +9,7 @@ regenerates shuffle order instead of persisting RNG state.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -220,9 +221,13 @@ def run_training(
 # file outputs
 
 
-def atomic_write_bytes(path: Path, data: bytes):
+@contextlib.contextmanager
+def _atomic_writer(path: Path):
+    """A binary file handle on ``path.tmp``, moved over ``path`` once the
+    block completes, so readers see the old file or the whole new one."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
+    with open(tmp, "wb") as fh:
+        yield fh
     os.replace(tmp, path)
 
 
@@ -235,7 +240,8 @@ def write_run_manifest(path: Path, cfg: RunConfig, extra: Optional[dict] = None)
     }
     if extra:
         manifest.update(extra)
-    atomic_write_bytes(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+    with _atomic_writer(path) as fh:
+        fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
 def csv_header() -> str:
@@ -299,14 +305,12 @@ def save_checkpoint(path: Path, cluster: Cluster, iteration: int, epoch: int):
         ],
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    out = bytearray()
-    out += CHECKPOINT_MAGIC
-    out += struct.pack("<I", CHECKPOINT_VERSION)
-    out += struct.pack("<Q", len(blob))
-    out += blob
-    for n in names:
-        out += np.ascontiguousarray(arrays[n], dtype="<f8").tobytes()
-    atomic_write_bytes(path, bytes(out))
+    # streamed: only an array that is not already C-ordered "<f8" is copied
+    with _atomic_writer(path) as fh:
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
+        fh.write(blob)
+        for n in names:
+            fh.write(np.ascontiguousarray(arrays[n], dtype="<f8"))
 
 
 _HEADER_START = 20  # magic (8) + u32 version (4) + u64 header length (8)
@@ -318,27 +322,32 @@ _FACTOR_META_KEYS = (("initialized", bool), ("last_factor_update", int),
 
 def load_checkpoint(path) -> Checkpoint:
     """Parse a checkpoint file.  Any departure from the layout written by
-    :func:`save_checkpoint` raises DataFormatError naming the byte offset."""
+    :func:`save_checkpoint` raises DataFormatError naming the byte offset.
+    Each array is read straight into its own buffer, once its declared size
+    has been checked against the file size."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            return _read_checkpoint(fh, os.fstat(fh.fileno()).st_size, path)
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot read checkpoint: {exc.strerror or exc}") from exc
 
+
+def _read_checkpoint(fh, size: int, path) -> Checkpoint:
     def bad(offset: int, what: str) -> DataFormatError:
         return DataFormatError(f"{path}: {what} at byte offset {offset}")
 
-    if data[:8] != CHECKPOINT_MAGIC:
+    fixed = fh.read(_HEADER_START)
+    if fixed[:8] != CHECKPOINT_MAGIC:
         raise bad(0, "bad checkpoint magic")
-    if len(data) < _HEADER_START:
-        raise bad(len(data), f"truncated header ({len(data)} of {_HEADER_START} fixed bytes)")
-    version = struct.unpack("<I", data[8:12])[0]
+    if len(fixed) < _HEADER_START:
+        raise bad(len(fixed), f"truncated header ({len(fixed)} of {_HEADER_START} fixed bytes)")
+    version, header_len = struct.unpack("<IQ", fixed[8:])
     if version != CHECKPOINT_VERSION:
         raise bad(8, f"unsupported checkpoint version {version}")
-    header_len = struct.unpack("<Q", data[12:20])[0]
-    if _HEADER_START + header_len > len(data):
+    if _HEADER_START + header_len > size:
         raise bad(12, f"header length {header_len} runs past the end of the "
-                      f"{len(data)}-byte file")
-    raw = data[_HEADER_START:_HEADER_START + header_len]
+                      f"{size}-byte file")
+    raw = fh.read(header_len)
     try:
         text = raw.decode()
     except UnicodeDecodeError as exc:
@@ -379,16 +388,16 @@ def load_checkpoint(path) -> Checkpoint:
                       f"array {name!r} has unsupported dtype {entry.get('dtype')!r}")
         if name in arrays:
             raise bad(_HEADER_START, f"array {name!r} listed twice")
-        count = math.prod(shape)
-        nbytes = count * 8
-        if offset + nbytes > len(data):
+        nbytes = math.prod(shape) * 8
+        if offset + nbytes > size:
             raise bad(offset, f"truncated data of array {name!r}")
-        arrays[name] = np.frombuffer(
-            data, dtype="<f8", count=count, offset=offset
-        ).reshape(shape).copy()
+        arr = np.empty(shape, dtype="<f8")
+        if fh.readinto(arr) != nbytes:  # the file shrank since fstat
+            raise bad(offset, f"truncated data of array {name!r}")
+        arrays[name] = arr
         offset += nbytes
-    if offset != len(data):
-        raise bad(offset, f"{len(data) - offset} trailing bytes after the last array")
+    if offset != size:
+        raise bad(offset, f"{size - offset} trailing bytes after the last array")
     return Checkpoint(iteration=meta["iteration"], epoch=meta["epoch"], meta=meta, arrays=arrays)
 
 

@@ -4,6 +4,7 @@ that names a byte offset, never a raw struct/JSON/key error."""
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,20 +20,25 @@ from kfaclab.trainer import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     Checkpoint,
+    _cluster_arrays,
     load_checkpoint,
     restore_cluster,
+    run_training,
     save_checkpoint,
 )
 
 SPEC = NetworkSpec((3, 4, 2), activation="tanh")
 
 
-def _cfg():
+def _cfg(spec=SPEC, algorithm="dp_kfac", workers=2, inv_type="eigen", samples=40,
+         batch_size=8):
     return RunConfig(
-        network=SPEC,
-        data=DataConfig(kind="gaussian_blobs", classes=2, dim=3, samples=40),
-        train=TrainConfig(algorithm="dp_kfac", workers=2, epochs=1, batch_size=8, seed=0),
-        hyper=HyperConfig(),
+        network=spec,
+        data=DataConfig(kind="gaussian_blobs", classes=2, dim=spec.layer_dims[0],
+                        samples=samples),
+        train=TrainConfig(algorithm=algorithm, workers=workers, epochs=1,
+                          batch_size=batch_size, seed=0),
+        hyper=HyperConfig(inv_type=inv_type),
     )
 
 
@@ -281,3 +287,80 @@ def test_fuzzed_bytes_load_or_raise_data_format_error(tmp_path, valid, data):
         assert "byte offset" in str(exc)
     else:
         assert all(np.asarray(a).dtype == np.float64 for a in ckpt.arrays.values())
+
+
+def _in_memory_bytes(cluster, iteration: int, epoch: int) -> bytes:
+    """The checkpoint file as the serializer built it before saving
+    streamed: the whole file assembled in memory."""
+    arrays, factor_meta = _cluster_arrays(cluster)
+    names = sorted(arrays)
+    header = {
+        "meta": {"iteration": iteration, "epoch": epoch,
+                 "algorithm": cluster.config.algorithm, "workers": cluster.config.workers,
+                 "factor_states": factor_meta},
+        "arrays": [{"name": n, "shape": list(arrays[n].shape), "dtype": "<f8"}
+                   for n in names],
+    }
+    blob = json.dumps(header, sort_keys=True).encode()
+    out = bytearray()
+    out += CHECKPOINT_MAGIC
+    out += struct.pack("<I", CHECKPOINT_VERSION)
+    out += struct.pack("<Q", len(blob))
+    out += blob
+    for n in names:
+        out += np.ascontiguousarray(arrays[n], dtype="<f8").tobytes()
+    return bytes(out)
+
+
+@pytest.mark.parametrize("inv_type", ["eigen", "inverse"])
+@pytest.mark.parametrize("algorithm", ["ssgd", "dp_kfac", "mpd_kfac_co", "mpd_kfac_mo"])
+def test_streamed_checkpoint_is_byte_identical_to_in_memory_one(tmp_path, algorithm, inv_type):
+    result = run_training(_cfg(algorithm=algorithm, inv_type=inv_type))
+    path = tmp_path / "final.ckpt"
+    save_checkpoint(path, result.cluster, result.final_iteration, 1)
+    assert path.read_bytes() == _in_memory_bytes(result.cluster, result.final_iteration, 1)
+    assert not path.with_name("final.ckpt.tmp").exists()
+
+
+@pytest.fixture(scope="module", params=["eigen", "inverse"])
+def wide_co(request, tmp_path_factory):
+    """(training result, saved path) of two steps of a 192-wide mpd_kfac_co run on
+    four workers: every worker's factors and decompositions, 12.5 MiB."""
+    spec = NetworkSpec((192, 192, 192, 10), activation="tanh", bias_mode="homogeneous")
+    result = run_training(_cfg(spec, "mpd_kfac_co", 4, request.param, samples=300,
+                               batch_size=128))
+    path = tmp_path_factory.mktemp("wide") / "final.ckpt"
+    save_checkpoint(path, result.cluster, result.final_iteration, 1)
+    return result, path
+
+
+def _traced_peak(fn, *args):
+    """Peak traced allocation above the starting level while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+MIB = 2 ** 20
+
+
+def test_save_holds_at_most_one_array_copy(tmp_path, wide_co):
+    result, saved = wide_co
+    data = saved.read_bytes()
+    header_len = struct.unpack("<Q", data[12:20])[0]
+    largest = max(a.nbytes for a in _cluster_arrays(result.cluster)[0].values())
+    assert len(data) > 8 * MIB
+    peak = _traced_peak(save_checkpoint, tmp_path / "again.ckpt", result.cluster,
+                        result.final_iteration, 1)
+    assert peak <= largest + header_len + MIB
+    assert (tmp_path / "again.ckpt").read_bytes() == data
+
+
+def test_load_holds_the_arrays_once(wide_co):
+    _, saved = wide_co
+    peak = _traced_peak(load_checkpoint, saved)
+    assert peak <= saved.stat().st_size + MIB

@@ -202,6 +202,32 @@ def test_out_dir_accepted_after_train_subcommand(config_path, tmp_path):
     assert manifest["config"]["train"]["algorithm"] == "ssgd"
 
 
+def test_out_dir_under_a_file_is_config_error(config_path, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = cli.main(["--out-dir", str(blocker / "sub"), "train", str(config_path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert f"train.out_dir: cannot create {blocker / 'sub'}: Not a directory" in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == ""
+
+
+def test_metrics_path_that_is_a_directory_is_config_error(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "metrics.csv").mkdir(parents=True)
+    code = cli.main(["--out-dir", str(out), "train", str(config_path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert f"train.out_dir: cannot open {out / 'metrics.csv'}: Is a directory" in err
+    assert "Traceback" not in err
+    manifest = json.loads((out / "run.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["exit_code"] == cli.EXIT_CONFIG
+    assert "metrics.csv: Is a directory" in manifest["error"]
+    assert not (out / "final.ckpt").exists()
+
+
 DIVERGING_CONFIG = """
 [network]
 layer_dims = 16,16
