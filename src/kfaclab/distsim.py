@@ -2,10 +2,12 @@
 
 The step contract keeps every worker's weights and momentum bit-identical,
 so the cluster holds ONE weight set and ONE momentum set that every worker
-references, and applies each update once.  What differs between workers is
-kept per worker: the data shard, the captures of that worker's local
-forward/backward pass (held as local values, never on the shared network),
-and the factor state (averaged factors, decompositions, staleness stamps).
+references, and applies each update once.  Every layer has one owner, read
+from the assignment, and ONE factor state (averaged factors,
+decompositions, staleness stamps): DP-KFAC keeps it only at the owner, and
+under MPD-KFAC every worker would hold the same bits.  What differs between
+workers is the data shard and the captures of that worker's local
+forward/backward pass (held as local values, never on the shared network).
 
 Workers run sequentially in worker-index order and every collective reduces
 over a fixed pairwise tree of worker indices, so runs are bit-reproducible.
@@ -27,12 +29,11 @@ algorithm and applies one momentum-SGD update:
   factors are all-reduced layer by layer, and each layer's decomposition is
   computed by its round-robin owner.  The all-reduced factors are the same
   bits on every worker, so their running average is folded once per layer
-  and every worker's factor state references the one result.  The ``co``
-  variant broadcasts decompositions and every worker preconditions
-  everything locally (every worker holds the same decomposition, so the
-  simulator applies it once per layer on behalf of all P); the ``mo``
-  variant preconditions at the owner and broadcasts preconditioned
-  gradients.
+  into the layer's one state.  The ``co`` variant broadcasts decompositions
+  and every worker preconditions everything locally (every worker holds the
+  same decomposition, so the simulator applies it once per layer on behalf
+  of all P); the ``mo`` variant preconditions at the owner and broadcasts
+  preconditioned gradients.
 * ``dp_kfac``: each worker builds factor statistics from its LOCAL
   shard for its OWN layers only, preconditions the aggregated gradient
   there, and broadcasts the result.  Factor communication never happens.
@@ -47,7 +48,7 @@ Every step logs element counts per stage; the analytic model in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -100,15 +101,14 @@ class ClusterConfig:
             raise ArgumentError("worker count must be >= 1")
 
 
-@dataclass
-class WorkerState:
-    """One worker's view: its own factor states, plus references to the
-    cluster's shared weights (``replica``) and momentum buffers."""
+class WorkerView(NamedTuple):
+    """What one worker holds: the shared weights (``replica``) and momentum
+    buffers, and the factor states of the layers it keeps."""
 
     rank: int
     replica: Network
-    factors: dict[int, FactorState]
     momentum: list[np.ndarray]
+    factors: dict[int, FactorState]
 
 
 @dataclass
@@ -116,18 +116,25 @@ class Cluster:
     config: ClusterConfig
     net: Network
     momentum: list[np.ndarray]
-    workers: list[WorkerState]
+    factors: dict[int, FactorState]  # one per layer; none for ssgd
+    owners: tuple[int, ...]  # owners[i]: the worker that owns layer i
     log: CollectiveLog = field(default_factory=CollectiveLog)
 
     @property
     def n_layers(self) -> int:
         return self.net.depth
 
-    def owner_of(self, layer: int) -> int:
-        for p, part in enumerate(self.config.assignment):
-            if layer in part:
-                return p
-        raise ArgumentError(f"layer {layer} has no owner in the assignment")
+    @property
+    def workers(self) -> tuple[WorkerView, ...]:
+        """Per-worker views derived from the one state per layer: under
+        MPD-KFAC every worker holds every layer's state, under DP-KFAC only
+        its assigned layers', under S-SGD none.  The step never reads them."""
+        dp = self.config.algorithm == "dp_kfac"
+        return tuple(
+            WorkerView(p, self.net, self.momentum,
+                       {i: self.factors[i] for i in (part if dp else self.factors)})
+            for p, part in enumerate(self.config.assignment)
+        )
 
     def layer_dims(self) -> list[LayerDims]:
         return [
@@ -142,23 +149,20 @@ def build_cluster(
     workers: int,
     seed: int,
 ) -> Cluster:
-    """One shared weight/momentum set, per-worker factor states, layer
+    """One shared weight/momentum set, one factor state per layer, layer
     ownership by :func:`kfaclab.costmodel.round_robin_partition`, the
     partition the cost model assumes."""
     net = init_network(spec, seed)
+    # allocated right after the weights: allocated after the assignment
+    # instead, the steps of the 192-wide P=8 perfbench workload ran 2-7%
+    # slower (memory placement, not work)
     momentum = init_momentum(net)
     assignment = round_robin_partition(net.depth, workers)
     config = ClusterConfig(workers=workers, assignment=assignment, algorithm=algorithm)
-    states = []
-    for p in range(workers):
-        if algorithm == "ssgd":
-            owned: dict[int, FactorState] = {}
-        elif algorithm == "dp_kfac":
-            owned = {i: FactorState() for i in assignment[p]}
-        else:  # mpd variants keep averaged factors for every layer
-            owned = {i: FactorState() for i in range(net.depth)}
-        states.append(WorkerState(p, net, owned, momentum))
-    return Cluster(config=config, net=net, momentum=momentum, workers=states)
+    owner_by_layer = {i: p for p, part in enumerate(assignment) for i in part}
+    factors = {} if algorithm == "ssgd" else {i: FactorState() for i in range(net.depth)}
+    return Cluster(config=config, net=net, momentum=momentum, factors=factors,
+                   owners=tuple(owner_by_layer[i] for i in range(net.depth)))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +301,7 @@ def _rethrow(exc: KfacLabError, worker: int, layer: int):
 
 
 def _check_finite(update: Sequence[np.ndarray], t: int, what: str,
-                  owners: Optional[dict[int, int]] = None):
+                  owners: Optional[Sequence[int]] = None):
     for i, g in enumerate(update):
         if not np.isfinite(g).all():
             where = "" if owners is None else f"worker {owners[i]}, "
@@ -311,34 +315,31 @@ def _dp_precondition(
     hyper: KfacHyper,
     counters: StepCounters,
     t: int,
-) -> tuple[list[np.ndarray], dict[int, int]]:
+) -> list[np.ndarray]:
     """Distributed preconditioning: local-shard factors for owned layers only,
     zero factor communication, preconditioned gradients broadcast."""
     f_up = kfac.is_factor_update(t, hyper)
     k_up = kfac.is_inverse_update(t, hyper)
     dims = cluster.layer_dims()
-    owners: dict[int, int] = {}
     precond: dict[int, np.ndarray] = {}
     factor_work, inverse_work = [], []
-    for worker, own in zip(cluster.workers, local):
+    for p, (part, own) in enumerate(zip(cluster.config.assignment, local)):
         owned_f = 0
-        for i in sorted(worker.factors):
+        for i in part:
             try:
                 precond[i], _ = kfac.kfac_layer_step(
-                    worker.factors[i], own.inputs[i], own.preact_grads[i], agg[i], hyper, t)
+                    cluster.factors[i], own.inputs[i], own.preact_grads[i], agg[i], hyper, t)
             except KfacLabError as exc:
-                _rethrow(exc, worker.rank, i)
-            owners[i] = worker.rank
+                _rethrow(exc, p, i)
             owned_f += layer_counts(dims[i])[1]
         factor_work.append(owned_f if f_up else 0)
         inverse_work.append(owned_f if k_up else 0)
     counters.factorcomp = max(factor_work)
     counters.inversecomp = max(inverse_work)
-    update = [
-        broadcast(owners[i], precond[i], cluster.config.workers, counters, "predcomm")
-        for i in range(cluster.n_layers)
+    return [
+        broadcast(owner, precond[i], cluster.config.workers, counters, "predcomm")
+        for i, owner in enumerate(cluster.owners)
     ]
-    return update, owners
 
 
 def _mpd_precondition(
@@ -348,17 +349,16 @@ def _mpd_precondition(
     hyper: KfacHyper,
     counters: StepCounters,
     t: int,
-) -> tuple[list[np.ndarray], dict[int, int]]:
+) -> list[np.ndarray]:
     """Model-parallel D-KFAC: global factors via all-reduce, decompositions at
     the layer owner.  COMM-OPT (``mpd_kfac_co``) broadcasts decompositions,
     MEM-OPT (``mpd_kfac_mo``) broadcasts preconditioned gradients.
 
     The factor stage runs layer-major: for each layer every worker's raw
     pair is built and all-reduced at once, so only one layer's P raw pairs
-    are alive at a time.  Worker 0 folds the averaged pair into its running
-    averages; every other worker's state takes references to the same
-    ``a_cov``/``g_cov`` arrays and the same stamps, which is what P separate
-    folds of identical inputs would have produced bit for bit."""
+    are alive at a time.  The averaged pair is folded once into the layer's
+    one state, which is what P separate folds of identical inputs would
+    have produced bit for bit."""
     comm_opt = cluster.config.algorithm == "mpd_kfac_co"
     P = cluster.config.workers
     dims = cluster.layer_dims()
@@ -367,80 +367,49 @@ def _mpd_precondition(
         counters.factorcomp = sum(layer_counts(d)[1] for d in dims)
         for i in range(cluster.n_layers):
             raw = []
-            for worker, own in zip(cluster.workers, local):
+            for p, own in enumerate(local):
                 try:
                     raw.append(kfac.compute_factors(own.inputs[i], own.preact_grads[i]))
                 except KfacLabError as exc:
-                    _rethrow(exc, worker.rank, i)
+                    _rethrow(exc, p, i)
             a_avg = all_reduce_avg([a for a, _ in raw], counters, "factorcomm")
             g_avg = all_reduce_avg([g for _, g in raw], counters, "factorcomm")
-            lead = cluster.workers[0].factors[i]
-            kfac.update_running_average(lead, a_avg, g_avg, hyper.xi, t)
-            for worker in cluster.workers[1:]:
-                dest = worker.factors[i]
-                dest.a_cov, dest.g_cov = lead.a_cov, lead.g_cov
-                dest.initialized, dest.last_factor_update = True, t
+            kfac.update_running_average(cluster.factors[i], a_avg, g_avg, hyper.xi, t)
 
     if kfac.is_inverse_update(t, hyper):
         inverse_work = [0] * P
-        for i in range(cluster.n_layers):
-            owner = cluster.owner_of(i)
-            state = cluster.workers[owner].factors[i]
+        for i, owner in enumerate(cluster.owners):
+            state = cluster.factors[i]
             try:
                 kfac.refresh_inverses(state, hyper, t)
             except KfacLabError as exc:
                 _rethrow(exc, owner, i)
             inverse_work[owner] += layer_counts(dims[i])[1]
             if comm_opt:
-                _broadcast_decomposition(cluster, owner, i, state, hyper, counters, t)
+                # eigenbases plus eigenvalue vectors, or the two damped
+                # inverses; every receiver would hold the owner's bits, so
+                # the layer's one state stands for all of them
+                payload = ((state.a_eig.q, state.a_eig.values, state.g_eig.q, state.g_eig.values)
+                           if hyper.inv_type == "eigen"
+                           else (state.a_damped_inv, state.g_damped_inv))
+                for arr in payload:
+                    broadcast(owner, arr, P, counters, "inversecomm")
         counters.inversecomp = max(inverse_work)
 
-    owners = {i: cluster.owner_of(i) for i in range(cluster.n_layers)}
     update: list[np.ndarray] = []
-    for i in range(cluster.n_layers):
+    for i, owner in enumerate(cluster.owners):
         # co: every worker holds the same decomposition and would compute the
-        # same bits, so worker 0's is applied once for all of them;
+        # same bits, so it is applied once, on worker 0, for all of them;
         # mo: the owner applies it and broadcasts the result
-        rank = 0 if comm_opt else owners[i]
+        rank = 0 if comm_opt else owner
         try:
-            pg = kfac.apply_preconditioner(cluster.workers[rank].factors[i], agg[i], hyper)
+            pg = kfac.apply_preconditioner(cluster.factors[i], agg[i], hyper)
         except KfacLabError as exc:
             _rethrow(exc, rank, i)
         if not comm_opt:
             pg = broadcast(rank, pg, P, counters, "predcomm")
         update.append(pg)
-    return update, owners
-
-
-def _broadcast_decomposition(
-    cluster: Cluster,
-    owner: int,
-    layer: int,
-    state: FactorState,
-    hyper: KfacHyper,
-    counters: StepCounters,
-    t: int,
-):
-    """COMM-OPT payload: eigenbases plus eigenvalue vectors, or the two damped
-    inverses.  Every worker's factor state then holds the received tensors."""
-    P = cluster.config.workers
-    a_eig = g_eig = a_inv = g_inv = None
-    if hyper.inv_type == "eigen":
-        a_q, a_v, g_q, g_v = (
-            broadcast(owner, arr, P, counters, "inversecomm")
-            for arr in (state.a_eig.q, state.a_eig.values, state.g_eig.q, state.g_eig.values)
-        )
-        a_eig, g_eig = kfac.EigenPair(a_q, a_v), kfac.EigenPair(g_q, g_v)
-    else:
-        a_inv, g_inv = (
-            broadcast(owner, arr, P, counters, "inversecomm")
-            for arr in (state.a_damped_inv, state.g_damped_inv)
-        )
-    for worker in cluster.workers:
-        dest = worker.factors[layer]
-        dest.a_eig, dest.g_eig = a_eig, g_eig
-        dest.a_damped_inv, dest.g_damped_inv = a_inv, g_inv
-        dest.last_inverse_update = t
+    return update
 
 
 @dataclass(frozen=True)
@@ -488,11 +457,11 @@ def run_step(
         _check_finite(update, t, "aggregated gradient")
         counters.gradcomp = sum(g.size for g in update)
         owners = None
-        if cluster.config.algorithm == "dp_kfac":
-            update, owners = _dp_precondition(cluster, local, update, hyper, counters, t)
-        elif cluster.config.algorithm != "ssgd":
-            update, owners = _mpd_precondition(cluster, local, update, hyper, counters, t)
-        if owners is not None:
-            _check_finite(update, t, "preconditioned gradient", owners)
+        if cluster.config.algorithm != "ssgd":
+            precondition = (_dp_precondition if cluster.config.algorithm == "dp_kfac"
+                            else _mpd_precondition)
+            update = precondition(cluster, local, update, hyper, counters, t)
+            _check_finite(update, t, "preconditioned gradient", cluster.owners)
+            owners = dict(enumerate(cluster.owners))
         sgd_step(cluster.net, update, lr, cluster.momentum, momentum)
     return StepResult(loss, counters, preconditioned_by=owners)

@@ -36,7 +36,7 @@ CSV_COLUMNS = (
 )
 
 CHECKPOINT_MAGIC = b"KFACLAB\0"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -149,9 +149,14 @@ def prepare_training(cfg: RunConfig, resume_from: Optional["Checkpoint"] = None)
     start_epoch = 0
     t = 0
     if resume_from is not None:
-        restore_cluster(cluster, resume_from, cfg)
         t = resume_from.iteration
         start_epoch = resume_from.epoch
+        # a checkpoint is written at an epoch boundary; the run replays
+        # whole epochs from there
+        if t != start_epoch * iters_per_epoch:
+            raise DataFormatError(f"checkpoint iteration = {t} is not epoch {start_epoch} x "
+                                  f"{iters_per_epoch} iterations per epoch")
+        restore_cluster(cluster, resume_from, cfg)
         if start_epoch >= cfg.train.epochs:
             raise ArgumentError(
                 f"checkpoint already at epoch {start_epoch}; config trains {cfg.train.epochs}"
@@ -267,25 +272,24 @@ def _cluster_arrays(cluster: Cluster) -> tuple[dict[str, np.ndarray], dict]:
         arrays[f"layer{i}/weight"] = layer.weight
     for i, m in enumerate(cluster.momentum):
         arrays[f"layer{i}/momentum"] = m
-    for worker in cluster.workers:
-        for i, state in worker.factors.items():
-            prefix = f"worker{worker.rank}/layer{i}"
-            factor_meta[prefix] = {
-                "initialized": state.initialized,
-                "last_factor_update": state.last_factor_update,
-                "last_inverse_update": state.last_inverse_update,
-            }
-            fields = {
-                "a_cov": state.a_cov, "g_cov": state.g_cov,
-                "a_damped_inv": state.a_damped_inv, "g_damped_inv": state.g_damped_inv,
-            }
-            if state.a_eig is not None:
-                fields.update({"a_eig_q": state.a_eig.q, "a_eig_v": state.a_eig.values})
-            if state.g_eig is not None:
-                fields.update({"g_eig_q": state.g_eig.q, "g_eig_v": state.g_eig.values})
-            for name, arr in fields.items():
-                if arr is not None:
-                    arrays[f"{prefix}/{name}"] = arr
+    for i, state in cluster.factors.items():
+        prefix = f"factors/layer{i}"
+        factor_meta[prefix] = {
+            "initialized": state.initialized,
+            "last_factor_update": state.last_factor_update,
+            "last_inverse_update": state.last_inverse_update,
+        }
+        fields = {
+            "a_cov": state.a_cov, "g_cov": state.g_cov,
+            "a_damped_inv": state.a_damped_inv, "g_damped_inv": state.g_damped_inv,
+        }
+        if state.a_eig is not None:
+            fields.update({"a_eig_q": state.a_eig.q, "a_eig_v": state.a_eig.values})
+        if state.g_eig is not None:
+            fields.update({"g_eig_q": state.g_eig.q, "g_eig_v": state.g_eig.values})
+        for name, arr in fields.items():
+            if arr is not None:
+                arrays[f"{prefix}/{name}"] = arr
     return arrays, factor_meta
 
 
@@ -343,7 +347,8 @@ def _read_checkpoint(fh, size: int, path) -> Checkpoint:
         raise bad(len(fixed), f"truncated header ({len(fixed)} of {_HEADER_START} fixed bytes)")
     version, header_len = struct.unpack("<IQ", fixed[8:])
     if version != CHECKPOINT_VERSION:
-        raise bad(8, f"unsupported checkpoint version {version}")
+        raise bad(8, f"unsupported checkpoint version {version} (this build reads "
+                     f"version {CHECKPOINT_VERSION})")
     if _HEADER_START + header_len > size:
         raise bad(12, f"header length {header_len} runs past the end of the "
                       f"{size}-byte file")
@@ -367,6 +372,9 @@ def _read_checkpoint(fh, size: int, path) -> Checkpoint:
     for key, kind in _META_KEYS:
         if type(meta.get(key)) is not kind:
             raise bad(_HEADER_START, f"header meta needs {kind.__name__} {key!r}")
+    for key in ("iteration", "epoch"):
+        if meta[key] < 0:
+            raise bad(_HEADER_START, f"header meta {key} = {meta[key]} is negative")
     for prefix, fm in meta["factor_states"].items():
         for key, kind in _FACTOR_META_KEYS:
             if type(fm) is not dict or type(fm.get(key)) is not kind:
@@ -409,11 +417,18 @@ def _stored(ckpt: Checkpoint, name: str, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-def _restore_factor_state(state: FactorState, ckpt: Checkpoint, prefix: str,
+def _restore_factor_state(state: FactorState, ckpt: Checkpoint, layer: int, owner: int,
                           d_in: int, d_out: int, inv_type: str):
+    prefix = f"factors/layer{layer}"
+    where = f"factor state {prefix!r} (layer {layer}, owner worker {owner})"
     fm = ckpt.meta["factor_states"].get(prefix)
     if fm is None:
-        raise DataFormatError(f"checkpoint has no factor state {prefix!r}; the run needs one")
+        raise DataFormatError(f"checkpoint has no {where}; the run needs one")
+    for key in ("last_factor_update", "last_inverse_update"):
+        if not -1 <= fm[key] < ckpt.iteration:
+            raise DataFormatError(f"checkpoint {where}: {key} = {fm[key]} lies outside "
+                                  f"-1..{ckpt.iteration - 1} for a checkpoint at iteration "
+                                  f"{ckpt.iteration}")
 
     def group(*names, required=False):
         """Arrays saved together: all of them, or None for each if absent."""
@@ -439,18 +454,18 @@ def _restore_factor_state(state: FactorState, ckpt: Checkpoint, prefix: str,
         if held != inv_type:
             stored = f"inv_type {held!r} decompositions" if held else "no decompositions"
             raise DataFormatError(
-                f"checkpoint factor state {prefix!r} holds {stored} (refreshed at "
-                f"iteration {state.last_inverse_update}), but the run uses inv_type "
-                f"{inv_type!r}"
+                f"checkpoint {where} holds {stored} (refreshed at iteration "
+                f"{state.last_inverse_update}), but the run uses inv_type {inv_type!r}"
             )
 
 
 def restore_cluster(cluster: Cluster, ckpt: Checkpoint, cfg: RunConfig):
-    """Load a checkpoint's weights, momentum and every worker's factor
-    states into a freshly built cluster of the same configuration.  A
-    missing or mis-shaped array or factor state is a DataFormatError, and so
-    is a refreshed factor state that lacks the decomposition of the run's
-    ``inv_type`` (a resume that switches the damping scheme)."""
+    """Load a checkpoint's weights, momentum and every layer's factor state
+    into a freshly built cluster of the same configuration.  A missing or
+    mis-shaped array or factor state is a DataFormatError, and so is a
+    staleness stamp outside ``-1 <= stamp < iteration`` and a refreshed
+    factor state that lacks the decomposition of the run's ``inv_type`` (a
+    resume that switches the damping scheme)."""
     if ckpt.meta["algorithm"] != cfg.train.algorithm or ckpt.meta["workers"] != cfg.train.workers:
         raise ArgumentError(
             "checkpoint was produced with a different algorithm/worker configuration"
@@ -459,8 +474,7 @@ def restore_cluster(cluster: Cluster, ckpt: Checkpoint, cfg: RunConfig):
         layer.weight[...] = _stored(ckpt, f"layer{i}/weight", layer.weight.shape)
     for i, m in enumerate(cluster.momentum):
         m[...] = _stored(ckpt, f"layer{i}/momentum", m.shape)
-    for worker in cluster.workers:
-        for i, state in worker.factors.items():
-            d_out, d_in = cluster.net.layers[i].weight.shape
-            _restore_factor_state(state, ckpt, f"worker{worker.rank}/layer{i}", d_in, d_out,
-                                  cfg.hyper.inv_type)
+    for i, state in cluster.factors.items():
+        d_out, d_in = cluster.net.layers[i].weight.shape
+        _restore_factor_state(state, ckpt, i, cluster.owners[i], d_in, d_out,
+                              cfg.hyper.inv_type)

@@ -205,10 +205,12 @@ def run_dist_suite() -> list[CheckResult]:
     cluster = distsim.build_cluster(SPEC_DIST, "dp_kfac", 4, seed=9)
     shards = distsim.shard_batch(_dist_batch(), 4, "disjoint")
     res = distsim.run_step(cluster, shards, KfacHyper(), 0.05, 0.9, 0)
-    shared = all(w.replica is cluster.net and w.momentum is cluster.momentum
-                 for w in cluster.workers)
-    results.append(CheckResult("dist", "every worker references the one weight/momentum set",
-                               shared))
+    one_state = sorted(cluster.factors) == list(range(cluster.n_layers))
+    views = [sorted(w.factors) for w in cluster.workers]
+    results.append(CheckResult("dist", "one factor state per layer, held by its owner only",
+                               one_state and views == [list(part) for part in
+                                                       cluster.config.assignment],
+                               f"worker views {views}"))
     owned_once = sorted(res.preconditioned_by) == list(range(cluster.n_layers))
     results.append(CheckResult("dist", "every layer preconditioned exactly once", owned_once,
                                f"ownership {res.preconditioned_by}"))

@@ -52,9 +52,9 @@ def valid(tmp_path_factory):
     return json.loads(data[20:20 + header_len]), data[20 + header_len:]
 
 
-def _pack(header, payload=b"", blob=None):
+def _pack(header, payload=b"", blob=None, version=CHECKPOINT_VERSION):
     blob = json.dumps(header).encode() if blob is None else blob
-    return (CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
+    return (CHECKPOINT_MAGIC + struct.pack("<I", version)
             + struct.pack("<Q", len(blob)) + blob + payload)
 
 
@@ -167,14 +167,15 @@ def co_run(tmp_path_factory):
     return cfg, load_checkpoint(root / "run" / "final.ckpt")
 
 
-def _resume(tmp_path, capsys, cfg, meta, arrays):
+def _resume(tmp_path, capsys, cfg, meta, arrays, version=CHECKPOINT_VERSION):
     """Resume ``cfg`` to two epochs from a checkpoint holding ``meta`` and
     ``arrays``; returns (exit code, stderr)."""
     names = sorted(arrays)
     header = {"meta": meta, "arrays": [
         {"name": n, "shape": list(arrays[n].shape), "dtype": "<f8"} for n in names]}
     path = tmp_path / "edited.ckpt"
-    path.write_bytes(_pack(header, b"".join(arrays[n].tobytes() for n in names)))
+    path.write_bytes(_pack(header, b"".join(arrays[n].tobytes() for n in names),
+                           version=version))
     capsys.readouterr()
     code = cli.main(["--out-dir", str(tmp_path / "out"), "train", str(cfg),
                      "--train.epochs=2", "--resume", str(path)])
@@ -189,38 +190,38 @@ def test_rewritten_checkpoint_resumes(tmp_path, capsys, co_run):
 def test_restore_rejects_eigenbasis_without_eigenvalues(tmp_path, capsys, co_run):
     cfg, ckpt = co_run
     arrays = dict(ckpt.arrays)
-    del arrays["worker0/layer0/a_eig_v"]
+    del arrays["factors/layer0/a_eig_v"]
     code, err = _resume(tmp_path, capsys, cfg, ckpt.meta, arrays)
     assert code == cli.EXIT_DATA
-    assert "'worker0/layer0/a_eig_v' is missing" in err
+    assert "'factors/layer0/a_eig_v' is missing" in err
 
 
 def test_restore_rejects_mis_shaped_factor(tmp_path, capsys, co_run):
     cfg, ckpt = co_run
-    arrays = {**ckpt.arrays, "worker1/layer1/a_cov": np.eye(2)}
+    arrays = {**ckpt.arrays, "factors/layer1/a_cov": np.eye(2)}
     code, err = _resume(tmp_path, capsys, cfg, ckpt.meta, arrays)
     assert code == cli.EXIT_DATA
-    assert "'worker1/layer1/a_cov' is of shape (2, 2); the run needs (4, 4)" in err
+    assert "'factors/layer1/a_cov' is of shape (2, 2); the run needs (4, 4)" in err
 
 
 def test_restore_rejects_missing_factor_state(tmp_path, capsys, co_run):
     cfg, ckpt = co_run
     meta = json.loads(json.dumps(ckpt.meta))
-    del meta["factor_states"]["worker1/layer1"]
-    arrays = {n: a for n, a in ckpt.arrays.items() if not n.startswith("worker1/layer1/")}
+    del meta["factor_states"]["factors/layer1"]
+    arrays = {n: a for n, a in ckpt.arrays.items() if not n.startswith("factors/layer1/")}
     code, err = _resume(tmp_path, capsys, cfg, meta, arrays)
     assert code == cli.EXIT_DATA
-    assert "no factor state 'worker1/layer1'" in err
+    assert "no factor state 'factors/layer1' (layer 1, owner worker 1)" in err
 
 
 def test_restore_rejects_initialized_state_without_factors(tmp_path, capsys, co_run):
     cfg, ckpt = co_run
-    assert ckpt.meta["factor_states"]["worker0/layer1"]["initialized"]
+    assert ckpt.meta["factor_states"]["factors/layer1"]["initialized"]
     arrays = {n: a for n, a in ckpt.arrays.items()
-              if n not in ("worker0/layer1/a_cov", "worker0/layer1/g_cov")}
+              if n not in ("factors/layer1/a_cov", "factors/layer1/g_cov")}
     code, err = _resume(tmp_path, capsys, cfg, ckpt.meta, arrays)
     assert code == cli.EXIT_DATA
-    assert "'worker0/layer1/a_cov' is missing" in err
+    assert "'factors/layer1/a_cov' is missing" in err
 
 
 @pytest.mark.parametrize("saved, resumed", [("eigen", "inverse"), ("inverse", "eigen")])
@@ -237,19 +238,108 @@ def test_resume_with_other_damping_scheme_is_data_error(tmp_path, capsys, saved,
                      "--resume", str(tmp_path / "run" / "final.ckpt")])
     err = capsys.readouterr().err
     assert code == cli.EXIT_DATA
-    assert (f"factor state 'worker0/layer0' holds inv_type '{saved}' decompositions "
-            f"(refreshed at iteration 3), but the run uses inv_type '{resumed}'") in err
+    assert (f"factor state 'factors/layer0' (layer 0, owner worker 0) holds inv_type "
+            f"'{saved}' decompositions (refreshed at iteration 3), but the run uses "
+            f"inv_type '{resumed}'") in err
     assert "Traceback" not in err
 
 
 def test_restore_rejects_refreshed_state_without_decomposition(tmp_path, capsys, co_run):
     cfg, ckpt = co_run
     arrays = {n: a for n, a in ckpt.arrays.items()
-              if not (n.startswith("worker1/layer1/") and "_eig_" in n)}
+              if not (n.startswith("factors/layer1/") and "_eig_" in n)}
     code, err = _resume(tmp_path, capsys, cfg, ckpt.meta, arrays)
     assert code == cli.EXIT_DATA
-    assert "'worker1/layer1' holds no decompositions" in err
+    assert "'factors/layer1' (layer 1, owner worker 1) holds no decompositions" in err
     assert "the run uses inv_type 'eigen'" in err
+
+
+def _rejected_resume(tmp_path, capsys, co_run, fragment, meta=None, version=CHECKPOINT_VERSION):
+    """Resume the co_run config from its checkpoint with ``meta`` in place of
+    the stored one, into a directory that already holds metrics: exit 3 with
+    ``fragment`` on stderr, no traceback, the metrics untouched."""
+    cfg, ckpt = co_run
+    kept = tmp_path / "out" / "metrics.csv"
+    kept.parent.mkdir()
+    kept.write_text("iteration,epoch\n0,0\n")
+    code, err = _resume(tmp_path, capsys, cfg, ckpt.meta if meta is None else meta,
+                        ckpt.arrays, version)
+    assert code == cli.EXIT_DATA
+    assert fragment in err
+    assert "Traceback" not in err
+    assert kept.read_bytes() == b"iteration,epoch\n0,0\n"
+
+
+def test_resume_from_version_1_checkpoint_is_rejected(tmp_path, capsys, co_run):
+    _rejected_resume(tmp_path, capsys, co_run,
+                     f"unsupported checkpoint version 1 (this build reads version "
+                     f"{CHECKPOINT_VERSION}) at byte offset 8", version=1)
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    ({"epoch": -1}, "header meta epoch = -1 is negative at byte offset 20"),
+    ({"iteration": -4}, "header meta iteration = -4 is negative at byte offset 20"),
+    # at 4 iterations per epoch this would replay 8 rows starting mid-epoch
+    ({"iteration": 2, "epoch": 0},
+     "checkpoint iteration = 2 is not epoch 0 x 4 iterations per epoch"),
+], ids=["negative-epoch", "negative-iteration", "mid-epoch"])
+def test_resume_rejects_impossible_position(tmp_path, capsys, co_run, edit, fragment):
+    _rejected_resume(tmp_path, capsys, co_run, fragment, {**co_run[1].meta, **edit})
+
+
+@pytest.mark.parametrize("stamp, value", [
+    ("last_factor_update", 10 ** 6), ("last_inverse_update", 10 ** 6),
+    ("last_factor_update", 4), ("last_inverse_update", -2),
+])
+def test_resume_rejects_impossible_staleness_stamp(tmp_path, capsys, co_run, stamp, value):
+    meta = json.loads(json.dumps(co_run[1].meta))
+    meta["factor_states"]["factors/layer1"][stamp] = value
+    _rejected_resume(tmp_path, capsys, co_run,
+                     f"factor state 'factors/layer1' (layer 1, owner worker 1): {stamp} = "
+                     f"{value} lies outside -1..3 for a checkpoint at iteration 4", meta)
+
+
+def _state_bits(cluster):
+    """Every weight, momentum buffer and per-layer factor state, as bytes."""
+    bits = {f"layer{i}/weight": l.weight.tobytes() for i, l in enumerate(cluster.net.layers)}
+    bits.update({f"layer{i}/momentum": m.tobytes() for i, m in enumerate(cluster.momentum)})
+    for i, s in cluster.factors.items():
+        bits[f"factors/layer{i}"] = (
+            s.initialized, s.last_factor_update, s.last_inverse_update,
+            *(None if a is None else (a.shape, a.tobytes())
+              for a in (s.a_cov, s.g_cov, s.a_damped_inv, s.g_damped_inv)),
+            *(None if e is None else (e.q.tobytes(), e.values.tobytes())
+              for e in (s.a_eig, s.g_eig)))
+    return bits
+
+
+@pytest.mark.parametrize("inv_type", ["eigen", "inverse"])
+@pytest.mark.parametrize("algorithm", ["ssgd", "dp_kfac", "mpd_kfac_co", "mpd_kfac_mo"])
+def test_restore_reproduces_every_layer_state(tmp_path, algorithm, inv_type):
+    cfg = _cfg(algorithm=algorithm, inv_type=inv_type)
+    result = run_training(cfg)
+    path = tmp_path / "final.ckpt"
+    save_checkpoint(path, result.cluster, result.final_iteration, 1)
+    restored = build_cluster(SPEC, algorithm, 2, seed=1)
+    restore_cluster(restored, load_checkpoint(path), cfg)
+    assert len(restored.factors) == (0 if algorithm == "ssgd" else restored.n_layers)
+    assert _state_bits(restored) == _state_bits(result.cluster)
+
+
+def test_single_worker_checkpoints_hold_the_same_arrays(tmp_path):
+    # at P = 1 DP-KFAC and both MPD-KFAC variants compute the same bits, and
+    # each stores every layer's state once
+    payloads = {}
+    for algorithm in ("dp_kfac", "mpd_kfac_co", "mpd_kfac_mo"):
+        result = run_training(_cfg(algorithm=algorithm, workers=1))
+        path = tmp_path / f"{algorithm}.ckpt"
+        save_checkpoint(path, result.cluster, result.final_iteration, 1)
+        data = path.read_bytes()
+        header = json.loads(data[20:20 + struct.unpack("<Q", data[12:20])[0]])
+        payloads[algorithm] = (header["arrays"], data[-sum(
+            8 * math.prod(e["shape"]) for e in header["arrays"]):])
+    assert payloads["mpd_kfac_co"] == payloads["dp_kfac"]
+    assert payloads["mpd_kfac_mo"] == payloads["dp_kfac"]
 
 
 _JSON = st.recursive(
@@ -325,7 +415,7 @@ def test_streamed_checkpoint_is_byte_identical_to_in_memory_one(tmp_path, algori
 @pytest.fixture(scope="module", params=["eigen", "inverse"])
 def wide_co(request, tmp_path_factory):
     """(training result, saved path) of two steps of a 192-wide mpd_kfac_co run on
-    four workers: every worker's factors and decompositions, 12.5 MiB."""
+    four workers: every layer's factors and decompositions, 4.0 MiB."""
     spec = NetworkSpec((192, 192, 192, 10), activation="tanh", bias_mode="homogeneous")
     result = run_training(_cfg(spec, "mpd_kfac_co", 4, request.param, samples=300,
                                batch_size=128))
@@ -353,7 +443,8 @@ def test_save_holds_at_most_one_array_copy(tmp_path, wide_co):
     data = saved.read_bytes()
     header_len = struct.unpack("<Q", data[12:20])[0]
     largest = max(a.nbytes for a in _cluster_arrays(result.cluster)[0].values())
-    assert len(data) > 8 * MIB
+    # large enough that a second copy of the file breaks the bound
+    assert len(data) > largest + header_len + 2 * MIB
     peak = _traced_peak(save_checkpoint, tmp_path / "again.ckpt", result.cluster,
                         result.final_iteration, 1)
     assert peak <= largest + header_len + MIB

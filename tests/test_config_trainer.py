@@ -16,6 +16,8 @@ from kfaclab.errors import ArgumentError, ConfigError, DataFormatError
 from kfaclab.model import NetworkSpec
 from kfaclab.trainer import (
     load_checkpoint,
+    prepare_training,
+    run_prepared,
     run_training,
     save_checkpoint,
     split_dataset,
@@ -222,10 +224,12 @@ def test_checkpoint_roundtrip(tmp_path):
     ckpt = load_checkpoint(path)
     assert ckpt.iteration == res.final_iteration
     assert ckpt.epoch == 2
-    for i, layer in enumerate(res.cluster.workers[0].replica.layers):
+    for i, layer in enumerate(res.cluster.net.layers):
         assert np.array_equal(ckpt.arrays[f"layer{i}/weight"], layer.weight)
-    # factor states are stored per worker
-    assert any(k.startswith("worker1/") for k in ckpt.arrays)
+    # one factor state per layer, whichever worker owns it
+    layers = [f"factors/layer{i}" for i in range(res.cluster.n_layers)]
+    assert sorted(ckpt.meta["factor_states"]) == layers
+    assert all(k.startswith(("factors/", "layer")) for k in ckpt.arrays)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -254,6 +258,27 @@ def test_resume_continues_exactly(tmp_path, freqs):
         assert a.as_csv_fields() == b.as_csv_fields()
     for la, lb in zip(resumed.cluster.workers[0].replica.layers,
                       full.cluster.workers[0].replica.layers):
+        assert np.array_equal(la.weight, lb.weight)
+
+
+@pytest.mark.parametrize("algorithm", ["mpd_kfac_co", "mpd_kfac_mo"])
+def test_mpd_resume_continues_exactly_with_one_array_per_factor(tmp_path, algorithm):
+    hyper = {"f_freq": 3, "k_freq": 7}
+    full = run_training(_small_cfg(algorithm, workers=4, epochs=4, **hyper))
+    half = run_training(_small_cfg(algorithm, workers=4, epochs=2, **hyper))
+    path = tmp_path / "half.ckpt"
+    save_checkpoint(path, half.cluster, half.final_iteration, 2)
+
+    run = prepare_training(_small_cfg(algorithm, workers=4, epochs=4, **hyper),
+                           load_checkpoint(path))
+    # all four workers read the one restored array of each factor
+    for name in ("a_cov", "g_cov"):
+        held = {id(getattr(s, name)) for w in run.cluster.workers for s in w.factors.values()}
+        assert len(held) == run.cluster.n_layers, name
+    resumed = run_prepared(run)
+    tail = full.rows[len(half.rows):]
+    assert [r.as_csv_fields() for r in resumed.rows] == [r.as_csv_fields() for r in tail]
+    for la, lb in zip(resumed.cluster.net.layers, full.cluster.net.layers):
         assert np.array_equal(la.weight, lb.weight)
 
 

@@ -246,14 +246,14 @@ def test_dp_factors_come_from_each_owners_own_shard():
     reference = init_network(spec, seed=1)
     shards = shard_batch(_batch(B=30), workers, "disjoint")
     run_step(cluster, shards, KfacHyper(), 0.05, 0.9, 0)
-    for worker, shard in zip(cluster.workers, shards):
+    assert sorted(set(cluster.owners)) == list(range(workers))
+    for i, owner in enumerate(cluster.owners):
+        shard = shards[owner]
         _, captures = forward(reference, shard)
         _, preact_grads = backward(reference, shard, captures)
-        assert worker.factors
-        for i, state in worker.factors.items():
-            a_cov, g_cov = kfac.compute_factors(captures[i].input, preact_grads[i])
-            assert np.array_equal(state.a_cov, a_cov), (worker.rank, i)
-            assert np.array_equal(state.g_cov, g_cov), (worker.rank, i)
+        a_cov, g_cov = kfac.compute_factors(captures[i].input, preact_grads[i])
+        assert np.array_equal(cluster.factors[i].a_cov, a_cov), (owner, i)
+        assert np.array_equal(cluster.factors[i].g_cov, g_cov), (owner, i)
 
 
 def test_mpd_folds_each_layer_once_into_one_shared_average(monkeypatch):
@@ -272,12 +272,11 @@ def test_mpd_folds_each_layer_once_into_one_shared_average(monkeypatch):
             run_step(cluster, shard_batch(_batch(), 4, "disjoint"),
                      KfacHyper(), 0.05, 0.9, t)
             assert calls == [t] * cluster.n_layers
-            for i in range(cluster.n_layers):
-                lead = cluster.workers[0].factors[i]
-                for worker in cluster.workers[1:]:
-                    state = worker.factors[i]
-                    assert state.a_cov is lead.a_cov and state.g_cov is lead.g_cov
-                    assert state.initialized and state.last_factor_update == t
+            assert sorted(cluster.factors) == list(range(cluster.n_layers))
+            for i, state in cluster.factors.items():
+                for worker in cluster.workers:
+                    assert worker.factors[i] is state
+                assert state.initialized and state.last_factor_update == t
 
 
 def _symmetrized_second_moment(x):
@@ -307,13 +306,19 @@ def _worker_major_factor_stage(states, passes, hyper, t, owners, comm_opt):
                     kfac.refresh_inverses(worker_states[i], hyper, t)
 
 
-def _factor_state_bits(state):
+def _factor_bits(state):
+    """The averaged factors and their stamps."""
+    return (state.initialized, state.last_factor_update,
+            [a.tobytes() if a is not None else None for a in (state.a_cov, state.g_cov)])
+
+
+def _decomposition_bits(state):
+    """The decompositions and their stamp."""
     eig = [(pair.q.tobytes(), pair.values.tobytes()) if pair is not None else None
            for pair in (state.a_eig, state.g_eig)]
-    arrays = [a.tobytes() if a is not None else None
-              for a in (state.a_cov, state.g_cov, state.a_damped_inv, state.g_damped_inv)]
-    return (state.initialized, state.last_factor_update, state.last_inverse_update,
-            eig, arrays)
+    inv = [a.tobytes() if a is not None else None
+           for a in (state.a_damped_inv, state.g_damped_inv)]
+    return state.last_inverse_update, eig, inv
 
 
 @pytest.mark.parametrize("freqs", [(1, 1), (2, 3)])
@@ -323,7 +328,7 @@ def _factor_state_bits(state):
 def test_mpd_factor_states_match_worker_major_oracle(workers, algorithm, inv_type, freqs):
     hyper = KfacHyper(inv_type=inv_type, f_freq=freqs[0], k_freq=freqs[1])
     cluster = build_cluster(SPEC, algorithm, workers, seed=4)
-    owners = [cluster.owner_of(i) for i in range(cluster.n_layers)]
+    owners = cluster.owners
     oracle = [{i: kfac.FactorState() for i in range(cluster.n_layers)}
               for _ in range(workers)]
     for t in range(7):
@@ -336,10 +341,28 @@ def test_mpd_factor_states_match_worker_major_oracle(workers, algorithm, inv_typ
         _worker_major_factor_stage(oracle, passes, hyper, t, owners,
                                    algorithm == "mpd_kfac_co")
         run_step(cluster, shards, hyper, 0.05, 0.9, t)
-        for worker, want in zip(cluster.workers, oracle):
-            for i in range(cluster.n_layers):
-                assert (_factor_state_bits(worker.factors[i])
-                        == _factor_state_bits(want[i])), (t, worker.rank, i)
+        # every worker holds the factors; under COMM-OPT every worker also
+        # holds the decomposition, under MEM-OPT only the owner
+        for p, want in enumerate(oracle):
+            for i, state in cluster.factors.items():
+                assert _factor_bits(state) == _factor_bits(want[i]), (t, p, i)
+                if algorithm == "mpd_kfac_co" or owners[i] == p:
+                    assert (_decomposition_bits(state)
+                            == _decomposition_bits(want[i])), (t, p, i)
+
+
+def test_run_step_never_reads_the_worker_views(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("the step read Cluster.workers")
+
+    monkeypatch.setattr(distsim.Cluster, "workers", property(forbidden))
+    for algorithm in distsim.ALGORITHMS:
+        for inv_type in kfac.INV_TYPES:
+            hyper = KfacHyper(inv_type=inv_type, f_freq=2, k_freq=3)
+            cluster = build_cluster(SPEC, algorithm, 3, seed=0)
+            for t in range(4):
+                run_step(cluster, shard_batch(_batch(B=30), 3, "disjoint"),
+                         hyper, 0.05, 0.9, t)
 
 
 def test_mpd_co_preconditions_each_layer_once_per_step(monkeypatch):
