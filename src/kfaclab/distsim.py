@@ -57,6 +57,7 @@ from .costmodel import ALGORITHMS, LayerDims, layer_counts, round_robin_partitio
 from .errors import ArgumentError, KfacLabError, NumericError, ShapeError
 from .kfac import FactorState, KfacHyper
 from .model import Batch, Network, NetworkSpec, backward, forward, init_momentum, init_network, sgd_step
+from .numerics import divide_in_place
 
 SHARD_POLICIES = ("disjoint", "replicate")
 
@@ -210,9 +211,8 @@ def all_reduce_avg(
         setattr(counters, stage, getattr(counters, stage) + 2 * (n_workers - 1) * tensors[0].size)
     if n_workers == 1:
         return tensors[0].copy()
-    total = _tree_sum(tensors)  # a fresh array when P > 1
-    total /= n_workers
-    return total
+    # _tree_sum's result is a fresh array when P > 1
+    return divide_in_place(_tree_sum(tensors), n_workers)
 
 
 def broadcast(
@@ -399,15 +399,15 @@ def _mpd_precondition(
     update: list[np.ndarray] = []
     for i, owner in enumerate(cluster.owners):
         # co: every worker holds the same decomposition and would compute the
-        # same bits, so it is applied once, on worker 0, for all of them;
-        # mo: the owner applies it and broadcasts the result
-        rank = 0 if comm_opt else owner
+        # same bits, so it is applied once for all of them; mo: the owner
+        # applies it and broadcasts the result.  Either way a failure is
+        # reported at the owner, as the non-finite check in run_step does.
         try:
             pg = kfac.apply_preconditioner(cluster.factors[i], agg[i], hyper)
         except KfacLabError as exc:
-            _rethrow(exc, rank, i)
+            _rethrow(exc, owner, i)
         if not comm_opt:
-            pg = broadcast(rank, pg, P, counters, "predcomm")
+            pg = broadcast(owner, pg, P, counters, "predcomm")
         update.append(pg)
     return update
 

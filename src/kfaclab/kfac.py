@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError, NumericError, OrderingError, ShapeError
-from .numerics import EigenPair, kron, sym_eig, sym_inverse, unvec, vec
+from .numerics import EigenPair, divide_in_place, kron, sym_eig, sym_inverse, unvec, vec
 
 INV_TYPES = ("inverse", "eigen")
 
@@ -84,9 +84,7 @@ def is_inverse_update(t: int, hyper: KfacHyper) -> bool:
 
 def _second_moment(x: np.ndarray, batch: int) -> np.ndarray:
     x = np.ascontiguousarray(x)
-    m = x @ x.T
-    m /= batch
-    return m
+    return divide_in_place(x @ x.T, batch)
 
 
 def compute_factors(
@@ -119,8 +117,12 @@ def update_running_average(
 ) -> FactorState:
     """Fold fresh factors into the running averages, new term weighted by xi.
 
-    The very first update assigns instead of blending; averaging against the
-    nonexistent zero state would shrink early curvature estimates.
+    The very first update assigns a copy instead of blending; averaging
+    against the nonexistent zero state would shrink early curvature
+    estimates.  Later updates fold in place into the state's own arrays,
+    ``cov *= 1 - xi; cov += xi * new``: the same bits as
+    ``xi * new + (1 - xi) * cov``, since IEEE addition and multiplication
+    commute.  The state must therefore own its arrays.
     """
     if not state.initialized:
         state.a_cov = a_new.copy()
@@ -129,8 +131,9 @@ def update_running_average(
     else:
         if state.a_cov.shape != a_new.shape or state.g_cov.shape != g_new.shape:
             raise ShapeError("factor shapes changed between running-average updates")
-        state.a_cov = xi * a_new + (1.0 - xi) * state.a_cov
-        state.g_cov = xi * g_new + (1.0 - xi) * state.g_cov
+        for cov, new in ((state.a_cov, a_new), (state.g_cov, g_new)):
+            cov *= 1.0 - xi
+            cov += xi * new
     state.last_factor_update = t
     return state
 

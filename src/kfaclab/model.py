@@ -3,13 +3,29 @@
 Layers compute ``s_i = W_i a_{i-1}`` with an elementwise activation on all
 hidden layers; the last layer's pre-activation output feeds the loss
 directly.  ``forward`` returns, next to the loss, every layer's input batch
-and pre-activation; ``backward`` takes those captures back (it reuses the
-pre-activations instead of recomputing them) and returns, next to the
-gradients, every layer's per-sample pre-activation gradient batch.
+and pre-activation; ``backward`` takes those captures back and returns, next
+to the gradients, every layer's per-sample pre-activation gradient batch.
 Curvature factors are second moments of the layer inputs and of these
 pre-activation gradients.  The network itself holds weights only, so any
 number of callers can run passes over one weight set without overwriting
 each other's captures.
+
+``backward`` never evaluates an activation function.  It reads the last
+layer's pre-activation (the network output) and, for each hidden layer, the
+activation's OUTPUT ``a = f(s)``, which ``forward`` already stored as the
+next layer's input capture (without its bias row).  Each derivative is
+written in terms of that output:
+
+    ==========  ============  ==================
+    activation  f(s)          f'(s) as fn of a
+    ==========  ============  ==================
+    tanh        tanh(s)       1 - a*a
+    relu        max(s, 0)     a > 0
+    identity    s             1
+    ==========  ============  ==================
+
+These are the same bits as differentiating at ``s``: ``a`` is exactly
+``tanh(s)``, and ``max(s, 0) > 0`` exactly when ``s > 0``.
 
 Scaling convention: ``backward`` returns gradients of the MEAN batch loss,
 while the pre-activation gradients are per-sample loss gradients (so that
@@ -29,29 +45,35 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
+from .numerics import divide_in_place
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 LOSSES = ("softmax_cross_entropy", "mean_squared_error")
 BIAS_MODES = ("none", "homogeneous")
 
 
-def _relu(s):
-    return np.maximum(s, 0.0)
+def _relu(s, out=None):
+    return np.maximum(s, 0.0, out=out)
 
 
-def _relu_deriv(s):
-    return (s > 0.0).astype(np.float64)
+def _identity(s, out=None):
+    if out is None:
+        return s
+    np.copyto(out, s)
+    return out
 
 
-def _tanh_deriv(s):
-    t = np.tanh(s)
-    return 1.0 - t * t
+def _tanh_deriv(a):
+    d = a * a
+    return np.subtract(1.0, d, out=d)
 
 
+# name -> (activation f(s, out=None), its derivative as a function of the
+# activation's output a = f(s))
 _ACT_FNS: dict[str, tuple[Callable, Callable]] = {
-    "relu": (_relu, _relu_deriv),
+    "relu": (_relu, lambda a: a > 0.0),
     "tanh": (np.tanh, _tanh_deriv),
-    "identity": (lambda s: s, lambda s: np.ones_like(s)),
+    "identity": (_identity, lambda a: 1.0),
 }
 
 
@@ -212,20 +234,34 @@ def mean_loss(net: Network, batch: Batch) -> float:
 
 
 def forward(net: Network, batch: Batch) -> tuple[float, list[LayerCapture]]:
-    """Forward pass: returns the mean batch loss and every layer's capture."""
+    """Forward pass: returns the mean batch loss and every layer's capture.
+
+    Each hidden activation is written straight into the next layer's input
+    capture; with a homogeneous bias that is a ``(d + 1) x B`` buffer whose
+    last row is ones.  Layer 0's capture is the (augmented) batch itself:
+    without a bias row it keeps the batch's own layout (F-order for IDX
+    data), on which the bits of the layer's matrix products depend.
+    """
     if batch.inputs.shape[0] != net.spec.layer_dims[0]:
         raise ShapeError(
             f"batch input rows {batch.inputs.shape[0]} do not match d_0={net.spec.layer_dims[0]}"
         )
     act, _ = _ACT_FNS[net.spec.activation]
-    a = batch.inputs
+    homogeneous = net.spec.bias_mode == "homogeneous"
+    a_in = _augment(batch.inputs, net.spec.bias_mode)
     captures = []
     for i, layer in enumerate(net.layers):
-        a_in = _augment(a, net.spec.bias_mode)
         s = layer.weight @ a_in
         captures.append(LayerCapture(a_in, s))
-        a = act(s) if i < net.depth - 1 else s
-    return float(np.mean(_per_sample_losses(a, batch.targets, net.spec.loss_kind))), captures
+        if i == net.depth - 1:
+            break
+        if homogeneous:
+            a_in = np.empty((s.shape[0] + 1, s.shape[1]))
+            a_in[-1] = 1.0
+            act(s, out=a_in[:-1])
+        else:
+            a_in = act(s)
+    return float(np.mean(_per_sample_losses(s, batch.targets, net.spec.loss_kind))), captures
 
 
 def backward(
@@ -235,7 +271,8 @@ def backward(
 
     Returns the per-layer gradients of the mean batch loss,
     ``(1/B) * g_i @ a_{i-1}^T``, and the per-layer per-sample pre-activation
-    gradients ``g_i``.
+    gradients ``g_i``.  Only the last layer's pre-activation is read; the
+    hidden derivatives come from the activations in the input captures.
     """
     B = batch.size
     if len(captures) != net.depth:
@@ -248,16 +285,19 @@ def backward(
                 f"a batch of {B} needs {(cols, B)} and {(rows, B)}"
             )
     _, act_deriv = _ACT_FNS[net.spec.activation]
+    homogeneous = net.spec.bias_mode == "homogeneous"
     g = _per_sample_output_grads(captures[-1].preact, batch.targets, net.spec.loss_kind)
     grads: list[Optional[np.ndarray]] = [None] * net.depth
     preact_grads: list[Optional[np.ndarray]] = [None] * net.depth
     for i in range(net.depth - 1, -1, -1):
-        layer = net.layers[i]
+        a_in = captures[i].input
         preact_grads[i] = g
-        grads[i] = (g @ captures[i].input.T) / B
+        grads[i] = divide_in_place(g @ a_in.T, B)
         if i > 0:
-            core = layer.weight[:, :-1] if net.spec.bias_mode == "homogeneous" else layer.weight
-            g = act_deriv(captures[i - 1].preact) * (core.T @ g)
+            weight = net.layers[i].weight
+            core, a = (weight[:, :-1], a_in[:-1]) if homogeneous else (weight, a_in)
+            g = core.T @ g
+            g *= act_deriv(a)
     return grads, preact_grads  # type: ignore[return-value]
 
 

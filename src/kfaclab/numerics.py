@@ -23,11 +23,21 @@ mirrors one triangle, so its result is exactly symmetric.  It reaches LAPACK
 through scipy, which is imported at the first ``sym_inverse`` call: the
 import costs about 25 MiB of resident memory and 0.25 s, and eigen-damped
 and S-SGD runs never invert.
+
+:func:`divide_in_place` is the one way the step divides an array by a count
+(batch size, worker count).  When the count ``n >= 1`` is a power of two it
+multiplies by ``1/n`` instead, which is about three times cheaper than a
+division.  The reciprocal of a power of two is itself a power of two and
+exactly representable, so ``x * (1/n)`` and ``x / n`` are both the correctly
+rounded value of the same real number ``x * 2**-k``: every result, including
+subnormals, signed zeros, infinities and NaN, is the same bits.  Any other
+``n`` is divided, because its reciprocal would be rounded first.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +67,16 @@ def _require_square(m, name: str) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"{name}: expected a square matrix, got {m.shape[0]}x{m.shape[1]}")
     return m
+
+
+def divide_in_place(x: np.ndarray, n: int) -> np.ndarray:
+    """``x /= n`` in place, as a multiplication by the exact reciprocal when
+    ``n`` is a power of two (the same bits, see the module docstring)."""
+    if n >= 1 and math.frexp(n)[0] == 0.5:  # 1, 2, 4, ...
+        x *= 1.0 / n
+    else:
+        x /= n
+    return x
 
 
 def sym_eig(m: np.ndarray) -> EigenPair:

@@ -431,12 +431,14 @@ def _restore_factor_state(state: FactorState, ckpt: Checkpoint, layer: int, owne
                                   f"{ckpt.iteration}")
 
     def group(*names, required=False):
-        """Arrays saved together: all of them, or None for each if absent."""
+        """Copies of arrays saved together: all of them, or None for each if
+        absent.  The state owns its copies: the running average folds into
+        them in place, which must not write into the checkpoint."""
         if not required and not any(f"{prefix}/{n}" in ckpt.arrays for n in names):
             return [None] * len(names)
         # a_* arrays are d_in wide, g_* d_out; *_v are eigenvalue vectors
         return [_stored(ckpt, f"{prefix}/{n}", (d_in if n[0] == "a" else d_out,)
-                        * (1 if n.endswith("_v") else 2)) for n in names]
+                        * (1 if n.endswith("_v") else 2)).copy() for n in names]
 
     state.initialized = fm["initialized"]
     state.last_factor_update = fm["last_factor_update"]

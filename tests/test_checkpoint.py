@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from kfaclab import cli
 from kfaclab.config import DataConfig, HyperConfig, RunConfig, TrainConfig
-from kfaclab.distsim import build_cluster
+from kfaclab.distsim import build_cluster, run_step, shard_batch
 from kfaclab.errors import DataFormatError
-from kfaclab.model import NetworkSpec
+from kfaclab.model import Batch, NetworkSpec
 from kfaclab.trainer import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -324,6 +324,32 @@ def test_restore_reproduces_every_layer_state(tmp_path, algorithm, inv_type):
     restore_cluster(restored, load_checkpoint(path), cfg)
     assert len(restored.factors) == (0 if algorithm == "ssgd" else restored.n_layers)
     assert _state_bits(restored) == _state_bits(result.cluster)
+
+
+def test_restored_clusters_own_their_factor_arrays(tmp_path):
+    # the running average folds in place, so a state that kept the loaded
+    # arrays would write its steps into the Checkpoint and every other
+    # cluster restored from it
+    cfg = _cfg(algorithm="mpd_kfac_co")
+    result = run_training(cfg)
+    path = tmp_path / "final.ckpt"
+    save_checkpoint(path, result.cluster, result.final_iteration, 1)
+    ckpt = load_checkpoint(path)
+    stepped, idle = (build_cluster(SPEC, "mpd_kfac_co", 2, seed=1) for _ in range(2))
+    for cluster in (stepped, idle):
+        restore_cluster(cluster, ckpt, cfg)
+    rng = np.random.default_rng(0)
+    batch = Batch(rng.standard_normal((3, 8)), rng.integers(0, 2, size=8))
+    run_step(stepped, shard_batch(batch, 2), cfg.hyper.kfac_hyper(), 0.1, 0.9,
+             ckpt.iteration)
+
+    from_file = load_checkpoint(path)
+    fresh = build_cluster(SPEC, "mpd_kfac_co", 2, seed=1)
+    restore_cluster(fresh, from_file, cfg)
+    assert _state_bits(stepped) != _state_bits(fresh)  # the step folded new factors in
+    assert _state_bits(idle) == _state_bits(fresh)
+    assert ({n: a.tobytes() for n, a in ckpt.arrays.items()}
+            == {n: a.tobytes() for n, a in from_file.arrays.items()})
 
 
 def test_single_worker_checkpoints_hold_the_same_arrays(tmp_path):

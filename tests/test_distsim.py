@@ -13,7 +13,7 @@ from kfaclab.distsim import (
     run_step,
     shard_batch,
 )
-from kfaclab.errors import ArgumentError, NumericError, ShapeError
+from kfaclab.errors import ArgumentError, NumericError, OrderingError, ShapeError
 from kfaclab.kfac import KfacHyper
 from kfaclab.model import Batch, NetworkSpec, backward, forward, init_momentum, init_network, sgd_step
 
@@ -422,6 +422,18 @@ def test_non_finite_preconditioned_gradient_names_owner_layer_and_iteration(
                        match=r"^worker 1, layer 1, iteration 3: preconditioned gradient"):
         run_step(cluster, shard_batch(_batch(), 2, "disjoint"), KfacHyper(), 0.05, 0.9, 3)
     assert np.array_equal(_weights(cluster), before)
+
+
+def test_comm_opt_preconditioner_failure_names_the_owner():
+    # the same owner the non-finite check above names, not the worker the
+    # simulator happens to compute the shared result on
+    cluster = build_cluster(SPEC, "mpd_kfac_co", 2, seed=0)
+    hyper = KfacHyper(k_freq=2)
+    run_step(cluster, shard_batch(_batch(), 2, "disjoint"), hyper, 0.05, 0.9, 0)
+    assert cluster.owners[1] == 1
+    cluster.factors[1].a_eig = None  # no decomposition to apply at step 1
+    with pytest.raises(OrderingError, match=r"^worker 1, layer 1: preconditioning requested"):
+        run_step(cluster, shard_batch(_batch(), 2, "disjoint"), hyper, 0.05, 0.9, 1)
 
 
 def test_replicas_identical_after_each_algorithm():

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kfaclab.errors import ArgumentError, ShapeError
 from kfaclab.model import (
+    ACTIVATIONS,
+    BIAS_MODES,
+    LOSSES,
     Batch,
     NetworkSpec,
     backward,
@@ -12,6 +17,8 @@ from kfaclab.model import (
     init_network,
     mean_loss,
     predict,
+    _per_sample_losses,
+    _per_sample_output_grads,
     sgd_step,
 )
 
@@ -262,3 +269,97 @@ def test_forward_shape_error():
     net = init_network(NetworkSpec((3, 2)), seed=0)
     with pytest.raises(ShapeError):
         forward(net, Batch(np.zeros((4, 2)), np.array([0, 1])))
+
+
+# ---------------------------------------------------------------------------
+# bit-exact oracle: the local pass written the straightforward way, which
+# stacks a ones row with vstack, differentiates the activation at its input
+# (the pre-activation) and divides the gradient by B
+
+
+_ORACLE_ACTS = {
+    "relu": (lambda s: np.maximum(s, 0.0), lambda s: (s > 0.0).astype(np.float64)),
+    "tanh": (np.tanh, lambda s: 1.0 - np.tanh(s) * np.tanh(s)),
+    "identity": (lambda s: s, lambda s: np.ones_like(s)),
+}
+
+
+def _oracle_local_pass(net, batch):
+    """(loss, input captures, pre-activations, gradients, pre-activation
+    gradients) of one forward/backward pass."""
+    act, deriv = _ORACLE_ACTS[net.spec.activation]
+    homogeneous = net.spec.bias_mode == "homogeneous"
+    B = batch.size
+    a, inputs, preacts = batch.inputs, [], []
+    for i, layer in enumerate(net.layers):
+        a_in = np.vstack([a, np.ones((1, B))]) if homogeneous else a
+        s = layer.weight @ a_in
+        inputs.append(a_in)
+        preacts.append(s)
+        a = act(s) if i < net.depth - 1 else s
+    loss = float(np.mean(_per_sample_losses(a, batch.targets, net.spec.loss_kind)))
+    g = _per_sample_output_grads(preacts[-1], batch.targets, net.spec.loss_kind)
+    grads, preact_grads = [None] * net.depth, [None] * net.depth
+    for i in range(net.depth - 1, -1, -1):
+        preact_grads[i] = g
+        grads[i] = (g @ inputs[i].T) / B
+        if i > 0:
+            w = net.layers[i].weight
+            core = w[:, :-1] if homogeneous else w
+            g = deriv(preacts[i - 1]) * (core.T @ g)
+    return loss, inputs, preacts, grads, preact_grads
+
+
+def _layout_batch(rng, spec, B, layout):
+    """A batch whose inputs are C-ordered, F-ordered or a column slice of a
+    wider array (the layouts sharding and IDX data produce)."""
+    batch = _random_batch(rng, spec, B)
+    x = batch.inputs
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "slice":
+        wide = rng.standard_normal((x.shape[0], 3 * B))
+        wide[:, B:2 * B] = x
+        x = wide[:, B:2 * B]
+    return Batch(x, batch.targets)
+
+
+def _bits(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+@settings(max_examples=200, deadline=None)
+@given(activation=st.sampled_from(ACTIVATIONS), bias=st.sampled_from(BIAS_MODES),
+       loss=st.sampled_from(LOSSES), B=st.sampled_from([1, 3, 32, 100]),
+       layout=st.sampled_from(["C", "F", "slice"]),
+       dims=st.lists(st.integers(1, 12), min_size=2, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_local_pass_matches_oracle_bit_for_bit(activation, bias, loss, B, layout, dims, seed):
+    spec = NetworkSpec(tuple(dims), activation=activation, loss_kind=loss, bias_mode=bias)
+    net = init_network(spec, seed=seed)
+    batch = _layout_batch(np.random.default_rng(seed), spec, B, layout)
+    want_loss, inputs, preacts, want_grads, want_pgs = _oracle_local_pass(net, batch)
+    loss_value, captures = forward(net, batch)
+    grads, preact_grads = backward(net, batch, captures)
+    assert loss_value == want_loss or (np.isnan(loss_value) and np.isnan(want_loss))
+    assert _bits(c.input for c in captures) == _bits(inputs)
+    assert _bits(c.preact for c in captures) == _bits(preacts)
+    assert _bits(grads) == _bits(want_grads)
+    assert _bits(preact_grads) == _bits(want_pgs)
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("bias", BIAS_MODES)
+@pytest.mark.parametrize("loss", LOSSES)
+def test_backward_never_reads_hidden_preactivations(activation, bias, loss):
+    spec = NetworkSpec((5, 7, 6, 3), activation=activation, loss_kind=loss, bias_mode=bias)
+    net = init_network(spec, seed=8)
+    batch = _random_batch(np.random.default_rng(12), spec, 9)
+    _, captures = forward(net, batch)
+    want = backward(net, batch, captures)
+    # fresh NaN arrays: an identity layer without bias hands its
+    # pre-activation on as the next input, which must keep its values
+    poisoned = [c._replace(preact=np.full_like(c.preact, np.nan)) for c in captures[:-1]]
+    got = backward(net, batch, poisoned + captures[-1:])
+    for w, g in zip(want, got):
+        assert _bits(g) == _bits(w)

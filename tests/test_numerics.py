@@ -134,6 +134,35 @@ def test_sym_inverse_non_finite_result_is_numeric_error():
         numerics.sym_inverse(np.diag([1.0, 1e-320]))
 
 
+def _wide_values(rng, shape, max_exp=1023):
+    """Random signs and mantissas times 2**e for e across the whole double
+    range: dividing them yields subnormal results that need rounding."""
+    mantissa = rng.uniform(1.0, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+    return mantissa * np.exp2(rng.integers(-1074, max_exp + 1, shape).astype(np.float64))
+
+
+def test_divide_in_place_equals_true_division_bit_for_bit():
+    fi = np.finfo(np.float64)
+    special = [0.0, -0.0, fi.smallest_subnormal, -fi.smallest_subnormal,
+               3 * fi.smallest_subnormal, 2.5e-310, -1e-309, fi.tiny, -fi.tiny,
+               fi.max, -fi.max, np.inf, -np.inf, np.nan, -np.nan, 1.0, -3.0]
+    x = np.concatenate([special, _wide_values(np.random.default_rng(9), 4000)])
+    for n in range(1, 1025):  # powers of two multiply, every other n divides
+        out = x.copy()
+        assert numerics.divide_in_place(out, n) is out
+        assert out.tobytes() == (x / n).tobytes(), n
+
+
+def test_all_reduce_avg_equals_tree_sum_divided_by_p():
+    from kfaclab import distsim
+
+    rng = np.random.default_rng(10)
+    for P in range(1, 10):
+        tensors = [_wide_values(rng, (6, 7), max_exp=1000) for _ in range(P)]
+        want = distsim._tree_sum([t.copy() for t in tensors]) / P
+        assert distsim.all_reduce_avg(tensors).tobytes() == want.tobytes(), P
+
+
 def test_kron_scalars():
     assert np.array_equal(numerics.kron(np.array([[2.0]]), np.array([[3.0]])),
                           np.array([[6.0]]))
