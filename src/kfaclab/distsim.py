@@ -20,23 +20,24 @@ those fresh partial sums, never on the inputs.
 
 :func:`run_step` is the one step skeleton.  It does the work every
 algorithm shares once: local forward/backward passes, the averaging
-all-reduce of the gradients, and the GradComp count.  It then hands the
-aggregated gradients to the preconditioning of the cluster's configured
-algorithm and applies one momentum-SGD update:
+all-reduce of the gradients, and the GradComp count.  ``ssgd`` applies the
+aggregated gradient as it is; the K-FAC algorithms precondition it in one
+layer-major loop, which takes two decisions from the algorithm:
 
-* ``ssgd``: no preconditioning, the aggregated gradient is the update.
-* ``mpd_kfac_*``: every worker builds factor statistics for every layer,
-  factors are all-reduced layer by layer, and each layer's decomposition is
-  computed by its round-robin owner.  The all-reduced factors are the same
-  bits on every worker, so their running average is folded once per layer
-  into the layer's one state.  The ``co`` variant broadcasts decompositions
-  and every worker preconditions everything locally (every worker holds the
-  same decomposition, so the simulator applies it once per layer on behalf
-  of all P); the ``mo`` variant preconditions at the owner and broadcasts
-  preconditioned gradients.
-* ``dp_kfac``: each worker builds factor statistics from its LOCAL
-  shard for its OWN layers only, preconditions the aggregated gradient
-  there, and broadcasts the result.  Factor communication never happens.
+* **Who builds the factors.**  Under ``dp_kfac`` the layer's owner builds
+  them from its LOCAL shard and factors are never communicated; under
+  ``mpd_kfac_*`` every worker builds them and they are all-reduced.  Either
+  way the result is folded once into the layer's one state, and the owner
+  refreshes the decomposition.
+* **What the owner broadcasts.**  ``mpd_kfac_co`` broadcasts the refreshed
+  decomposition and every worker preconditions locally (the same bits
+  everywhere, so the simulator applies it once per layer on behalf of all
+  P); ``mpd_kfac_mo`` and ``dp_kfac`` broadcast the preconditioned gradient.
+
+One compute ledger serves all three: on a factor step each worker is
+credited N_f for every layer it builds factors for, on a refresh step the
+owner is credited N_f, and FactorComp and InverseComp are the per-worker
+maxima.  One momentum-SGD update of the shared weights ends the step.
 
 A broadcast hands every receiver the same read-only tensor instead of P
 copies; its element count is still logged as (P-1) * N.
@@ -308,7 +309,7 @@ def _check_finite(update: Sequence[np.ndarray], t: int, what: str,
             raise NumericError(f"{where}layer {i}, iteration {t}: {what} is not finite")
 
 
-def _dp_precondition(
+def _precondition(
     cluster: Cluster,
     local: list[LocalPass],
     agg: list[np.ndarray],
@@ -316,99 +317,58 @@ def _dp_precondition(
     counters: StepCounters,
     t: int,
 ) -> list[np.ndarray]:
-    """Distributed preconditioning: local-shard factors for owned layers only,
-    zero factor communication, preconditioned gradients broadcast."""
-    f_up = kfac.is_factor_update(t, hyper)
-    k_up = kfac.is_inverse_update(t, hyper)
-    dims = cluster.layer_dims()
-    precond: dict[int, np.ndarray] = {}
-    factor_work, inverse_work = [], []
-    for p, (part, own) in enumerate(zip(cluster.config.assignment, local)):
-        owned_f = 0
-        for i in part:
-            try:
-                precond[i], _ = kfac.kfac_layer_step(
-                    cluster.factors[i], own.inputs[i], own.preact_grads[i], agg[i], hyper, t)
-            except KfacLabError as exc:
-                _rethrow(exc, p, i)
-            owned_f += layer_counts(dims[i])[1]
-        factor_work.append(owned_f if f_up else 0)
-        inverse_work.append(owned_f if k_up else 0)
-    counters.factorcomp = max(factor_work)
-    counters.inversecomp = max(inverse_work)
-    return [
-        broadcast(owner, precond[i], cluster.config.workers, counters, "predcomm")
-        for i, owner in enumerate(cluster.owners)
-    ]
-
-
-def _mpd_precondition(
-    cluster: Cluster,
-    local: list[LocalPass],
-    agg: list[np.ndarray],
-    hyper: KfacHyper,
-    counters: StepCounters,
-    t: int,
-) -> list[np.ndarray]:
-    """Model-parallel D-KFAC: global factors via all-reduce, decompositions at
-    the layer owner.  COMM-OPT (``mpd_kfac_co``) broadcasts decompositions,
-    MEM-OPT (``mpd_kfac_mo``) broadcasts preconditioned gradients.
-
-    The factor stage runs layer-major: for each layer every worker's raw
-    pair is built and all-reduced at once, so only one layer's P raw pairs
-    are alive at a time.  The averaged pair is folded once into the layer's
-    one state, which is what P separate folds of identical inputs would
-    have produced bit for bit."""
+    """K-FAC preconditioning of the aggregated gradients, one layer at a
+    time: build factors, fold them into the layer's one state, refresh at
+    the owner, precondition, broadcast.  The module docstring gives the two
+    decisions the algorithm makes and the compute ledger.  Only one layer's
+    P raw factor pairs are alive at a time.  A factor-build failure names
+    the worker that built the factors; everything after it names the
+    owner."""
+    dp = cluster.config.algorithm == "dp_kfac"
     comm_opt = cluster.config.algorithm == "mpd_kfac_co"
     P = cluster.config.workers
-    dims = cluster.layer_dims()
-
-    if kfac.is_factor_update(t, hyper):
-        counters.factorcomp = sum(layer_counts(d)[1] for d in dims)
-        for i in range(cluster.n_layers):
+    f_up = kfac.is_factor_update(t, hyper)
+    k_up = kfac.is_inverse_update(t, hyper)
+    factor_work, inverse_work = [0] * P, [0] * P
+    update: list[np.ndarray] = []
+    for i, (owner, dims) in enumerate(zip(cluster.owners, cluster.layer_dims())):
+        state = cluster.factors[i]
+        n_f = layer_counts(dims)[1]
+        if f_up:
             raw = []
-            for p, own in enumerate(local):
+            for p in (owner,) if dp else range(P):
                 try:
-                    raw.append(kfac.compute_factors(own.inputs[i], own.preact_grads[i]))
+                    raw.append(kfac.compute_factors(local[p].inputs[i], local[p].preact_grads[i]))
                 except KfacLabError as exc:
                     _rethrow(exc, p, i)
-            a_avg = all_reduce_avg([a for a, _ in raw], counters, "factorcomm")
-            g_avg = all_reduce_avg([g for _, g in raw], counters, "factorcomm")
-            kfac.update_running_average(cluster.factors[i], a_avg, g_avg, hyper.xi, t)
-
-    if kfac.is_inverse_update(t, hyper):
-        inverse_work = [0] * P
-        for i, owner in enumerate(cluster.owners):
-            state = cluster.factors[i]
-            try:
-                kfac.refresh_inverses(state, hyper, t)
-            except KfacLabError as exc:
-                _rethrow(exc, owner, i)
-            inverse_work[owner] += layer_counts(dims[i])[1]
-            if comm_opt:
-                # eigenbases plus eigenvalue vectors, or the two damped
-                # inverses; every receiver would hold the owner's bits, so
-                # the layer's one state stands for all of them
-                payload = ((state.a_eig.q, state.a_eig.values, state.g_eig.q, state.g_eig.values)
-                           if hyper.inv_type == "eigen"
-                           else (state.a_damped_inv, state.g_damped_inv))
-                for arr in payload:
-                    broadcast(owner, arr, P, counters, "inversecomm")
-        counters.inversecomp = max(inverse_work)
-
-    update: list[np.ndarray] = []
-    for i, owner in enumerate(cluster.owners):
-        # co: every worker holds the same decomposition and would compute the
-        # same bits, so it is applied once for all of them; mo: the owner
-        # applies it and broadcasts the result.  Either way a failure is
-        # reported at the owner, as the non-finite check in run_step does.
+                factor_work[p] += n_f
+            if dp:
+                a_new, g_new = raw[0]
+            else:
+                a_new = all_reduce_avg([a for a, _ in raw], counters, "factorcomm")
+                g_new = all_reduce_avg([g for _, g in raw], counters, "factorcomm")
         try:
-            pg = kfac.apply_preconditioner(cluster.factors[i], agg[i], hyper)
+            if f_up:
+                kfac.update_running_average(state, a_new, g_new, hyper.xi, t)
+            if k_up:
+                kfac.refresh_inverses(state, hyper, t)
+            pg = kfac.apply_preconditioner(state, agg[i], hyper)
         except KfacLabError as exc:
             _rethrow(exc, owner, i)
+        if k_up:
+            inverse_work[owner] += n_f
         if not comm_opt:
             pg = broadcast(owner, pg, P, counters, "predcomm")
+        elif k_up:
+            # eigenbases plus eigenvalue vectors, or the two damped inverses
+            payload = ((state.a_eig.q, state.a_eig.values, state.g_eig.q, state.g_eig.values)
+                       if hyper.inv_type == "eigen"
+                       else (state.a_damped_inv, state.g_damped_inv))
+            for arr in payload:
+                broadcast(owner, arr, P, counters, "inversecomm")
         update.append(pg)
+    counters.factorcomp = max(factor_work)
+    counters.inversecomp = max(inverse_work)
     return update
 
 
@@ -458,9 +418,7 @@ def run_step(
         counters.gradcomp = sum(g.size for g in update)
         owners = None
         if cluster.config.algorithm != "ssgd":
-            precondition = (_dp_precondition if cluster.config.algorithm == "dp_kfac"
-                            else _mpd_precondition)
-            update = precondition(cluster, local, update, hyper, counters, t)
+            update = _precondition(cluster, local, update, hyper, counters, t)
             _check_finite(update, t, "preconditioned gradient", cluster.owners)
             owners = dict(enumerate(cluster.owners))
         sgd_step(cluster.net, update, lr, cluster.momentum, momentum)

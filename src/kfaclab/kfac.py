@@ -274,25 +274,3 @@ def apply_preconditioner(state: FactorState, grad: np.ndarray, hyper: KfacHyper)
         raise OrderingError("preconditioning requested before any damped inverse exists")
     _check_grad_shape(grad, state.g_damped_inv.shape[0], state.a_damped_inv.shape[0])
     return state.g_damped_inv @ grad @ state.a_damped_inv
-
-
-def kfac_layer_step(
-    state: FactorState,
-    captured_inputs: Optional[np.ndarray],
-    captured_preact_grads: Optional[np.ndarray],
-    grad: np.ndarray,
-    hyper: KfacHyper,
-    t: int,
-) -> tuple[np.ndarray, FactorState]:
-    """One layer's preconditioning step at iteration ``t``.
-
-    Refreshes factors when ``t`` hits ``f_freq``, decompositions when it hits
-    ``k_freq``, and always preconditions ``grad`` with the newest available
-    decomposition.
-    """
-    if is_factor_update(t, hyper):
-        a_new, g_new = compute_factors(captured_inputs, captured_preact_grads)
-        update_running_average(state, a_new, g_new, hyper.xi, t)
-    if is_inverse_update(t, hyper):
-        refresh_inverses(state, hyper, t)
-    return apply_preconditioner(state, grad, hyper), state

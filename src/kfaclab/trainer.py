@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
+from .costmodel import COMM_STAGES, COMPUTE_STAGES
 from .datasets import Dataset, gen_synthetic, load_idx
 from .distsim import Cluster, build_cluster, lr_schedule, run_step, shard_batch
 from .errors import ArgumentError, DataFormatError
@@ -31,9 +32,7 @@ from .numerics import EigenPair
 
 CSV_COLUMNS = (
     "iteration", "epoch", "lr", "train_loss", "eval_loss", "eval_accuracy",
-    "gradcomp", "factorcomp", "inversecomp",
-    "gradcomm", "factorcomm", "predcomm", "inversecomm",
-)
+) + COMPUTE_STAGES + COMM_STAGES
 
 CHECKPOINT_MAGIC = b"KFACLAB\0"
 CHECKPOINT_VERSION = 2
@@ -192,13 +191,12 @@ def run_prepared(
             eval_loss = eval_acc = None
             if b == iters_per_epoch - 1 and eval_batch is not None:
                 eval_loss, eval_acc = evaluate(cluster, eval_batch)
-            c = result.counters
             row = MetricsRow(
                 iteration=t, epoch=epoch, lr=lr, train_loss=result.loss,
                 eval_loss=eval_loss, eval_accuracy=eval_acc,
-                gradcomp=c.gradcomp, factorcomp=c.factorcomp, inversecomp=c.inversecomp,
-                gradcomm=c.gradcomm, factorcomm=c.factorcomm,
-                predcomm=c.predcomm, inversecomm=c.inversecomm,
+                # vars, not dataclasses.asdict: asdict deep-copies every
+                # field, about 10 us a row on CPython 3.11
+                **vars(result.counters),
             )
             rows.append(row)
             if row_sink is not None:

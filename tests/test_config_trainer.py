@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,9 +14,12 @@ from kfaclab.config import (
     load_config,
     parse_overrides,
 )
+from kfaclab.costmodel import COMM_STAGES, COMPUTE_STAGES
+from kfaclab.distsim import StepCounters
 from kfaclab.errors import ArgumentError, ConfigError, DataFormatError
 from kfaclab.model import NetworkSpec
 from kfaclab.trainer import (
+    csv_header,
     load_checkpoint,
     prepare_training,
     run_prepared,
@@ -198,6 +203,15 @@ def test_row_counters_match_cluster_log():
         assert row.factorcomm == entry.factorcomm
         assert row.predcomm == entry.predcomm
         assert row.factorcomp == entry.factorcomp
+
+
+def test_csv_header_and_counter_fields_are_pinned():
+    assert csv_header() == (
+        "iteration,epoch,lr,train_loss,eval_loss,eval_accuracy,"
+        "gradcomp,factorcomp,inversecomp,"
+        "gradcomm,factorcomm,predcomm,inversecomm"
+    )
+    assert tuple(f.name for f in dataclasses.fields(StepCounters)) == COMPUTE_STAGES + COMM_STAGES
 
 
 def test_dp_and_mpd_identical_on_one_worker():

@@ -284,25 +284,33 @@ def _symmetrized_second_moment(x):
     return (m + m.T) / 2.0
 
 
-def _worker_major_factor_stage(states, passes, hyper, t, owners, comm_opt):
-    """Reference worker-major MPD factor stage: every worker builds every
-    layer's raw factors with an explicit symmetrization, each layer is
+def _worker_major_factor_stage(states, passes, hyper, t, owners, algorithm):
+    """Reference worker-major factor stage with an explicit symmetrization.
+
+    MPD-KFAC: every worker builds every layer's raw factors, each layer is
     averaged by the allocating tree and folded into every worker's own copy,
     then the owner (under COMM-OPT every worker, with the same bits)
-    rebuilds the decomposition."""
+    rebuilds the decomposition.  DP-KFAC: each owner builds its layers'
+    factors from its own pass only, folds them without averaging and
+    rebuilds the decomposition in its own copy."""
     n_layers = len(owners)
     if kfac.is_factor_update(t, hyper):
         raw = [[(_symmetrized_second_moment(inputs[i]), _symmetrized_second_moment(grads[i]))
                 for i in range(n_layers)] for inputs, grads in passes]
-        for i in range(n_layers):
-            a_avg = _allocating_tree_avg([r[i][0] for r in raw])
-            g_avg = _allocating_tree_avg([r[i][1] for r in raw])
-            for worker_states in states:
-                kfac.update_running_average(worker_states[i], a_avg, g_avg, hyper.xi, t)
+        for i, owner in enumerate(owners):
+            if algorithm == "dp_kfac":
+                a_new, g_new = raw[owner][i]
+                holders = [states[owner]]
+            else:
+                a_new = _allocating_tree_avg([r[i][0] for r in raw])
+                g_new = _allocating_tree_avg([r[i][1] for r in raw])
+                holders = states
+            for worker_states in holders:
+                kfac.update_running_average(worker_states[i], a_new, g_new, hyper.xi, t)
     if kfac.is_inverse_update(t, hyper):
         for p, worker_states in enumerate(states):
             for i in range(n_layers):
-                if comm_opt or owners[i] == p:
+                if algorithm == "mpd_kfac_co" or owners[i] == p:
                     kfac.refresh_inverses(worker_states[i], hyper, t)
 
 
@@ -323,7 +331,7 @@ def _decomposition_bits(state):
 
 @pytest.mark.parametrize("freqs", [(1, 1), (2, 3)])
 @pytest.mark.parametrize("inv_type", kfac.INV_TYPES)
-@pytest.mark.parametrize("algorithm", ["mpd_kfac_co", "mpd_kfac_mo"])
+@pytest.mark.parametrize("algorithm", ["mpd_kfac_co", "mpd_kfac_mo", "dp_kfac"])
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 def test_mpd_factor_states_match_worker_major_oracle(workers, algorithm, inv_type, freqs):
     hyper = KfacHyper(inv_type=inv_type, f_freq=freqs[0], k_freq=freqs[1])
@@ -338,14 +346,15 @@ def test_mpd_factor_states_match_worker_major_oracle(workers, algorithm, inv_typ
             _, captures = forward(cluster.net, shard)
             _, preact_grads = backward(cluster.net, shard, captures)
             passes.append(([c.input for c in captures], preact_grads))
-        _worker_major_factor_stage(oracle, passes, hyper, t, owners,
-                                   algorithm == "mpd_kfac_co")
+        _worker_major_factor_stage(oracle, passes, hyper, t, owners, algorithm)
         run_step(cluster, shards, hyper, 0.05, 0.9, t)
-        # every worker holds the factors; under COMM-OPT every worker also
-        # holds the decomposition, under MEM-OPT only the owner
+        # under MPD-KFAC every worker holds the factors, under DP-KFAC only
+        # the owner; under COMM-OPT every worker also holds the
+        # decomposition, otherwise only the owner
         for p, want in enumerate(oracle):
             for i, state in cluster.factors.items():
-                assert _factor_bits(state) == _factor_bits(want[i]), (t, p, i)
+                if algorithm != "dp_kfac" or owners[i] == p:
+                    assert _factor_bits(state) == _factor_bits(want[i]), (t, p, i)
                 if algorithm == "mpd_kfac_co" or owners[i] == p:
                     assert (_decomposition_bits(state)
                             == _decomposition_bits(want[i])), (t, p, i)
@@ -555,8 +564,28 @@ def test_kfac_errors_carry_worker_and_layer():
     hyper = KfacHyper(gamma=0.0)  # zero damping on singular factors must fail
     # make the first worker's first-layer stats rank-deficient by zeroing inputs
     zero_inputs = Batch(np.zeros_like(shards[0].inputs), shards[0].targets)
-    with pytest.raises(Exception, match=r"worker \d+, layer \d+"):
+    with pytest.raises(NumericError, match=r"^worker 0, layer 0:"):
         run_step(cluster, [zero_inputs, shards[1]], hyper, 0.05, 0.9, 0)
+
+
+@pytest.mark.parametrize("algorithm", ["mpd_kfac_co", "mpd_kfac_mo"])
+def test_factor_build_failure_names_the_building_worker(monkeypatch, algorithm):
+    # layer 0 is owned by worker 0, but its factors are also built by worker
+    # 1, and a failure there is worker 1's
+    cluster = build_cluster(SPEC, algorithm, 2, seed=0)
+    shards = shard_batch(_batch(), 2, "disjoint")
+    assert cluster.owners[0] == 0
+    original = kfac.compute_factors
+
+    def failing(captured_inputs, captured_preact_grads):
+        if (captured_inputs.shape[0] == SPEC.layer_dims[0] + 1
+                and np.array_equal(captured_inputs[:-1], shards[1].inputs)):
+            raise NumericError("injected factor failure")
+        return original(captured_inputs, captured_preact_grads)
+
+    monkeypatch.setattr(kfac, "compute_factors", failing)
+    with pytest.raises(NumericError, match=r"^worker 1, layer 0: injected factor failure"):
+        run_step(cluster, shards, KfacHyper(), 0.05, 0.9, 0)
 
 
 # ---------------------------------------------------------------------------

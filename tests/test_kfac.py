@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfaclab import kfac, numerics
+from kfaclab import distsim, kfac, numerics
+from kfaclab.distsim import build_cluster, run_step
 from kfaclab.errors import ArgumentError, CapacityError, NumericError, OrderingError
 from kfaclab.kfac import FactorState, KfacHyper
+from kfaclab.model import Batch, NetworkSpec, backward, forward
 
 
 def _spd(rng, d):
@@ -303,76 +305,122 @@ def test_damping_monotonicity_diagonal():
     assert all(n1 >= n2 for n1, n2 in zip(norms, norms[1:]))
 
 
-def _captures(rng, d_in, d_out, batch):
-    return rng.standard_normal((d_in, batch)), rng.standard_normal((d_out, batch))
+# The per-layer step, run through the real step skeleton: a one-layer 4 -> 3
+# network on a one-worker dp_kfac cluster, where the aggregated gradient is
+# the local one and the update is the preconditioned gradient.
+ONE_LAYER = NetworkSpec((4, 3))
 
 
-def test_layer_step_fresh_every_iteration():
+def _one_layer_batch(rng, batch):
+    return Batch(rng.standard_normal((4, batch)), rng.integers(0, 3, size=batch))
+
+
+def _record_updates(monkeypatch, apply=True):
+    """Capture every update ``run_step`` hands to ``sgd_step``; with
+    ``apply=False`` the weights stay frozen."""
+    updates = []
+    original = distsim.sgd_step
+
+    def record(net, grads, lr, momentum_state, mu):
+        updates.append(grads[0].copy())
+        if apply:
+            original(net, grads, lr, momentum_state, mu)
+
+    monkeypatch.setattr(distsim, "sgd_step", record)
+    return updates
+
+
+def _layer_pass(cluster, batch):
+    """The layer's captures and gradient at the cluster's current weights."""
+    _, captures = forward(cluster.net, batch)
+    grads, preact_grads = backward(cluster.net, batch, captures)
+    return captures[0].input, preact_grads[0], grads[0]
+
+
+def _one_layer_step(cluster, batch, hyper, t):
+    run_step(cluster, [batch], hyper, 0.05, 0.9, t)
+    return cluster.factors[0]
+
+
+def test_layer_step_fresh_every_iteration(monkeypatch):
     rng = np.random.default_rng(11)
+    updates = _record_updates(monkeypatch)
     hyper = KfacHyper(f_freq=1, k_freq=1, xi=1.0)
-    state = FactorState()
-    inputs, grads_cap = _captures(rng, 4, 3, 16)
-    grad = rng.standard_normal((3, 4))
-    out, state = kfac.kfac_layer_step(state, inputs, grads_cap, grad, hyper, t=0)
-    # xi=1 and fresh decompositions: identical to the stateless route
-    a, g = kfac.compute_factors(inputs, grads_cap)
-    direct = kfac.precondition_eigen(numerics.sym_eig(a), numerics.sym_eig(g), grad, hyper.gamma)
-    assert np.array_equal(out, direct)
-    assert state.last_factor_update == 0
-    assert state.last_inverse_update == 0
+    cluster = build_cluster(ONE_LAYER, "dp_kfac", 1, seed=0)
+    for t in range(3):
+        batch = _one_layer_batch(rng, 16)
+        inputs, grads_cap, grad = _layer_pass(cluster, batch)
+        state = _one_layer_step(cluster, batch, hyper, t)
+        # xi=1 and fresh decompositions: identical to the stateless route
+        a, g = kfac.compute_factors(inputs, grads_cap)
+        direct = kfac.precondition_eigen(numerics.sym_eig(a), numerics.sym_eig(g), grad, hyper.gamma)
+        assert np.array_equal(updates[t], direct), t
+        assert state.last_factor_update == t
+        assert state.last_inverse_update == t
 
 
-def test_layer_step_stale_reuse_between_refreshes():
+def test_layer_step_stale_reuse_between_refreshes(monkeypatch):
     rng = np.random.default_rng(12)
+    updates = _record_updates(monkeypatch)
     hyper = KfacHyper(f_freq=50, k_freq=500)
-    state = FactorState()
-    inputs0, grads0 = _captures(rng, 4, 3, 8)
-    grad0 = rng.standard_normal((3, 4))
-    kfac.kfac_layer_step(state, inputs0, grads0, grad0, hyper, t=0)
+    cluster = build_cluster(ONE_LAYER, "dp_kfac", 1, seed=0)
+    state = _one_layer_step(cluster, _one_layer_batch(rng, 8), hyper, t=0)
     frozen_a = state.a_cov.copy()
 
     # t=49: different captures must be ignored entirely
-    inputs49, grads49 = _captures(rng, 4, 3, 8)
-    grad49 = rng.standard_normal((3, 4))
-    out, state = kfac.kfac_layer_step(state, inputs49, grads49, grad49, hyper, t=49)
+    batch49 = _one_layer_batch(rng, 8)
+    _, _, grad49 = _layer_pass(cluster, batch49)
+    state = _one_layer_step(cluster, batch49, hyper, t=49)
     assert np.array_equal(state.a_cov, frozen_a)
     assert state.last_factor_update == 0
     assert state.last_inverse_update == 0
     expected = kfac.precondition_eigen(state.a_eig, state.g_eig, grad49, hyper.gamma)
-    assert np.array_equal(out, expected)
+    assert np.array_equal(updates[-1], expected)
 
 
-def test_layer_step_never_recompute_staleness():
+def test_layer_step_never_recompute_staleness(monkeypatch):
     rng = np.random.default_rng(13)
+    updates = _record_updates(monkeypatch, apply=False)
     hyper = KfacHyper(f_freq=1, k_freq=10 ** 9)
-    state = FactorState()
-    inputs, grads_cap = _captures(rng, 3, 2, 8)
-    grad = rng.standard_normal((2, 3))
-    out0, _ = kfac.kfac_layer_step(state, inputs, grads_cap, grad, hyper, t=0)
+    cluster = build_cluster(ONE_LAYER, "dp_kfac", 1, seed=0)
+    batch0 = _one_layer_batch(rng, 8)
+    state = _one_layer_step(cluster, batch0, hyper, t=0)
+    out0 = updates[0]
+    a_eig0 = numerics.EigenPair(state.a_eig.q.copy(), state.a_eig.values.copy())
+    g_eig0 = numerics.EigenPair(state.g_eig.q.copy(), state.g_eig.values.copy())
     for t in range(1, 6):
-        fresh_in, fresh_g = _captures(rng, 3, 2, 8)
-        out_t, _ = kfac.kfac_layer_step(state, fresh_in, fresh_g, grad, hyper, t=t)
-        assert np.array_equal(out_t, out0)
+        fresh = _one_layer_batch(rng, 8)
+        _, _, grad = _layer_pass(cluster, fresh)
+        state = _one_layer_step(cluster, fresh, hyper, t)
+        assert state.last_factor_update == t
+        assert state.last_inverse_update == 0
+        assert np.array_equal(updates[t], kfac.precondition_eigen(a_eig0, g_eig0, grad, hyper.gamma))
+    # the weights are frozen, so the first batch gives the first gradient again
+    _one_layer_step(cluster, batch0, hyper, t=6)
+    assert np.array_equal(updates[6], out0)
 
 
-def test_layer_step_deterministic():
+def test_layer_step_deterministic(monkeypatch):
     rng = np.random.default_rng(14)
-    inputs, grads_cap = _captures(rng, 4, 3, 8)
-    grad = rng.standard_normal((3, 4))
+    updates = _record_updates(monkeypatch)
+    batch = _one_layer_batch(rng, 8)
     hyper = KfacHyper()
-    out_a, _ = kfac.kfac_layer_step(FactorState(), inputs, grads_cap, grad, hyper, t=0)
-    out_b, _ = kfac.kfac_layer_step(FactorState(), inputs, grads_cap, grad, hyper, t=0)
+    for _ in range(2):
+        _one_layer_step(build_cluster(ONE_LAYER, "dp_kfac", 1, seed=0), batch, hyper, t=0)
+    out_a, out_b = updates
     assert np.array_equal(out_a, out_b)
 
 
-def test_layer_step_inverse_mode_matches_stateless():
+def test_layer_step_inverse_mode_matches_stateless(monkeypatch):
     rng = np.random.default_rng(15)
+    updates = _record_updates(monkeypatch)
     hyper = KfacHyper(inv_type="inverse", xi=1.0)
-    inputs, grads_cap = _captures(rng, 4, 3, 16)
-    grad = rng.standard_normal((3, 4))
-    out, _ = kfac.kfac_layer_step(FactorState(), inputs, grads_cap, grad, hyper, t=0)
+    cluster = build_cluster(ONE_LAYER, "dp_kfac", 1, seed=0)
+    batch = _one_layer_batch(rng, 16)
+    inputs, grads_cap, grad = _layer_pass(cluster, batch)
+    _one_layer_step(cluster, batch, hyper, t=0)
     a, g = kfac.compute_factors(inputs, grads_cap)
-    assert np.abs(out - kfac.precondition_inverse(a, g, grad, hyper.gamma)).max() <= 1e-14
+    assert np.abs(updates[0] - kfac.precondition_inverse(a, g, grad, hyper.gamma)).max() <= 1e-14
 
 
 def test_apply_preconditioner_before_refresh_is_ordering_error():
