@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (ConfigError), 3 data/format error (DataFormatError, ArgumentError,
 ShapeError, CapacityError, OrderingError), 4 numeric failure (NumericError).
-An output directory that cannot be created or written is a configuration
-error naming ``train.out_dir``.  Once its output directory exists, ``train``
+An output path that cannot be created or written is a configuration error
+naming its setting (``train.out_dir``, ``--json``, ``--images``,
+``--labels``).  Once its output directory exists, ``train``
 records in ``run.json`` how it ended (status, exit code, error message, last
 iteration written) on every exit path.
 """
@@ -121,8 +122,20 @@ def _report(exc: KfacLabError) -> int:
     return code
 
 
-def _unusable_out_dir(action: str, path: Path, exc: OSError) -> ConfigError:
-    return ConfigError(f"train.out_dir: cannot {action} {path}: {exc.strerror or exc}")
+def _unusable_output(action: str, path: Path, exc: OSError,
+                     setting: str = "train.out_dir") -> ConfigError:
+    return ConfigError(f"{setting}: cannot {action} {path}: {exc.strerror or exc}")
+
+
+def _csv_list(flag: str, value: str, cast=str) -> list:
+    """The non-empty items of a comma-separated flag value."""
+    try:
+        items = [cast(x.strip()) for x in value.split(",") if x.strip()]
+    except ValueError:
+        raise ArgumentError(f"{flag}: expected comma-separated integers, got {value!r}") from None
+    if not items:
+        raise ArgumentError(f"{flag}: names nothing in {value!r}")
+    return items
 
 
 def cmd_train(args, overrides) -> int:
@@ -135,7 +148,7 @@ def cmd_train(args, overrides) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise _unusable_out_dir("create", out_dir, exc) from exc
+        raise _unusable_output("create", out_dir, exc) from exc
     csv_path = out_dir / "metrics.csv"
     manifest_path = out_dir / "run.json"
     last_iteration = None  # of the last row this invocation wrote
@@ -162,7 +175,7 @@ def cmd_train(args, overrides) -> int:
         try:
             fh = open(csv_path, "a" if append else "w")
         except OSError as exc:
-            raise _unusable_out_dir("open", csv_path, exc) from exc
+            raise _unusable_output("open", csv_path, exc) from exc
         with fh:
             csv_written = True
             if not append:
@@ -208,18 +221,16 @@ _COST_FIELDS = (
 def cmd_cost(args) -> int:
     layers = costmodel.resolve_manifest(args.manifest)
     n_g, n_f = costmodel.totals(layers)
-    worker_counts = [int(x) for x in args.p.split(",") if x.strip()]
-    algs = list(costmodel.ALGORITHMS) if args.alg == "all" else [
-        a.strip() for a in args.alg.split(",") if a.strip()
-    ]
+    worker_counts = _csv_list("--p", args.p, int)
+    algs = list(costmodel.ALGORITHMS) if args.alg == "all" else _csv_list("--alg", args.alg)
     reports = [
         costmodel.algorithm_cost(layers, p, alg, inv_type=args.inv_type)
         for p in worker_counts for alg in algs
     ]
     amortized = None
-    if args.f_freq or args.k_freq:
-        f = args.f_freq or 1
-        k = args.k_freq or 1
+    if args.f_freq is not None or args.k_freq is not None:
+        f = 1 if args.f_freq is None else args.f_freq
+        k = 1 if args.k_freq is None else args.k_freq
         amortized = [costmodel.amortized_cost(r, f, k) for r in reports]
 
     print(f"{len(layers)} layers: N_g={n_g} ({n_g / 1e6:.2f}M), "
@@ -252,7 +263,10 @@ def cmd_cost(args) -> int:
         }
         if amortized is not None:
             payload["amortized"] = amortized
-        Path(args.json_out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        try:
+            Path(args.json_out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise _unusable_output("write", args.json_out, exc, "--json") from exc
         print(f"wrote {args.json_out}")
     return EXIT_OK
 
@@ -269,6 +283,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    if args.rows < 1:
+        raise ArgumentError(f"--rows {args.rows} must be >= 1")
     if args.dim % args.rows != 0:
         raise ArgumentError(f"--dim {args.dim} is not divisible by --rows {args.rows}")
     seed = args.seed if args.seed is not None else 0
@@ -277,7 +293,11 @@ def cmd_gen_data(args) -> int:
         "samples": args.samples, "noise": args.noise,
     }, seed)
     images, labels = quantize_for_idx(dataset, args.rows, args.dim // args.rows)
-    write_idx(args.images, args.labels, images, labels)
+    try:
+        write_idx(args.images, args.labels, images, labels)
+    except OSError as exc:
+        flag = "--images" if exc.filename == args.images else "--labels"
+        raise _unusable_output("write", exc.filename, exc, flag) from exc
     print(f"wrote {args.samples} samples to {args.images} / {args.labels} (seed {seed})")
     return EXIT_OK
 

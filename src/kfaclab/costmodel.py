@@ -225,7 +225,11 @@ def model_notes() -> tuple[str, ...]:
 def load_manifest(path) -> list[LayerDims]:
     """Parse a layer manifest: one ``d_in d_out`` pair per line, ``#`` comments."""
     layers = []
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise DataFormatError(f"{path}: cannot read manifest: {reason or exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -59,6 +59,13 @@ def _param(params: Mapping, key: str, cast, default=None):
         raise ArgumentError(f"bad synthetic dataset param {key}={params[key]!r}") from exc
 
 
+def _noise(params: Mapping) -> float:
+    noise = _param(params, "noise", float, 0.1)
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ArgumentError(f"synthetic dataset noise must be finite and >= 0, got {noise}")
+    return noise
+
+
 def gen_synthetic(kind: str, params: Mapping, seed: int) -> Dataset:
     """Deterministic synthetic dataset; same (kind, params, seed) gives
     bit-identical tensors."""
@@ -69,7 +76,7 @@ def gen_synthetic(kind: str, params: Mapping, seed: int) -> Dataset:
         classes = _param(params, "classes", int)
         dim = _param(params, "dim", int)
         samples = _param(params, "samples", int)
-        noise = _param(params, "noise", float, 0.1)
+        noise = _noise(params)
         if classes < 2 or dim < 1 or samples < classes:
             raise ArgumentError("gaussian_blobs needs classes >= 2, dim >= 1, samples >= classes")
         centers = rng.standard_normal((dim, classes))
@@ -80,7 +87,7 @@ def gen_synthetic(kind: str, params: Mapping, seed: int) -> Dataset:
     dim = _param(params, "dim", int)
     out_dim = _param(params, "out_dim", int)
     samples = _param(params, "samples", int)
-    noise = _param(params, "noise", float, 0.1)
+    noise = _noise(params)
     if dim < 1 or out_dim < 1 or samples < 1:
         raise ArgumentError("deep_linear_regression needs dim, out_dim, samples >= 1")
     hidden_map = rng.standard_normal((out_dim, dim)) / np.sqrt(dim)

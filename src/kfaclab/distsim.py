@@ -1,9 +1,11 @@
 """Deterministic single-process simulation of a data-parallel cluster.
 
+A :class:`Cluster` holds the training state and nothing else: what a
+checkpoint restores, plus the algorithm and worker count it was built for.
 The step contract keeps every worker's weights and momentum bit-identical,
 so the cluster holds ONE weight set and ONE momentum set that every worker
-references, and applies each update once.  Every layer has one owner, read
-from the assignment, and ONE factor state (averaged factors,
+references, and applies each update once.  Every layer has one owner
+(``Cluster.owners``, round-robin) and ONE factor state (averaged factors,
 decompositions, staleness stamps): DP-KFAC keeps it only at the owner, and
 under MPD-KFAC every worker would hold the same bits.  What differs between
 workers is the data shard and the captures of that worker's local
@@ -40,15 +42,16 @@ owner is credited N_f, and FactorComp and InverseComp are the per-worker
 maxima.  One momentum-SGD update of the shared weights ends the step.
 
 A broadcast hands every receiver the same read-only tensor instead of P
-copies; its element count is still logged as (P-1) * N.
+copies; its element count is still counted as (P-1) * N.
 
-Every step logs element counts per stage; the analytic model in
+Every step returns a fresh :class:`StepCounters` of element counts per
+stage (the cluster keeps no history); the analytic model in
 :mod:`kfaclab.costmodel` must reproduce them exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -77,32 +80,6 @@ class StepCounters:
     inversecomm: int = 0
 
 
-@dataclass
-class CollectiveLog:
-    steps: list[StepCounters] = field(default_factory=list)
-
-    def new_step(self) -> StepCounters:
-        entry = StepCounters()
-        self.steps.append(entry)
-        return entry
-
-    def total(self, stage: str) -> int:
-        return sum(getattr(s, stage) for s in self.steps)
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    workers: int
-    assignment: tuple[tuple[int, ...], ...]
-    algorithm: str
-
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ArgumentError(f"unknown algorithm {self.algorithm!r}")
-        if self.workers < 1:
-            raise ArgumentError("worker count must be >= 1")
-
-
 class WorkerView(NamedTuple):
     """What one worker holds: the shared weights (``replica``) and momentum
     buffers, and the factor states of the layers it keeps."""
@@ -115,12 +92,16 @@ class WorkerView(NamedTuple):
 
 @dataclass
 class Cluster:
-    config: ClusterConfig
+    """The training state: one shared weight/momentum set, one factor state
+    per layer, and each layer's owner, plus the two settings it was built
+    from."""
+
+    algorithm: str
+    n_workers: int
     net: Network
     momentum: list[np.ndarray]
     factors: dict[int, FactorState]  # one per layer; none for ssgd
     owners: tuple[int, ...]  # owners[i]: the worker that owns layer i
-    log: CollectiveLog = field(default_factory=CollectiveLog)
 
     @property
     def n_layers(self) -> int:
@@ -130,12 +111,12 @@ class Cluster:
     def workers(self) -> tuple[WorkerView, ...]:
         """Per-worker views derived from the one state per layer: under
         MPD-KFAC every worker holds every layer's state, under DP-KFAC only
-        its assigned layers', under S-SGD none.  The step never reads them."""
-        dp = self.config.algorithm == "dp_kfac"
+        the layers it owns, under S-SGD none.  The step never reads them."""
+        dp = self.algorithm == "dp_kfac"
         return tuple(
             WorkerView(p, self.net, self.momentum,
-                       {i: self.factors[i] for i in (part if dp else self.factors)})
-            for p, part in enumerate(self.config.assignment)
+                       {i: s for i, s in self.factors.items() if not dp or self.owners[i] == p})
+            for p in range(self.n_workers)
         )
 
     def layer_dims(self) -> list[LayerDims]:
@@ -154,17 +135,20 @@ def build_cluster(
     """One shared weight/momentum set, one factor state per layer, layer
     ownership by :func:`kfaclab.costmodel.round_robin_partition`, the
     partition the cost model assumes."""
+    if algorithm not in ALGORITHMS:
+        raise ArgumentError(f"unknown algorithm {algorithm!r}")
+    if workers < 1:
+        raise ArgumentError("worker count must be >= 1")
     net = init_network(spec, seed)
     # allocated right after the weights: allocated after the assignment
     # instead, the steps of the 192-wide P=8 perfbench workload ran 2-7%
     # slower (memory placement, not work)
     momentum = init_momentum(net)
-    assignment = round_robin_partition(net.depth, workers)
-    config = ClusterConfig(workers=workers, assignment=assignment, algorithm=algorithm)
-    owner_by_layer = {i: p for p, part in enumerate(assignment) for i in part}
+    owner_by_layer = {i: p for p, part in enumerate(round_robin_partition(net.depth, workers))
+                      for i in part}
     factors = {} if algorithm == "ssgd" else {i: FactorState() for i in range(net.depth)}
-    return Cluster(config=config, net=net, momentum=momentum, factors=factors,
-                   owners=tuple(owner_by_layer[i] for i in range(net.depth)))
+    return Cluster(algorithm, workers, net, momentum, factors,
+                   tuple(owner_by_layer[i] for i in range(net.depth)))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +251,6 @@ def shard_batch(batch: Batch, workers: int, policy: str = "disjoint") -> list[Ba
 class StepResult:
     loss: float
     counters: StepCounters
-    preconditioned_by: Optional[dict[int, int]] = None
 
 
 @dataclass(frozen=True)
@@ -282,10 +265,8 @@ class LocalPass:
 
 
 def _local_grads(cluster: Cluster, shards: Sequence[Batch], t: int) -> tuple[list[LocalPass], float]:
-    if len(shards) != cluster.config.workers:
-        raise ArgumentError(
-            f"got {len(shards)} shards for {cluster.config.workers} workers"
-        )
+    if len(shards) != cluster.n_workers:
+        raise ArgumentError(f"got {len(shards)} shards for {cluster.n_workers} workers")
     passes, losses = [], []
     for p, shard in enumerate(shards):
         loss, captures = forward(cluster.net, shard)
@@ -324,9 +305,9 @@ def _precondition(
     P raw factor pairs are alive at a time.  A factor-build failure names
     the worker that built the factors; everything after it names the
     owner."""
-    dp = cluster.config.algorithm == "dp_kfac"
-    comm_opt = cluster.config.algorithm == "mpd_kfac_co"
-    P = cluster.config.workers
+    dp = cluster.algorithm == "dp_kfac"
+    comm_opt = cluster.algorithm == "mpd_kfac_co"
+    P = cluster.n_workers
     f_up = kfac.is_factor_update(t, hyper)
     k_up = kfac.is_inverse_update(t, hyper)
     factor_work, inverse_work = [0] * P, [0] * P
@@ -404,8 +385,9 @@ def run_step(
 ) -> StepResult:
     """One synchronous step of the cluster's configured algorithm: local
     passes, the gradient all-reduce, the algorithm's preconditioning (none
-    for ``ssgd``), then one momentum-SGD update of the shared weights."""
-    counters = cluster.log.new_step()
+    for ``ssgd``), then one momentum-SGD update of the shared weights.
+    Returns the mean local loss and the step's own counters."""
+    counters = StepCounters()
     # a diverging run overflows here; the finiteness checks report it as a
     # NumericError instead of numpy warnings followed by inf/nan weights
     with np.errstate(over="ignore", invalid="ignore"):
@@ -416,10 +398,8 @@ def run_step(
         ]
         _check_finite(update, t, "aggregated gradient")
         counters.gradcomp = sum(g.size for g in update)
-        owners = None
-        if cluster.config.algorithm != "ssgd":
+        if cluster.algorithm != "ssgd":
             update = _precondition(cluster, local, update, hyper, counters, t)
             _check_finite(update, t, "preconditioned gradient", cluster.owners)
-            owners = dict(enumerate(cluster.owners))
         sgd_step(cluster.net, update, lr, cluster.momentum, momentum)
-    return StepResult(loss, counters, preconditioned_by=owners)
+    return StepResult(loss, counters)

@@ -298,8 +298,8 @@ def save_checkpoint(path: Path, cluster: Cluster, iteration: int, epoch: int):
         "meta": {
             "iteration": iteration,
             "epoch": epoch,
-            "algorithm": cluster.config.algorithm,
-            "workers": cluster.config.workers,
+            "algorithm": cluster.algorithm,
+            "workers": cluster.n_workers,
             "factor_states": factor_meta,
         },
         "arrays": [

@@ -204,16 +204,27 @@ def run_dist_suite() -> list[CheckResult]:
     results = [criterion_4()]
     cluster = distsim.build_cluster(SPEC_DIST, "dp_kfac", 4, seed=9)
     shards = distsim.shard_batch(_dist_batch(), 4, "disjoint")
-    res = distsim.run_step(cluster, shards, KfacHyper(), 0.05, 0.9, 0)
+    distsim.run_step(cluster, shards, KfacHyper(), 0.05, 0.9, 0)
     one_state = sorted(cluster.factors) == list(range(cluster.n_layers))
     views = [sorted(w.factors) for w in cluster.workers]
+    partition = costmodel.round_robin_partition(cluster.n_layers, 4)
     results.append(CheckResult("dist", "one factor state per layer, held by its owner only",
-                               one_state and views == [list(part) for part in
-                                                       cluster.config.assignment],
+                               one_state and views == [list(part) for part in partition],
                                f"worker views {views}"))
-    owned_once = sorted(res.preconditioned_by) == list(range(cluster.n_layers))
-    results.append(CheckResult("dist", "every layer preconditioned exactly once", owned_once,
-                               f"ownership {res.preconditioned_by}"))
+    # DP-KFAC's core mechanism: the owner builds the factors from its own
+    # shard, through the weights every worker started the step with
+    reference = init_network(SPEC_DIST, seed=9)
+    from_owner = []
+    for i, owner in enumerate(cluster.owners):
+        _, captures = forward(reference, shards[owner])
+        _, preact_grads = backward(reference, shards[owner], captures)
+        a_cov, g_cov = kfac.compute_factors(captures[i].input, preact_grads[i])
+        state = cluster.factors[i]
+        from_owner.append(np.array_equal(state.a_cov, a_cov)
+                          and np.array_equal(state.g_cov, g_cov))
+    results.append(CheckResult("dist", "each layer's factors come from its owner's own shard",
+                               all(from_owner),
+                               f"owners {list(cluster.owners)}, bit-equal {from_owner}"))
     return results
 
 
@@ -226,17 +237,17 @@ def criterion_5() -> CheckResult:
     for algorithm in costmodel.ALGORITHMS:
         for workers in (1, 2, 4, 8, 64):
             cluster = distsim.build_cluster(SPEC_DIST, algorithm, workers, seed=0)
-            for t in range(4):  # t = 0, 2 are full second-order updates
-                shards = distsim.shard_batch(batch_small, workers, "replicate")
-                distsim.run_step(cluster, shards, hyper, 0.05, 0.9, t)
+            shards = distsim.shard_batch(batch_small, workers, "replicate")
+            steps = [distsim.run_step(cluster, shards, hyper, 0.05, 0.9, t).counters
+                     for t in range(4)]  # t = 0, 2 are full second-order updates
             report = costmodel.algorithm_cost(cluster.layer_dims(), workers,
                                               algorithm, inv_type="eigen")
             for t in (0, 2):
-                verdict = costmodel.verify_counters(report, cluster.log.steps[t])
+                verdict = costmodel.verify_counters(report, steps[t])
                 if not verdict.ok:
                     mismatches.append(f"{algorithm}/P={workers}/t={t}: {verdict.describe()}")
             if algorithm == "dp_kfac":
-                dp_factorcomm_total += cluster.log.total("factorcomm")
+                dp_factorcomm_total += sum(c.factorcomm for c in steps)
 
     layers = [costmodel.LayerDims(7, 8), costmodel.LayerDims(9, 4)]
     mpd = costmodel.algorithm_cost(layers, 8, "mpd_kfac_mo")
@@ -272,10 +283,9 @@ def run_cost_suite() -> list[CheckResult]:
     """Simulated counters against the analytic complexity model."""
     cluster = distsim.build_cluster(SPEC_DIST, "dp_kfac", 4, seed=1)
     stale = KfacHyper(f_freq=5, k_freq=10)
-    for t in range(12):
-        shards = distsim.shard_batch(_dist_batch(), 4, "replicate")
-        distsim.run_step(cluster, shards, stale, 0.05, 0.9, t)
-    factor_total = cluster.log.total("factorcomm")
+    shards = distsim.shard_batch(_dist_batch(), 4, "replicate")
+    factor_total = sum(distsim.run_step(cluster, shards, stale, 0.05, 0.9, t).counters.factorcomm
+                       for t in range(12))
     return [
         criterion_5(),
         criterion_6(),

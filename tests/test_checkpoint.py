@@ -412,7 +412,7 @@ def _in_memory_bytes(cluster, iteration: int, epoch: int) -> bytes:
     names = sorted(arrays)
     header = {
         "meta": {"iteration": iteration, "epoch": epoch,
-                 "algorithm": cluster.config.algorithm, "workers": cluster.config.workers,
+                 "algorithm": cluster.algorithm, "workers": cluster.n_workers,
                  "factor_states": factor_meta},
         "arrays": [{"name": n, "shape": list(arrays[n].shape), "dtype": "<f8"}
                    for n in names],

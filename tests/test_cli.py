@@ -335,6 +335,55 @@ def test_cost_missing_manifest_exit_code():
     assert cli.main(["cost", "/no/such/manifest.txt"]) == cli.EXIT_DATA
 
 
+# flag values -> (exit code, text the one-line message must hold)
+_BAD_COST = {
+    "p-not-integer": (["{toy}", "--p", "x"], cli.EXIT_DATA, "--p: expected"),
+    "p-empty": (["{toy}", "--p", ","], cli.EXIT_DATA, "--p: names nothing"),
+    "alg-empty": (["{toy}", "--alg", ","], cli.EXIT_DATA, "--alg: names nothing"),
+    "f-freq-zero": (["{toy}", "--f-freq", "0"], cli.EXIT_DATA, "staleness intervals"),
+    "k-freq-zero": (["{toy}", "--k-freq", "0"], cli.EXIT_DATA, "staleness intervals"),
+    "manifest-directory": (["{dir}"], cli.EXIT_DATA, "cannot read manifest"),
+    "manifest-not-utf8": (["{binary}"], cli.EXIT_DATA,
+                          "binary.txt: cannot read manifest: not UTF-8"),
+    "json-unwritable": (["{toy}", "--json", "{missing}"], cli.EXIT_CONFIG, "--json: cannot write"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_COST)
+def test_cost_bad_input_is_a_typed_one_line_error(tmp_path, capsys, case):
+    flags, code, names = _BAD_COST[case]
+    toy = tmp_path / "toy.txt"
+    toy.write_text("4 3\n3 2\n")
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"4 3\n\xff\xfe 2\n")
+    paths = {"toy": toy, "dir": tmp_path, "binary": binary,
+             "missing": tmp_path / "no" / "such" / "a.json"}
+    assert cli.main(["cost", *(f.format(**paths) for f in flags)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and names in err, err
+
+
+_BAD_GEN_DATA = {
+    "rows-zero": (["--rows", "0"], cli.EXIT_DATA, "--rows 0 must be >= 1"),
+    "noise-nan": (["--noise", "nan"], cli.EXIT_DATA, "noise must be finite"),
+    "noise-inf": (["--noise", "inf"], cli.EXIT_DATA, "noise must be finite"),
+    "noise-negative": (["--noise", "-0.5"], cli.EXIT_DATA, "noise must be finite"),
+    "images-unwritable": (["--images", "{missing}"], cli.EXIT_CONFIG, "--images: cannot write"),
+    "labels-unwritable": (["--labels", "{missing}"], cli.EXIT_CONFIG, "--labels: cannot write"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_GEN_DATA)
+def test_gen_data_bad_input_is_a_typed_one_line_error(tmp_path, capsys, case):
+    flags, code, names = _BAD_GEN_DATA[case]
+    missing = tmp_path / "no" / "such" / "file.idx"
+    argv = ["gen-data", "gaussian_blobs", "--dim", "16", "--rows", "4", "--samples", "20",
+            "--images", str(tmp_path / "x.idx"), "--labels", str(tmp_path / "y.idx")]
+    assert cli.main(argv + [f.format(missing=missing) for f in flags]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and names in err, err
+
+
 def test_gen_data_round_trip(tmp_path):
     img, lab = tmp_path / "x.idx", tmp_path / "y.idx"
     code = cli.main(["--seed", "4", "gen-data", "gaussian_blobs", "--classes", "4",

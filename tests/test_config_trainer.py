@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kfaclab import trainer
 from kfaclab.config import (
     _SCHEMA,
     DataConfig,
@@ -14,7 +15,7 @@ from kfaclab.config import (
     load_config,
     parse_overrides,
 )
-from kfaclab.costmodel import COMM_STAGES, COMPUTE_STAGES
+from kfaclab.costmodel import ALGORITHMS, COMM_STAGES, COMPUTE_STAGES
 from kfaclab.distsim import StepCounters
 from kfaclab.errors import ArgumentError, ConfigError, DataFormatError
 from kfaclab.model import NetworkSpec
@@ -196,13 +197,25 @@ def test_run_training_row_structure():
     assert all(r.eval_accuracy is not None for r in eval_rows)
 
 
-def test_row_counters_match_cluster_log():
-    res = run_training(_small_cfg())
-    for row, entry in zip(res.rows, res.cluster.log.steps):
-        assert row.gradcomm == entry.gradcomm
-        assert row.factorcomm == entry.factorcomm
-        assert row.predcomm == entry.predcomm
-        assert row.factorcomp == entry.factorcomp
+def test_row_counters_match_cluster_log(monkeypatch):
+    # every row carries all seven counters of the step that made it
+    steps = []
+    original = trainer.run_step
+
+    def capturing(*args):
+        steps.append(original(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(trainer, "run_step", capturing)
+    stages = COMPUTE_STAGES + COMM_STAGES
+    for algorithm in ALGORITHMS:
+        steps.clear()
+        res = run_training(_small_cfg(algorithm, workers=4, k_freq=3))
+        assert len(steps) == len(res.rows) > 0
+        for row, step in zip(res.rows, steps):
+            assert row.train_loss == step.loss
+            assert ([getattr(row, s) for s in stages]
+                    == [getattr(step.counters, s) for s in stages]), (algorithm, row.iteration)
 
 
 def test_csv_header_and_counter_fields_are_pinned():

@@ -164,10 +164,10 @@ def test_simulated_counters_match_model_sweep():
             for P in (1, 2, 4, 8):
                 cluster = distsim.build_cluster(spec, algorithm, P, seed=0)
                 shards = distsim.shard_batch(batch, P, "replicate")
-                distsim.run_step(cluster, shards, hyper, 0.05, 0.9, 0)
+                res = distsim.run_step(cluster, shards, hyper, 0.05, 0.9, 0)
                 report = algorithm_cost(cluster.layer_dims(), P, algorithm,
                                         inv_type=hyper.inv_type)
-                verdict = verify_counters(report, cluster.log.steps[0])
+                verdict = verify_counters(report, res.counters)
                 if not verdict.ok:
                     mismatches.append(f"{spec.layer_dims}/{algorithm}/P={P}: {verdict.describe()}")
     assert not mismatches, "\n".join(mismatches)

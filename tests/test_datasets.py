@@ -35,6 +35,16 @@ def test_gen_blobs_shapes_and_balance():
     assert counts.min() == counts.max() == 10
 
 
+@pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
+@pytest.mark.parametrize("kind, params", [
+    ("gaussian_blobs", {"classes": 3, "dim": 5, "samples": 30}),
+    ("deep_linear_regression", {"dim": 5, "out_dim": 2, "samples": 25}),
+])
+def test_gen_synthetic_rejects_negative_or_non_finite_noise(kind, params, noise):
+    with pytest.raises(ArgumentError, match="noise must be finite and >= 0"):
+        gen_synthetic(kind, {**params, "noise": noise}, seed=0)
+
+
 def test_gen_regression_shapes():
     data = gen_synthetic("deep_linear_regression",
                          {"dim": 5, "out_dim": 2, "samples": 25, "noise": 0.05}, 1)

@@ -54,6 +54,19 @@ def test_round_robin_more_workers_than_layers():
     assert sorted(i for part in parts for i in part) == [0, 1, 2]
 
 
+@pytest.mark.parametrize("algorithm, workers, message", [
+    ("adam", 2, r"^unknown algorithm 'adam'$"),
+    ("dp_kfac", 0, r"^worker count must be >= 1$"),
+])
+def test_build_cluster_checks_its_arguments_first(monkeypatch, algorithm, workers, message):
+    def forbidden(spec, seed):
+        raise AssertionError("the network was allocated before the arguments were checked")
+
+    monkeypatch.setattr(distsim, "init_network", forbidden)
+    with pytest.raises(ArgumentError, match=message):
+        build_cluster(SPEC, algorithm, workers, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # collectives
 
@@ -375,6 +388,7 @@ def test_run_step_never_reads_the_worker_views(monkeypatch):
 
 
 def test_mpd_co_preconditions_each_layer_once_per_step(monkeypatch):
+    # and so do the algorithms that broadcast the preconditioned gradient
     calls = []
     original = kfac.apply_preconditioner
 
@@ -383,12 +397,13 @@ def test_mpd_co_preconditions_each_layer_once_per_step(monkeypatch):
         return original(state, grad, hyper)
 
     monkeypatch.setattr(kfac, "apply_preconditioner", counting)
-    cluster = build_cluster(SPEC, "mpd_kfac_co", 4, seed=0)
-    for t in range(3):
-        calls.clear()
-        run_step(cluster, shard_batch(_batch(), 4, "disjoint"),
-                 KfacHyper(), 0.05, 0.9, t)
-        assert len(calls) == cluster.n_layers
+    for algorithm in ("mpd_kfac_co", "mpd_kfac_mo", "dp_kfac"):
+        cluster = build_cluster(SPEC, algorithm, 4, seed=0)
+        for t in range(3):
+            calls.clear()
+            run_step(cluster, shard_batch(_batch(), 4, "disjoint"),
+                     KfacHyper(), 0.05, 0.9, t)
+            assert sorted(calls) == sorted(l.weight.shape for l in cluster.net.layers), algorithm
 
 
 def test_non_finite_loss_names_worker_and_iteration():
@@ -459,13 +474,51 @@ def test_replicas_identical_after_each_algorithm():
                                       cluster.workers[0].replica.layers[i].weight)
 
 
-def test_dp_ownership_trace_matches_assignment():
-    cluster = build_cluster(SPEC, "dp_kfac", 2, seed=0)
-    res = run_step(cluster, shard_batch(_batch(), 2, "disjoint"),
-                   KfacHyper(), 0.05, 0.9, 0)
-    assert sorted(res.preconditioned_by) == list(range(cluster.n_layers))
-    for layer, owner in res.preconditioned_by.items():
-        assert layer in cluster.config.assignment[owner]
+def _decomposition_payload(state, inv_type):
+    """The arrays a COMM-OPT owner broadcasts after refreshing ``state``."""
+    if inv_type == "eigen":
+        return (state.a_eig.q, state.a_eig.values, state.g_eig.q, state.g_eig.values)
+    return (state.a_damped_inv, state.g_damped_inv)
+
+
+def test_each_layer_is_broadcast_from_its_owner(monkeypatch):
+    # observed on the collective itself: DP-KFAC and MEM-OPT send each
+    # layer's preconditioned gradient once per step from the layer's owner;
+    # COMM-OPT sends each refreshed decomposition from the owner, and nothing
+    # on a step without a refresh
+    sent = []
+    original = distsim.broadcast
+
+    def recording(root, tensor, n_workers, counters=None, stage="predcomm"):
+        sent.append((stage, root, tensor))
+        return original(root, tensor, n_workers, counters, stage)
+
+    monkeypatch.setattr(distsim, "broadcast", recording)
+    spec = NetworkSpec((6, 8, 5, 7, 4), activation="tanh", bias_mode="homogeneous")
+    for algorithm in ("dp_kfac", "mpd_kfac_mo", "mpd_kfac_co"):
+        for inv_type in kfac.INV_TYPES:
+            hyper = KfacHyper(inv_type=inv_type, k_freq=2)
+            cluster = build_cluster(spec, algorithm, 3, seed=1)
+            owners = cluster.owners
+            assert owners == (0, 1, 2, 0)
+            shapes = [l.weight.shape for l in cluster.net.layers]
+            for t in range(4):
+                sent.clear()
+                run_step(cluster, shard_batch(_batch(seed=t, B=30), 3, "disjoint"),
+                         hyper, 0.05, 0.9, t)
+                where = (algorithm, inv_type, t)
+                if algorithm != "mpd_kfac_co":
+                    assert {stage for stage, _, _ in sent} == {"predcomm"}, where
+                    got = sorted((shapes.index(x.shape), root) for _, root, x in sent)
+                    assert got == list(enumerate(owners)), where
+                elif t % 2:
+                    assert sent == [], where
+                else:
+                    assert {stage for stage, _, _ in sent} == {"inversecomm"}, where
+                    layer_of = {id(x): i for i, s in cluster.factors.items()
+                                for x in _decomposition_payload(s, inv_type)}
+                    got = sorted((layer_of.get(id(x), -1), root) for _, root, x in sent)
+                    assert got == sorted((i, owners[i]) for i in layer_of.values()), where
 
 
 def test_ssgd_single_worker_equals_plain_sgd():
@@ -495,8 +548,8 @@ def test_ssgd_disjoint_matches_full_batch():
 
 def test_ssgd_logs_no_second_order_traffic():
     cluster = build_cluster(SPEC, "ssgd", 4, seed=0)
-    run_step(cluster, shard_batch(_batch(), 4, "disjoint"), KfacHyper(), 0.05, 0.9, 0)
-    entry = cluster.log.steps[0]
+    entry = run_step(cluster, shard_batch(_batch(), 4, "disjoint"),
+                     KfacHyper(), 0.05, 0.9, 0).counters
     assert entry.factorcomm == entry.predcomm == entry.inversecomm == 0
     assert entry.factorcomp == entry.inversecomp == 0
     assert entry.gradcomm > 0
@@ -508,8 +561,8 @@ def test_mpd_factorcomm_formula_single_layer():
     batch = Batch(np.random.default_rng(0).standard_normal((4, 8)),
                   np.random.default_rng(1).integers(0, 3, size=8))
     cluster = build_cluster(spec, "mpd_kfac_mo", 4, seed=0)
-    run_step(cluster, shard_batch(batch, 4, "disjoint"), KfacHyper(), 0.05, 0.9, 0)
-    assert cluster.log.steps[0].factorcomm == 150
+    res = run_step(cluster, shard_batch(batch, 4, "disjoint"), KfacHyper(), 0.05, 0.9, 0)
+    assert res.counters.factorcomm == 150
 
 
 def test_stale_iterations_skip_factor_traffic():
@@ -517,18 +570,19 @@ def test_stale_iterations_skip_factor_traffic():
     batch = _batch()
     mpd = build_cluster(SPEC, "mpd_kfac_mo", 4, seed=0)
     dp = build_cluster(SPEC, "dp_kfac", 4, seed=0)
+    mpd_steps, dp_steps = [], []
     for t in range(10):
         shards = shard_batch(batch, 4, "disjoint")
-        run_step(mpd, shards, hyper, 0.05, 0.9, t)
-        run_step(dp, shards, hyper, 0.05, 0.9, t)
-    for t, entry in enumerate(mpd.log.steps):
+        mpd_steps.append(run_step(mpd, shards, hyper, 0.05, 0.9, t).counters)
+        dp_steps.append(run_step(dp, shards, hyper, 0.05, 0.9, t).counters)
+    for t, entry in enumerate(mpd_steps):
         if t % 5 == 0:
             assert entry.factorcomm > 0 and entry.factorcomp > 0
         else:
             assert entry.factorcomm == 0 and entry.factorcomp == 0
         assert entry.predcomm > 0  # preconditioned gradients move every step
         assert entry.inversecomp == (0 if t % 10 else dp_expected_inverse(mpd, t))
-    for entry in dp.log.steps:
+    for entry in dp_steps:
         assert entry.factorcomm == 0
         assert entry.predcomm > 0
 
@@ -538,7 +592,7 @@ def dp_expected_inverse(cluster, t):
     dims = cluster.layer_dims()
     per_worker = [
         sum(layer_counts(dims[i])[1] for i in part)
-        for part in cluster.config.assignment
+        for part in round_robin_partition(cluster.n_layers, cluster.n_workers)
     ]
     return max(per_worker)
 
@@ -546,10 +600,10 @@ def dp_expected_inverse(cluster, t):
 def test_same_seed_same_log_and_weights():
     def run():
         cluster = build_cluster(SPEC, "dp_kfac", 4, seed=11)
-        for t in range(5):
-            run_step(cluster, shard_batch(_batch(), 4, "disjoint"),
-                     KfacHyper(), 0.05, 0.9, t)
-        return _weights(cluster), cluster.log
+        log = [run_step(cluster, shard_batch(_batch(), 4, "disjoint"),
+                        KfacHyper(), 0.05, 0.9, t).counters
+               for t in range(5)]
+        return _weights(cluster), log
 
     w1, log1 = run()
     w2, log2 = run()
