@@ -14,6 +14,7 @@ pixel values are scaled to [0, 1] and images flattened to columns.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -155,18 +156,33 @@ def load_idx(images_path, labels_path) -> Dataset:
 
 def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray):
     """Write an IDX pair: ``images`` is uint8 of shape (n, rows, cols),
-    ``labels`` uint8 of shape (n,)."""
+    ``labels`` uint8 of shape (n,).
+
+    Both files are written as ``<path>.tmp`` and moved into place only once
+    both are complete, so a failed write leaves neither; its ``OSError``
+    names the path the caller gave."""
     if images.ndim != 3 or images.dtype != np.uint8:
         raise ArgumentError("images must be a uint8 array of shape (n, rows, cols)")
     if labels.ndim != 1 or labels.dtype != np.uint8 or labels.shape[0] != images.shape[0]:
         raise ArgumentError("labels must be uint8 of shape (n,) matching the image count")
     n, rows, cols = images.shape
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        fh.write(images.tobytes(order="C"))
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
-        fh.write(labels.tobytes(order="C"))
+    files = [(os.fspath(images_path), struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols), images),
+             (os.fspath(labels_path), struct.pack(">II", IDX_LABELS_MAGIC, n), labels)]
+    placed = []
+    try:
+        for path, header, body in files:
+            with open(path + ".tmp", "wb") as fh:
+                fh.write(header)
+                fh.write(body.tobytes(order="C"))
+        for path, _, _ in files:
+            os.replace(path + ".tmp", path)
+            placed.append(path)
+    except OSError as exc:
+        for leftover in [path + ".tmp" for path, _, _ in files] + placed:
+            with contextlib.suppress(OSError):
+                os.remove(leftover)
+        exc.filename = exc.filename.removesuffix(".tmp")
+        raise
 
 
 def quantize_for_idx(dataset: Dataset, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:

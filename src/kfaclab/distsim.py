@@ -8,20 +8,22 @@ references, and applies each update once.  Every layer has one owner
 (``Cluster.owners``, round-robin) and ONE factor state (averaged factors,
 decompositions, staleness stamps): DP-KFAC keeps it only at the owner, and
 under MPD-KFAC every worker would hold the same bits.  What differs between
-workers is the data shard and the captures of that worker's local
-forward/backward pass (held as local values, never on the shared network).
+workers is the data shard and that worker's local forward/backward pass:
+its column block of ONE pass over the shards laid side by side (see
+:mod:`kfaclab.model`), with its own gradient ``(1/b) g_p a_p^T``, factors
+and mean loss.  The captures are local values, never on the shared network.
 
-Workers run sequentially in worker-index order and every collective reduces
+Per-worker work runs in worker-index order and every collective reduces
 over a fixed pairwise tree of worker indices, so runs are bit-reproducible.
-The tree shape also guarantees that averaging P identical tensors returns
-the input bits unchanged whenever P is a power of two (every partial sum is
-x + x, which is exact), which is what makes replicated-data cluster runs
-exactly equal to their single-worker counterparts.  Only the first tree
-level allocates; later levels and the final division by P work in place on
-those fresh partial sums, never on the inputs.
+Replicated-data cluster runs equal their single-worker counterparts
+exactly: shards that are one object (the ``replicate`` policy) share one
+pass, the single-worker pass, and the tree returns the bits of P identical
+tensors unchanged whenever P is a power of two (every partial sum is x + x,
+which is exact).  Only the first tree level allocates; later levels and
+the final division by P work in place on those fresh partial sums.
 
 :func:`run_step` is the one step skeleton.  It does the work every
-algorithm shares once: local forward/backward passes, the averaging
+algorithm shares once: the local forward/backward pass, the averaging
 all-reduce of the gradients, and the GradComp count.  ``ssgd`` applies the
 aggregated gradient as it is; the K-FAC algorithms precondition it in one
 layer-major loop, which takes two decisions from the algorithm:
@@ -60,7 +62,8 @@ from . import kfac
 from .costmodel import ALGORITHMS, LayerDims, layer_counts, round_robin_partition
 from .errors import ArgumentError, KfacLabError, NumericError, ShapeError
 from .kfac import FactorState, KfacHyper
-from .model import Batch, Network, NetworkSpec, backward, forward, init_momentum, init_network, sgd_step
+from .model import (Batch, Network, NetworkSpec, backward, column_blocks, forward, init_momentum,
+                    init_network, sgd_step)
 from .numerics import divide_in_place
 
 SHARD_POLICIES = ("disjoint", "replicate")
@@ -265,17 +268,21 @@ class LocalPass:
 
 
 def _local_grads(cluster: Cluster, shards: Sequence[Batch], t: int) -> tuple[list[LocalPass], float]:
+    """The workers' local passes: one forward and one backward over the
+    shards as column blocks, or over one shard that every worker holds."""
     if len(shards) != cluster.n_workers:
         raise ArgumentError(f"got {len(shards)} shards for {cluster.n_workers} workers")
-    passes, losses = [], []
-    for p, shard in enumerate(shards):
-        loss, captures = forward(cluster.net, shard)
+    blocks = shards[:1] if all(s is shards[0] for s in shards) else shards
+    losses, captures = forward(cluster.net, blocks)
+    for p, loss in enumerate(losses):
         if not np.isfinite(loss):
             raise NumericError(f"worker {p}, iteration {t}: training loss is {loss}")
-        grads, preact_grads = backward(cluster.net, shard, captures)
-        passes.append(LocalPass(grads, [c.input for c in captures], preact_grads))
-        losses.append(loss)
-    return passes, float(np.mean(losses))
+    grads, preact_grads = backward(cluster.net, blocks, captures)
+    passes = [LocalPass(block_grads, [c.input[:, span] for c in captures],
+                        [g[:, span] for g in preact_grads])
+              for block_grads, span in zip(grads, column_blocks(blocks)[1])]
+    copies = len(shards) // len(blocks)
+    return passes * copies, float(np.mean(losses * copies))
 
 
 def _rethrow(exc: KfacLabError, worker: int, layer: int):

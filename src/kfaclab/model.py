@@ -10,6 +10,12 @@ pre-activation gradients.  The network itself holds weights only, so any
 number of callers can run passes over one weight set without overwriting
 each other's captures.
 
+A pass may also run over several batches as the column blocks of one (all
+P workers' local passes in :mod:`kfaclab.distsim`): each layer is then one
+matrix product over all B columns, and each block gets the loss and the
+gradient of a pass over its batch alone, up to the last bits where BLAS
+picks another kernel for the wider product.
+
 ``backward`` never evaluates an activation function.  It reads the last
 layer's pre-activation (the network output) and, for each hidden layer, the
 activation's OUTPUT ``a = f(s)``, which ``forward`` already stored as the
@@ -40,7 +46,8 @@ appended to every layer input and the weight gains one column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from itertools import accumulate
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -233,48 +240,81 @@ def mean_loss(net: Network, batch: Batch) -> float:
     return float(np.mean(_per_sample_losses(outputs, batch.targets, net.spec.loss_kind)))
 
 
-def forward(net: Network, batch: Batch) -> tuple[float, list[LayerCapture]]:
+def column_blocks(batch: Batch | Sequence[Batch]) -> tuple[list[Batch], list[slice]]:
+    """The batches of one pass and the columns each occupies: a sequence of
+    batches is that many column blocks side by side, a batch is one."""
+    blocks = [batch] if isinstance(batch, Batch) else list(batch)
+    ends = list(accumulate(block.size for block in blocks))
+    if not ends:
+        raise ArgumentError("a pass needs at least one batch")
+    return blocks, [slice(end - block.size, end) for end, block in zip(ends, blocks)]
+
+
+def _joined_targets(blocks: list[Batch]) -> np.ndarray:
+    if len(blocks) == 1:
+        return blocks[0].targets
+    if any(np.shape(block.targets)[-1:] != (block.size,) for block in blocks):
+        raise ShapeError("every block needs one target column per sample, got shapes "
+                         f"{[np.shape(block.targets) for block in blocks]}")
+    return np.concatenate([block.targets for block in blocks], axis=-1)
+
+
+def forward(net: Network, batch: Batch | Sequence[Batch]) -> tuple[float | list[float], list[LayerCapture]]:
     """Forward pass: returns the mean batch loss and every layer's capture.
 
-    Each hidden activation is written straight into the next layer's input
-    capture; with a homogeneous bias that is a ``(d + 1) x B`` buffer whose
-    last row is ones.  Layer 0's capture is the (augmented) batch itself:
-    without a bias row it keeps the batch's own layout (F-order for IDX
-    data), on which the bits of the layer's matrix products depend.
+    Over a sequence of batches (column blocks) the captures are B wide and
+    the first value is the list of the blocks' mean losses.
+
+    Each layer's input capture is one buffer, ``(d + 1) x B`` with a last
+    row of ones under a homogeneous bias: every hidden activation is written
+    straight into it, and layer 0's holds the blocks, in the layout of the
+    first (F-order for IDX data), on which the bits of the layer's matrix
+    products depend.  One batch without a bias row is its own capture.
     """
-    if batch.inputs.shape[0] != net.spec.layer_dims[0]:
-        raise ShapeError(
-            f"batch input rows {batch.inputs.shape[0]} do not match d_0={net.spec.layer_dims[0]}"
-        )
+    blocks, spans = column_blocks(batch)
+    d0 = net.spec.layer_dims[0]
+    for block in blocks:
+        if block.inputs.shape[0] != d0:
+            raise ShapeError(f"batch input rows {block.inputs.shape[0]} do not match d_0={d0}")
     act, _ = _ACT_FNS[net.spec.activation]
-    homogeneous = net.spec.bias_mode == "homogeneous"
-    a_in = _augment(batch.inputs, net.spec.bias_mode)
+    if len(blocks) == 1 and net.spec.bias_mode == "none":
+        a_in = blocks[0].inputs
+    else:
+        a_in = np.empty((net.spec.weight_shape(0)[1], spans[-1].stop),
+                        order="F" if np.isfortran(blocks[0].inputs) else "C")
+        for block, span in zip(blocks, spans):
+            a_in[:d0, span] = block.inputs
+        a_in[d0:] = 1.0  # the bias row, if there is one
     captures = []
     for i, layer in enumerate(net.layers):
         s = layer.weight @ a_in
         captures.append(LayerCapture(a_in, s))
         if i == net.depth - 1:
             break
-        if homogeneous:
-            a_in = np.empty((s.shape[0] + 1, s.shape[1]))
-            a_in[-1] = 1.0
-            act(s, out=a_in[:-1])
-        else:
-            a_in = act(s)
-    return float(np.mean(_per_sample_losses(s, batch.targets, net.spec.loss_kind))), captures
+        a_in = np.empty((net.spec.weight_shape(i + 1)[1], s.shape[1]))
+        a_in[s.shape[0]:] = 1.0
+        act(s, out=a_in[:s.shape[0]])
+    losses = _per_sample_losses(s, _joined_targets(blocks), net.spec.loss_kind)
+    means = [float(np.mean(losses[span])) for span in spans]
+    return (means[0] if isinstance(batch, Batch) else means), captures
 
 
 def backward(
-    net: Network, batch: Batch, captures: list[LayerCapture]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    net: Network, batch: Batch | Sequence[Batch], captures: list[LayerCapture]
+) -> tuple[list, list[np.ndarray]]:
     """Backward pass over the captures ``forward`` returned for this batch.
 
     Returns the per-layer gradients of the mean batch loss,
     ``(1/B) * g_i @ a_{i-1}^T``, and the per-layer per-sample pre-activation
     gradients ``g_i``.  Only the last layer's pre-activation is read; the
     hidden derivatives come from the activations in the input captures.
+
+    Over a sequence of batches the first value is one gradient list per
+    block, ``(1/b) * g_i[:, blk] @ a_{i-1}[:, blk]^T``, never one of the
+    whole pass.
     """
-    B = batch.size
+    blocks, spans = column_blocks(batch)
+    B = spans[-1].stop
     if len(captures) != net.depth:
         raise ShapeError(f"got captures for {len(captures)} layers, network has {net.depth}")
     for i, (a_in, s) in enumerate(captures):
@@ -286,19 +326,20 @@ def backward(
             )
     _, act_deriv = _ACT_FNS[net.spec.activation]
     homogeneous = net.spec.bias_mode == "homogeneous"
-    g = _per_sample_output_grads(captures[-1].preact, batch.targets, net.spec.loss_kind)
-    grads: list[Optional[np.ndarray]] = [None] * net.depth
+    g = _per_sample_output_grads(captures[-1].preact, _joined_targets(blocks), net.spec.loss_kind)
+    grads: list[list] = [[None] * net.depth for _ in blocks]
     preact_grads: list[Optional[np.ndarray]] = [None] * net.depth
     for i in range(net.depth - 1, -1, -1):
         a_in = captures[i].input
         preact_grads[i] = g
-        grads[i] = divide_in_place(g @ a_in.T, B)
+        for block_grads, span in zip(grads, spans):
+            block_grads[i] = divide_in_place(g[:, span] @ a_in[:, span].T, span.stop - span.start)
         if i > 0:
             weight = net.layers[i].weight
             core, a = (weight[:, :-1], a_in[:-1]) if homogeneous else (weight, a_in)
             g = core.T @ g
             g *= act_deriv(a)
-    return grads, preact_grads  # type: ignore[return-value]
+    return (grads[0] if isinstance(batch, Batch) else grads), preact_grads  # type: ignore[return-value]
 
 
 def finite_diff_grad(net: Network, batch: Batch, h: float = 1e-5) -> list[np.ndarray]:

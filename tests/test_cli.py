@@ -384,6 +384,24 @@ def test_gen_data_bad_input_is_a_typed_one_line_error(tmp_path, capsys, case):
     assert err.count("\n") == 1 and names in err, err
 
 
+@pytest.mark.parametrize("unwritable", ["images", "labels", "labels-is-a-directory"])
+def test_gen_data_failure_leaves_neither_file(tmp_path, capsys, unwritable):
+    out = tmp_path / "out"
+    out.mkdir()
+    paths = {"images": out / "x.idx", "labels": out / "y.idx"}
+    if unwritable == "labels-is-a-directory":
+        paths["labels"].mkdir()  # written in full, then cannot be moved into place
+    else:
+        paths[unwritable] = tmp_path / "no" / "such" / "file.idx"
+    code = cli.main(["gen-data", "gaussian_blobs", "--dim", "16", "--rows", "4", "--samples", "20",
+                     "--images", str(paths["images"]), "--labels", str(paths["labels"])])
+    assert code == cli.EXIT_CONFIG
+    flag = "--images" if unwritable == "images" else "--labels"
+    assert f"{flag}: cannot write" in capsys.readouterr().err
+    left = sorted(p.name for p in out.iterdir())
+    assert left == (["y.idx"] if unwritable == "labels-is-a-directory" else []), left
+
+
 def test_gen_data_round_trip(tmp_path):
     img, lab = tmp_path / "x.idx", tmp_path / "y.idx"
     code = cli.main(["--seed", "4", "gen-data", "gaussian_blobs", "--classes", "4",

@@ -418,8 +418,9 @@ def test_non_finite_aggregated_gradient_names_layer_and_iteration(monkeypatch):
     original = distsim.backward
 
     def poisoned(net, batch, captures):
+        # one gradient list per worker block; poison worker 0's layer 1
         grads, preact_grads = original(net, batch, captures)
-        grads[1][0, 0] = np.nan
+        grads[0][1][0, 0] = np.nan
         return grads, preact_grads
 
     monkeypatch.setattr(distsim, "backward", poisoned)
@@ -640,6 +641,104 @@ def test_factor_build_failure_names_the_building_worker(monkeypatch, algorithm):
     monkeypatch.setattr(kfac, "compute_factors", failing)
     with pytest.raises(NumericError, match=r"^worker 1, layer 0: injected factor failure"):
         run_step(cluster, shards, KfacHyper(), 0.05, 0.9, 0)
+
+
+# ---------------------------------------------------------------------------
+# the local passes: column blocks of one pass over the global batch
+
+
+@pytest.mark.parametrize("algorithm", ["ssgd", "mpd_kfac_co", "mpd_kfac_mo", "dp_kfac"])
+def test_run_step_runs_one_forward_and_one_backward_per_step(monkeypatch, algorithm):
+    # perfbench traces the passes through these two bindings
+    calls = []
+    for name in ("forward", "backward"):
+        def counted(*args, _name=name, _original=getattr(distsim, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(distsim, name, counted)
+    cluster = build_cluster(SPEC, algorithm, 4, seed=0)
+    for t in range(3):
+        calls.clear()
+        run_step(cluster, shard_batch(_batch(), 4, "disjoint"), KfacHyper(k_freq=2), 0.05, 0.9, t)
+        assert calls == ["forward", "backward"], (algorithm, t)
+
+
+def _per_worker_loop(net, shards):
+    """The local passes as P separate passes, one per shard."""
+    passes, losses = [], []
+    for shard in shards:
+        loss, captures = forward(net, shard)
+        grads, preact_grads = backward(net, shard, captures)
+        passes.append((grads, [c.input for c in captures], preact_grads))
+        losses.append(loss)
+    return passes, float(np.mean(losses))
+
+
+BLOCK_SPEC = NetworkSpec((64, 64, 10), activation="tanh", bias_mode="homogeneous")
+
+
+def _block_case(spec, workers, b, order="C", policy="disjoint"):
+    rng = np.random.default_rng(workers * 1000 + b)
+    cluster = build_cluster(spec, "dp_kfac", workers, seed=b)
+    batch = Batch(np.asarray(rng.standard_normal((spec.layer_dims[0], workers * b)), order=order),
+                  rng.integers(0, spec.layer_dims[-1], size=workers * b))
+    shards = shard_batch(batch, workers, policy)
+    want, want_loss = _per_worker_loop(cluster.net, shards)
+    got, got_loss = distsim._local_grads(cluster, shards, 0)
+    assert len(got) == workers
+    pairs = [(want_loss, got_loss)]
+    for (grads, inputs, preact_grads), lp in zip(want, got):
+        pairs += list(zip(grads + inputs + preact_grads, lp.grads + lp.inputs + lp.preact_grads))
+    return pairs
+
+
+@pytest.mark.parametrize("workers", [1, 3, 4, 8])
+@pytest.mark.parametrize("b", [32, 40])
+def test_block_pass_equals_per_worker_passes_bitwise(workers, b):
+    for want, got in _block_case(BLOCK_SPEC, workers, b):
+        assert np.shape(want) == np.shape(got) and np.array_equal(want, got)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+@pytest.mark.parametrize("b", [1, 13, 16])
+def test_replicated_shards_share_one_pass_bitwise(workers, b):
+    for want, got in _block_case(BLOCK_SPEC, workers, b, policy="replicate"):
+        assert np.array_equal(want, got)
+
+
+@pytest.mark.parametrize("spec, b, order", [
+    (BLOCK_SPEC, 1, "C"),
+    (BLOCK_SPEC, 13, "C"),
+    (BLOCK_SPEC, 16, "C"),
+    (NetworkSpec((64, 33, 17, 10), activation="relu", bias_mode="homogeneous"), 16, "C"),
+    (NetworkSpec((64, 64, 10), activation="tanh", bias_mode="none"), 16, "F"),
+    (NetworkSpec((64, 64, 10), activation="tanh", bias_mode="none"), 32, "F"),
+])
+def test_block_pass_matches_per_worker_passes_to_rounding(spec, b, order):
+    # a wider matrix product may pick another BLAS kernel: the last bits may move
+    for want, got in _block_case(spec, 8, b, order):
+        assert np.shape(want) == np.shape(got)
+        assert np.abs(np.subtract(want, got)).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("worker", [0, 2, 3])
+def test_non_finite_loss_in_a_block_names_its_worker(worker):
+    cluster = build_cluster(SPEC, "dp_kfac", 4, seed=0)
+    shards = shard_batch(_batch(), 4, "disjoint")
+    shards[worker] = Batch(np.full_like(shards[worker].inputs, np.inf), shards[worker].targets)
+    before = _weights(cluster)
+    with pytest.raises(NumericError, match=rf"^worker {worker}, iteration 2: training loss"):
+        run_step(cluster, shards, KfacHyper(), 0.05, 0.9, 2)
+    assert np.array_equal(_weights(cluster), before)
+
+
+def test_block_targets_must_match_their_block():
+    # the joined targets have the right length, but not block by block
+    shards = shard_batch(_batch(), 2, "disjoint")
+    skewed = [Batch(shards[0].inputs, shards[0].targets[:-1]),
+              Batch(shards[1].inputs, np.append(shards[1].targets, 0))]
+    with pytest.raises(ShapeError, match="one target column per sample"):
+        run_step(build_cluster(SPEC, "ssgd", 2, seed=0), skewed, KfacHyper(), 0.05, 0.9, 0)
 
 
 # ---------------------------------------------------------------------------

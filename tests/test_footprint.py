@@ -79,16 +79,31 @@ def test_steady_state_steps_do_not_fault_fresh_pages():
     long.  Building the data set in place (no large temporary) does exactly
     that, so a change to provisioning or to the step's allocations must keep
     steady-state steps near 0 faults."""
-    faults = _fresh(f"""
+    assert _steady_state_faults({"train.algorithm": "ssgd"}) <= 10
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="glibc's dynamic mmap threshold is what this guards")
+def test_steady_state_block_pass_steps_do_not_fault_fresh_pages():
+    """The same guard for the widest captures a step allocates: one pass
+    over 8 workers' shards of 32 makes B = 256 wide captures (193 x 256
+    float64, 386 KiB), next to DP-KFAC's factor builds and refreshes."""
+    assert _steady_state_faults({"train.algorithm": "dp_kfac", "train.workers": "8",
+                                 "train.batch_size": "256"}) <= 10
+
+
+def _steady_state_faults(overrides: dict) -> float:
+    """Median minor page faults per step after the first ten steps of one
+    epoch of the bundled config with 192-wide layers."""
+    overrides = {"network.layer_dims": "192,192,192,10", "data.dim": "192",
+                 "data.samples": "14600", "train.epochs": "1", **overrides}
+    return _fresh(f"""
         import json, resource, statistics
         from kfaclab import config, trainer
-        cfg = config.load_config({str(BUNDLED)!r}, {{
-            "train.algorithm": "ssgd", "network.layer_dims": "192,192,192,10",
-            "data.dim": "192", "data.samples": "14600", "train.epochs": "1"}})
+        cfg = config.load_config({str(BUNDLED)!r}, {overrides!r})
         stamps = []
         trainer.run_training(cfg, row_sink=lambda row: stamps.append(
             resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
         steady = [b - a for a, b in zip(stamps[10:], stamps[11:])]
         print(json.dumps(statistics.median(steady)))
     """)
-    assert faults <= 10
