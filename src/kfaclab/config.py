@@ -13,7 +13,7 @@ import configparser
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, Optional, get_type_hints
 
 from .costmodel import ALGORITHMS
 from .distsim import SHARD_POLICIES, LrSchedule
@@ -25,7 +25,7 @@ from .datasets import SYNTHETIC_KINDS
 
 @dataclass(frozen=True)
 class DataConfig:
-    kind: str = "gaussian_blobs"  # gaussian_blobs | deep_linear_regression | idx
+    kind: str = "gaussian_blobs"
     classes: int = 10
     dim: int = 64
     samples: int = 10000
@@ -83,17 +83,8 @@ class RunConfig:
     hyper: HyperConfig
 
     def to_dict(self) -> dict:
-        return {
-            "network": {
-                "layer_dims": list(self.network.layer_dims),
-                "activation": self.network.activation,
-                "loss_kind": self.network.loss_kind,
-                "bias_mode": self.network.bias_mode,
-            },
-            "data": asdict(self.data),
-            "train": asdict(self.train),
-            "hyper": {**asdict(self.hyper), "decay_epochs": list(self.hyper.decay_epochs)},
-        }
+        """The resolved ``config`` block of a run manifest."""
+        return {section: asdict(getattr(self, section)) for section in _SECTIONS}
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
@@ -116,31 +107,27 @@ def _enum(options):
     return cast
 
 
-# section -> key -> caster
+# section -> the dataclass whose fields are its keys
+_SECTIONS = {"network": NetworkSpec, "data": DataConfig, "train": TrainConfig, "hyper": HyperConfig}
+
+# the keys whose value must come from a fixed set
+_CHOICES = {
+    "network.activation": _enum(ACTIVATIONS),
+    "network.loss_kind": _enum(LOSSES),
+    "network.bias_mode": _enum(BIAS_MODES),
+    "data.kind": _enum(SYNTHETIC_KINDS + ("idx",)),
+    "train.algorithm": _enum(ALGORITHMS),
+    "train.shard_policy": _enum(SHARD_POLICIES),
+    "hyper.inv_type": _enum(INV_TYPES),
+}
+# every other key is read by the caster of its field's type
+_CASTERS = {int: int, float: float, str: str, tuple[int, ...]: _int_list}
+
+# section -> key -> caster; a field type with no caster fails here, at import
 _SCHEMA: dict[str, dict[str, object]] = {
-    "network": {
-        "layer_dims": _int_list,
-        "activation": _enum(ACTIVATIONS),
-        "loss_kind": _enum(LOSSES),
-        "bias_mode": _enum(BIAS_MODES),
-    },
-    "data": {
-        "kind": _enum(SYNTHETIC_KINDS + ("idx",)),
-        "classes": int, "dim": int, "samples": int, "noise": float,
-        "out_dim": int, "images": str, "labels": str, "eval_fraction": float,
-    },
-    "train": {
-        "algorithm": _enum(ALGORITHMS),
-        "workers": int,
-        "shard_policy": _enum(SHARD_POLICIES),
-        "epochs": int, "batch_size": int, "seed": int, "out_dir": str,
-    },
-    "hyper": {
-        "lr": float, "momentum": float, "xi": float, "gamma": float,
-        "inv_type": _enum(INV_TYPES),
-        "f_freq": int, "k_freq": int, "warmup_iters": int,
-        "decay_epochs": _int_list,
-    },
+    section: {key: _CHOICES.get(f"{section}.{key}") or _CASTERS[annotation]
+              for key, annotation in get_type_hints(cls).items()}
+    for section, cls in _SECTIONS.items()
 }
 
 
@@ -157,15 +144,46 @@ def parse_overrides(pairs) -> dict[str, str]:
     return overrides
 
 
+def _build(values: Mapping[str, Mapping[str, object]], cast) -> RunConfig:
+    """The validated RunConfig of ``values`` (section -> key -> value), each
+    cast by ``cast(section, key, value)``; absent keys keep their defaults."""
+    for section, keys in values.items():
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in keys:
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"unknown config key {section}.{key}")
+    if "layer_dims" not in values.get("network", {}):
+        raise ConfigError("missing required key network.layer_dims")
+    kwargs = {section: {key: cast(section, key, raw) for key, raw in values.get(section, {}).items()}
+              for section in _SECTIONS}
+    try:
+        cfg = RunConfig(**{section: cls(**kwargs[section]) for section, cls in _SECTIONS.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    validate_config(cfg)
+    return cfg
+
+
+def _cast_text(section: str, key: str, raw: str):
+    try:
+        return _SCHEMA[section][key](raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
+
+
 def load_config(path, overrides: Optional[Mapping[str, str]] = None) -> RunConfig:
-    """Parse, override, validate."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Parse, override, validate.  A value means the same in the file as in
+    an override: ``%`` is an ordinary character."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     parser.optionxform = str  # keep keys case-sensitive
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        parser.read_string(path.read_text(), source=str(path))
+        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
@@ -173,62 +191,18 @@ def load_config(path, overrides: Optional[Mapping[str, str]] = None) -> RunConfi
     for dotted, value in (overrides or {}).items():
         section, _, key = dotted.partition(".")
         values.setdefault(section, {})[key] = value
-
-    for section in values:
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in values[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown config key {section}.{key}")
-
-    def section_kwargs(section: str) -> dict:
-        kwargs = {}
-        for key, raw in values.get(section, {}).items():
-            cast = _SCHEMA[section][key]
-            try:
-                kwargs[key] = cast(raw)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
-        return kwargs
-
-    net_kwargs = section_kwargs("network")
-    if "layer_dims" not in net_kwargs:
-        raise ConfigError("missing required key network.layer_dims")
-    try:
-        network = NetworkSpec(**net_kwargs)
-        cfg = RunConfig(
-            network=network,
-            data=DataConfig(**section_kwargs("data")),
-            train=TrainConfig(**section_kwargs("train")),
-            hyper=HyperConfig(**section_kwargs("hyper")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    validate_config(cfg)
-    return cfg
+    return _build(values, _cast_text)
 
 
 def config_from_dict(d: Mapping) -> RunConfig:
     """Rebuild a RunConfig from a run manifest's resolved ``config`` block,
     so a finished run's JSON is sufficient to reproduce it exactly."""
     try:
-        net = d["network"]
-        cfg = RunConfig(
-            network=NetworkSpec(
-                layer_dims=tuple(net["layer_dims"]),
-                activation=net["activation"],
-                loss_kind=net["loss_kind"],
-                bias_mode=net["bias_mode"],
-            ),
-            data=DataConfig(**d["data"]),
-            train=TrainConfig(**d["train"]),
-            hyper=HyperConfig(**{**d["hyper"],
-                                 "decay_epochs": tuple(d["hyper"]["decay_epochs"])}),
-        )
+        values = {section: dict(d[section]) for section in _SECTIONS}
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"run manifest config block is incomplete: {exc}") from exc
-    validate_config(cfg)
-    return cfg
+    return _build(values, lambda section, key, value:
+                  tuple(value) if isinstance(value, list) else value)
 
 
 def _at_least(low):

@@ -241,8 +241,7 @@ def shard_batch(batch: Batch, workers: int, policy: str = "disjoint") -> list[Ba
     shards = []
     for p in range(workers):
         cols = slice(p * size, (p + 1) * size)
-        targets = batch.targets[cols] if batch.targets.ndim == 1 else batch.targets[:, cols]
-        shards.append(Batch(batch.inputs[:, cols], targets))
+        shards.append(Batch(batch.inputs[:, cols], batch.targets[..., cols]))
     return shards
 
 
@@ -285,16 +284,21 @@ def _local_grads(cluster: Cluster, shards: Sequence[Batch], t: int) -> tuple[lis
     return passes * copies, float(np.mean(losses * copies))
 
 
-def _rethrow(exc: KfacLabError, worker: int, layer: int):
-    raise type(exc)(f"worker {worker}, layer {layer}: {exc}") from exc
+def _where(worker: Optional[int], layer: int, t: int) -> str:
+    """Where in a step something failed: ``worker p, layer i, iteration t``."""
+    return f"{'' if worker is None else f'worker {worker}, '}layer {layer}, iteration {t}"
+
+
+def _rethrow(exc: KfacLabError, worker: int, layer: int, t: int):
+    raise type(exc)(f"{_where(worker, layer, t)}: {exc}") from exc
 
 
 def _check_finite(update: Sequence[np.ndarray], t: int, what: str,
                   owners: Optional[Sequence[int]] = None):
     for i, g in enumerate(update):
         if not np.isfinite(g).all():
-            where = "" if owners is None else f"worker {owners[i]}, "
-            raise NumericError(f"{where}layer {i}, iteration {t}: {what} is not finite")
+            worker = None if owners is None else owners[i]
+            raise NumericError(f"{_where(worker, i, t)}: {what} is not finite")
 
 
 def _precondition(
@@ -328,7 +332,7 @@ def _precondition(
                 try:
                     raw.append(kfac.compute_factors(local[p].inputs[i], local[p].preact_grads[i]))
                 except KfacLabError as exc:
-                    _rethrow(exc, p, i)
+                    _rethrow(exc, p, i, t)
                 factor_work[p] += n_f
             if dp:
                 a_new, g_new = raw[0]
@@ -342,17 +346,13 @@ def _precondition(
                 kfac.refresh_inverses(state, hyper, t)
             pg = kfac.apply_preconditioner(state, agg[i], hyper)
         except KfacLabError as exc:
-            _rethrow(exc, owner, i)
+            _rethrow(exc, owner, i, t)
         if k_up:
             inverse_work[owner] += n_f
         if not comm_opt:
             pg = broadcast(owner, pg, P, counters, "predcomm")
         elif k_up:
-            # eigenbases plus eigenvalue vectors, or the two damped inverses
-            payload = ((state.a_eig.q, state.a_eig.values, state.g_eig.q, state.g_eig.values)
-                       if hyper.inv_type == "eigen"
-                       else (state.a_damped_inv, state.g_damped_inv))
-            for arr in payload:
+            for arr in kfac.decomposition_arrays(state).values():
                 broadcast(owner, arr, P, counters, "inversecomm")
         update.append(pg)
     counters.factorcomp = max(factor_work)

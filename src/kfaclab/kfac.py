@@ -26,7 +26,7 @@ before the first update.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -261,6 +261,28 @@ def refresh_inverses(state: FactorState, hyper: KfacHyper, t: int) -> FactorStat
         state.g_eig = None
     state.last_inverse_update = t
     return state
+
+
+def decomposition_arrays(state: FactorState) -> dict[str, np.ndarray]:
+    """The arrays of the decompositions a state holds, by checkpoint name:
+    ``{a,g}_eig_q`` and ``{a,g}_eig_v`` (eigenbases and eigenvalues) and
+    ``{a,g}_damped_inv``, ``a`` for the input factor and ``g`` for the
+    gradient factor.  A refresh leaves those of its ``inv_type`` only."""
+    held = {"a_damped_inv": state.a_damped_inv, "g_damped_inv": state.g_damped_inv}
+    for side, pair in (("a", state.a_eig), ("g", state.g_eig)):
+        if pair is not None:
+            held.update({f"{side}_eig_q": pair.q, f"{side}_eig_v": pair.values})
+    return {name: arr for name, arr in held.items() if arr is not None}
+
+
+def load_decomposition(state: FactorState, group: Callable[..., list]):
+    """Set a state's decompositions from arrays named as in
+    :func:`decomposition_arrays`: ``group(*names)`` returns the arrays of
+    names stored together, or None for each if they are absent."""
+    state.a_damped_inv, state.g_damped_inv = group("a_damped_inv", "g_damped_inv")
+    a_q, a_v, g_q, g_v = group("a_eig_q", "a_eig_v", "g_eig_q", "g_eig_v")
+    if a_q is not None:
+        state.a_eig, state.g_eig = EigenPair(a_q, a_v), EigenPair(g_q, g_v)
 
 
 def apply_preconditioner(state: FactorState, grad: np.ndarray, hyper: KfacHyper) -> np.ndarray:

@@ -173,12 +173,6 @@ def init_network(spec: NetworkSpec, seed: int) -> Network:
     return Network(spec, layers)
 
 
-def _augment(a: np.ndarray, bias_mode: str) -> np.ndarray:
-    if bias_mode == "homogeneous":
-        return np.vstack([a, np.ones((1, a.shape[1]))])
-    return a
-
-
 def _per_sample_losses(outputs: np.ndarray, targets: np.ndarray, loss_kind: str) -> np.ndarray:
     if loss_kind == "softmax_cross_entropy":
         t = _check_class_targets(targets, outputs.shape)
@@ -226,12 +220,7 @@ def predict(net: Network, inputs: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"input rows {inputs.shape} do not match d_0={net.spec.layer_dims[0]}"
         )
-    act, _ = _ACT_FNS[net.spec.activation]
-    a = inputs
-    for i, layer in enumerate(net.layers):
-        s = layer.weight @ _augment(a, net.spec.bias_mode)
-        a = act(s) if i < net.depth - 1 else s
-    return a
+    return _layers(net, _first_input(net, [inputs], [slice(0, inputs.shape[1])]))
 
 
 def mean_loss(net: Network, batch: Batch) -> float:
@@ -259,6 +248,40 @@ def _joined_targets(blocks: list[Batch]) -> np.ndarray:
     return np.concatenate([block.targets for block in blocks], axis=-1)
 
 
+def _first_input(net: Network, inputs: list[np.ndarray], spans: list[slice]) -> np.ndarray:
+    """Layer 0's input buffer: ``(d_0 + 1) x B`` with a last row of ones
+    under a homogeneous bias, holding the column blocks in the layout of the
+    first (F-order for IDX data), on which the bits of the layer's matrix
+    products depend.  One block without a bias row is its own buffer."""
+    if len(inputs) == 1 and net.spec.bias_mode == "none":
+        return inputs[0]
+    d0 = net.spec.layer_dims[0]
+    a_in = np.empty((net.spec.weight_shape(0)[1], spans[-1].stop),
+                    order="F" if np.isfortran(inputs[0]) else "C")
+    for x, span in zip(inputs, spans):
+        a_in[:d0, span] = x
+    a_in[d0:] = 1.0  # the bias row, if there is one
+    return a_in
+
+
+def _layers(net: Network, a_in: np.ndarray,
+            captures: Optional[list[LayerCapture]] = None) -> np.ndarray:
+    """The layer loop from layer 0's input buffer; returns the network output.
+    Every hidden activation is written straight into the next layer's input
+    buffer.  Each layer's input and pre-activation are appended to
+    ``captures`` if it is given, and are otherwise freed as the loop moves on."""
+    act, _ = _ACT_FNS[net.spec.activation]
+    for i, layer in enumerate(net.layers):
+        if i > 0:
+            a_in = np.empty((net.spec.weight_shape(i)[1], s.shape[1]))
+            a_in[s.shape[0]:] = 1.0
+            act(s, out=a_in[:s.shape[0]])
+        s = layer.weight @ a_in
+        if captures is not None:
+            captures.append(LayerCapture(a_in, s))
+    return s
+
+
 def forward(net: Network, batch: Batch | Sequence[Batch]) -> tuple[float | list[float], list[LayerCapture]]:
     """Forward pass: returns the mean batch loss and every layer's capture.
 
@@ -266,34 +289,16 @@ def forward(net: Network, batch: Batch | Sequence[Batch]) -> tuple[float | list[
     the first value is the list of the blocks' mean losses.
 
     Each layer's input capture is one buffer, ``(d + 1) x B`` with a last
-    row of ones under a homogeneous bias: every hidden activation is written
-    straight into it, and layer 0's holds the blocks, in the layout of the
-    first (F-order for IDX data), on which the bits of the layer's matrix
-    products depend.  One batch without a bias row is its own capture.
+    row of ones under a homogeneous bias (see :func:`_first_input` for layer
+    0's); every hidden activation is written straight into it.
     """
     blocks, spans = column_blocks(batch)
     d0 = net.spec.layer_dims[0]
     for block in blocks:
         if block.inputs.shape[0] != d0:
             raise ShapeError(f"batch input rows {block.inputs.shape[0]} do not match d_0={d0}")
-    act, _ = _ACT_FNS[net.spec.activation]
-    if len(blocks) == 1 and net.spec.bias_mode == "none":
-        a_in = blocks[0].inputs
-    else:
-        a_in = np.empty((net.spec.weight_shape(0)[1], spans[-1].stop),
-                        order="F" if np.isfortran(blocks[0].inputs) else "C")
-        for block, span in zip(blocks, spans):
-            a_in[:d0, span] = block.inputs
-        a_in[d0:] = 1.0  # the bias row, if there is one
-    captures = []
-    for i, layer in enumerate(net.layers):
-        s = layer.weight @ a_in
-        captures.append(LayerCapture(a_in, s))
-        if i == net.depth - 1:
-            break
-        a_in = np.empty((net.spec.weight_shape(i + 1)[1], s.shape[1]))
-        a_in[s.shape[0]:] = 1.0
-        act(s, out=a_in[:s.shape[0]])
+    captures: list[LayerCapture] = []
+    s = _layers(net, _first_input(net, [block.inputs for block in blocks], spans), captures)
     losses = _per_sample_losses(s, _joined_targets(blocks), net.spec.loss_kind)
     means = [float(np.mean(losses[span])) for span in spans]
     return (means[0] if isinstance(batch, Batch) else means), captures

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kfac
 from .config import RunConfig
 from .costmodel import COMM_STAGES, COMPUTE_STAGES
 from .datasets import Dataset, gen_synthetic, load_idx
@@ -28,7 +28,6 @@ from .distsim import Cluster, build_cluster, lr_schedule, run_step, shard_batch
 from .errors import ArgumentError, DataFormatError
 from .kfac import FactorState
 from .model import Batch, predict, _per_sample_losses
-from .numerics import EigenPair
 
 CSV_COLUMNS = (
     "iteration", "epoch", "lr", "train_loss", "eval_loss", "eval_accuracy",
@@ -95,8 +94,7 @@ def split_dataset(dataset: Dataset, eval_fraction: float, seed: int) -> tuple[np
 
 
 def _take(dataset: Dataset, idx: np.ndarray) -> Batch:
-    targets = dataset.targets[idx] if dataset.targets.ndim == 1 else dataset.targets[:, idx]
-    return Batch(dataset.inputs[:, idx], targets)
+    return Batch(dataset.inputs[:, idx], dataset.targets[..., idx])
 
 
 def evaluate(cluster: Cluster, batch: Batch) -> tuple[float, Optional[float]]:
@@ -277,14 +275,7 @@ def _cluster_arrays(cluster: Cluster) -> tuple[dict[str, np.ndarray], dict]:
             "last_factor_update": state.last_factor_update,
             "last_inverse_update": state.last_inverse_update,
         }
-        fields = {
-            "a_cov": state.a_cov, "g_cov": state.g_cov,
-            "a_damped_inv": state.a_damped_inv, "g_damped_inv": state.g_damped_inv,
-        }
-        if state.a_eig is not None:
-            fields.update({"a_eig_q": state.a_eig.q, "a_eig_v": state.a_eig.values})
-        if state.g_eig is not None:
-            fields.update({"g_eig_q": state.g_eig.q, "g_eig_v": state.g_eig.values})
+        fields = {"a_cov": state.a_cov, "g_cov": state.g_cov, **kfac.decomposition_arrays(state)}
         for name, arr in fields.items():
             if arr is not None:
                 arrays[f"{prefix}/{name}"] = arr
@@ -443,10 +434,7 @@ def _restore_factor_state(state: FactorState, ckpt: Checkpoint, layer: int, owne
     state.last_inverse_update = fm["last_inverse_update"]
     # an initialized state cannot lack its averaged factors
     state.a_cov, state.g_cov = group("a_cov", "g_cov", required=state.initialized)
-    state.a_damped_inv, state.g_damped_inv = group("a_damped_inv", "g_damped_inv")
-    eig = group("a_eig_q", "a_eig_v", "g_eig_q", "g_eig_v")
-    if eig[0] is not None:
-        state.a_eig, state.g_eig = EigenPair(*eig[:2]), EigenPair(*eig[2:])
+    kfac.load_decomposition(state, group)
     # a refreshed state must hold the decomposition the run preconditions with
     if state.last_inverse_update >= 0:
         held = ("eigen" if state.a_eig is not None

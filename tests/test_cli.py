@@ -153,6 +153,13 @@ def test_config_error_exit_code(tmp_path):
     assert cli.main(["train", str(tmp_path / "missing.ini")]) == cli.EXIT_CONFIG
 
 
+def test_config_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(SMALL_CONFIG.encode() + b"# \xff\n")
+    assert cli.main(["train", str(bad)]) == cli.EXIT_CONFIG
+    assert str(bad) in capsys.readouterr().err
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub

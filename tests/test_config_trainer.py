@@ -1,11 +1,13 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kfaclab import trainer
+from kfaclab import config, trainer
 from kfaclab.config import (
     _SCHEMA,
     DataConfig,
@@ -28,6 +30,8 @@ from kfaclab.trainer import (
     save_checkpoint,
     split_dataset,
 )
+
+BUNDLED = Path(__file__).resolve().parents[1] / "configs" / "blobs_dp_kfac.ini"
 
 GOOD_CONFIG = """
 [network]
@@ -176,6 +180,100 @@ def test_fuzzed_overrides_load_or_raise_config_error(tmp_path, overrides):
     assert all(np.isfinite([cfg.hyper.lr, cfg.hyper.momentum, cfg.hyper.xi,
                             cfg.hyper.gamma, cfg.data.noise]))
     assert cfg.hyper.kfac_hyper() is not None
+
+
+_LINES = (st.sampled_from(["[network]", "[data]", "[train]", "[hyper]", "[DEFAULT]", "[cluster]",
+                           "[data", "", "# note", "; note", "  continued", "=", "seed"])
+          | st.builds("{}{}{}".format, st.sampled_from(_KEYS).map(lambda k: k.split(".")[1]),
+                      st.sampled_from([" = ", "=", ": ", " "]), _VALUES | st.just("100%"))
+          | st.text(max_size=20))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(good=st.booleans(), lines=st.lists(_LINES, max_size=10), junk=st.binary(max_size=3),
+       at=st.integers(0, 10 ** 6))
+def test_fuzzed_config_files_load_or_raise_config_error(tmp_path, good, lines, junk, at):
+    # text after the good config, or alone, with a few raw bytes spliced in
+    body = ((GOOD_CONFIG if good else "") + "\n".join(lines)).encode()
+    at %= len(body) + 1
+    path = tmp_path / "fuzz.ini"
+    path.write_bytes(body[:at] + junk + body[at:])
+    try:
+        load_config(path)
+    except ConfigError:
+        pass
+
+
+def test_config_file_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(GOOD_CONFIG.replace("seed = 5", "seed = 5 # caf\xe9").encode("latin-1"))
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))}.*utf-8"):
+        load_config(path)
+
+
+def test_percent_in_a_file_value_means_what_it_means_in_an_override(tmp_path):
+    text = GOOD_CONFIG.replace("seed = 5", "seed = 5\nout_dir = runs_100%")
+    from_file = load_config(_write(tmp_path, text))
+    from_override = load_config(_write(tmp_path, GOOD_CONFIG), {"train.out_dir": "runs_100%"})
+    assert from_file == from_override
+    assert from_file.train.out_dir == "runs_100%"
+
+
+# the config schema, written out independently of the dataclasses: every
+# key's caster, and for the keys read from a fixed set, that set
+_PINNED_SCHEMA = {
+    "network": {"layer_dims": "int list", "activation": ("relu", "tanh", "identity"),
+                "loss_kind": ("softmax_cross_entropy", "mean_squared_error"),
+                "bias_mode": ("none", "homogeneous")},
+    "data": {"kind": ("gaussian_blobs", "deep_linear_regression", "idx"), "classes": int,
+             "dim": int, "samples": int, "noise": float, "out_dim": int, "images": str,
+             "labels": str, "eval_fraction": float},
+    "train": {"algorithm": ("ssgd", "mpd_kfac_co", "mpd_kfac_mo", "dp_kfac"), "workers": int,
+              "shard_policy": ("disjoint", "replicate"), "epochs": int, "batch_size": int,
+              "seed": int, "out_dir": str},
+    "hyper": {"lr": float, "momentum": float, "xi": float, "gamma": float,
+              "inv_type": ("inverse", "eigen"), "f_freq": int, "k_freq": int,
+              "warmup_iters": int, "decay_epochs": "int list"},
+}
+
+
+def test_schema_is_the_pinned_keys_and_casters():
+    assert {s: list(keys) for s, keys in _SCHEMA.items()} == \
+           {s: list(keys) for s, keys in _PINNED_SCHEMA.items()}
+    every_option = {o for keys in _PINNED_SCHEMA.values() for c in keys.values()
+                    if isinstance(c, tuple) for o in c} | {"bogus", ""}
+    for section, keys in _PINNED_SCHEMA.items():
+        for key, expected in keys.items():
+            cast = _SCHEMA[section][key]
+            if expected == "int list":
+                assert cast is config._int_list, (section, key)
+            elif isinstance(expected, tuple):
+                assert [cast(o) for o in expected] == list(expected), (section, key)
+                for other in every_option - set(expected):
+                    with pytest.raises(ValueError, match="must be one of"):
+                        cast(other)
+            else:
+                assert cast is expected, (section, key)
+    assert len(_KEYS) == 29
+
+
+def test_manifest_config_block_holds_every_schema_key():
+    d = _small_cfg().to_dict()
+    assert {s: list(keys) for s, keys in d.items()} == \
+           {s: list(keys) for s, keys in _SCHEMA.items()}
+
+
+def test_bundled_config_names_every_schema_key():
+    # each key as a setting or a commented-out example, in its own section
+    section, named = None, set()
+    for line in BUNDLED.read_text().splitlines():
+        match = re.match(r"^\[(\w+)\]|^#?\s*(\w+)\s*=", line)
+        if match and match[1]:
+            section = match[1]
+        elif match:
+            named.add(f"{section}.{match[2]}")
+    assert set(_KEYS) <= named, sorted(set(_KEYS) - named)
 
 
 def test_run_training_is_deterministic():

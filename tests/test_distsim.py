@@ -457,7 +457,7 @@ def test_comm_opt_preconditioner_failure_names_the_owner():
     run_step(cluster, shard_batch(_batch(), 2, "disjoint"), hyper, 0.05, 0.9, 0)
     assert cluster.owners[1] == 1
     cluster.factors[1].a_eig = None  # no decomposition to apply at step 1
-    with pytest.raises(OrderingError, match=r"^worker 1, layer 1: preconditioning requested"):
+    with pytest.raises(OrderingError, match=r"^worker 1, layer 1, iteration 1: preconditioning requested"):
         run_step(cluster, shard_batch(_batch(), 2, "disjoint"), hyper, 0.05, 0.9, 1)
 
 
@@ -619,8 +619,29 @@ def test_kfac_errors_carry_worker_and_layer():
     hyper = KfacHyper(gamma=0.0)  # zero damping on singular factors must fail
     # make the first worker's first-layer stats rank-deficient by zeroing inputs
     zero_inputs = Batch(np.zeros_like(shards[0].inputs), shards[0].targets)
-    with pytest.raises(NumericError, match=r"^worker 0, layer 0:"):
+    with pytest.raises(NumericError, match=r"^worker 0, layer 0, iteration 0:"):
         run_step(cluster, [zero_inputs, shards[1]], hyper, 0.05, 0.9, 0)
+
+
+@pytest.mark.parametrize("algorithm", ["mpd_kfac_co", "mpd_kfac_mo", "dp_kfac"])
+def test_refresh_failure_names_its_iteration(monkeypatch, algorithm):
+    # steps 0 and 1 succeed; the refresh at step 2 fails in the owner of layer 1
+    cluster = build_cluster(SPEC, algorithm, 2, seed=0)
+    hyper = KfacHyper(k_freq=2)
+    for t in range(2):
+        run_step(cluster, shard_batch(_batch(), 2, "disjoint"), hyper, 0.05, 0.9, t)
+    original = kfac.sym_eig
+
+    def failing(m):
+        if m.shape[0] == SPEC.layer_dims[2]:  # layer 1's G factor
+            raise NumericError("eigendecomposition failed")
+        return original(m)
+
+    monkeypatch.setattr(kfac, "sym_eig", failing)
+    owner = cluster.owners[1]
+    with pytest.raises(NumericError,
+                       match=rf"^worker {owner}, layer 1, iteration 2: eigendecomposition failed$"):
+        run_step(cluster, shard_batch(_batch(), 2, "disjoint"), hyper, 0.05, 0.9, 2)
 
 
 @pytest.mark.parametrize("algorithm", ["mpd_kfac_co", "mpd_kfac_mo"])
@@ -639,7 +660,7 @@ def test_factor_build_failure_names_the_building_worker(monkeypatch, algorithm):
         return original(captured_inputs, captured_preact_grads)
 
     monkeypatch.setattr(kfac, "compute_factors", failing)
-    with pytest.raises(NumericError, match=r"^worker 1, layer 0: injected factor failure"):
+    with pytest.raises(NumericError, match=r"^worker 1, layer 0, iteration 0: injected factor failure"):
         run_step(cluster, shards, KfacHyper(), 0.05, 0.9, 0)
 
 

@@ -442,3 +442,24 @@ def test_hyper_validation():
         KfacHyper(inv_type="cholesky")
     with pytest.raises(ArgumentError):
         KfacHyper(f_freq=0)
+
+
+@pytest.mark.parametrize("inv_type, names", [
+    ("eigen", ["a_eig_q", "a_eig_v", "g_eig_q", "g_eig_v"]),
+    ("inverse", ["a_damped_inv", "g_damped_inv"]),
+])
+def test_decomposition_arrays_name_what_a_refresh_leaves(inv_type, names):
+    rng = np.random.default_rng(4)
+    hyper = KfacHyper(inv_type=inv_type)
+    state = kfac.update_running_average(FactorState(), _spd(rng, 5), _spd(rng, 3), 0.9, 0)
+    assert kfac.decomposition_arrays(state) == {}
+    held = kfac.decomposition_arrays(kfac.refresh_inverses(state, hyper, 0))
+    assert list(held) == names
+    # what load_decomposition sets from those names is what they name
+    restored = FactorState(a_cov=state.a_cov, g_cov=state.g_cov, initialized=True)
+    kfac.load_decomposition(restored, lambda *group: [held.get(n) for n in group])
+    assert {n: id(a) for n, a in kfac.decomposition_arrays(restored).items()} == \
+           {n: id(a) for n, a in held.items()}
+    grad = rng.standard_normal((3, 5))
+    assert np.array_equal(kfac.apply_preconditioner(restored, grad, hyper),
+                          kfac.apply_preconditioner(state, grad, hyper))

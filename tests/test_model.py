@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,6 +265,34 @@ def test_predict_and_mean_loss_match_forward():
     loss, captures = forward(net, batch)
     assert np.array_equal(predict(net, batch.inputs), captures[-1].preact)
     assert mean_loss(net, batch) == loss
+
+
+@pytest.mark.parametrize("bias_mode", BIAS_MODES)
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_predict_matches_forward_bitwise(bias_mode, activation, order):
+    rng = np.random.default_rng(11)
+    spec = NetworkSpec((6, 7, 5, 3), activation=activation, bias_mode=bias_mode)
+    net = init_network(spec, seed=2)
+    batch = _random_batch(rng, spec, 9)
+    batch.inputs = np.asarray(batch.inputs, order=order)
+    _, captures = forward(net, batch)
+    assert np.array_equal(predict(net, batch.inputs), captures[-1].preact)
+
+
+def test_predict_holds_at_most_three_layer_arrays_at_once():
+    # the final evaluation of a 192-wide run: one layer's input buffer, its
+    # pre-activation and the next layer's buffer, never a copy of an input
+    spec = NetworkSpec((192, 192, 192, 10), bias_mode="homogeneous")
+    net = init_network(spec, seed=0)
+    inputs = np.random.default_rng(0).standard_normal((192, 1460))
+    tracemalloc.start()
+    try:
+        predict(net, inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (193 + 192 + 193) * 1460 * 8 + 64 * 1024
 
 
 def test_forward_shape_error():
