@@ -128,13 +128,19 @@ def _unusable_output(action: str, path: Path, exc: OSError,
 
 
 def _csv_list(flag: str, value: str, cast=str) -> list:
-    """The non-empty items of a comma-separated flag value."""
+    """The items of a comma-separated flag value; an empty item (``4,,8``)
+    or an item named twice is an error."""
+    raw = [x.strip() for x in value.split(",")]
+    if "" in raw:
+        what = "empty item" if any(raw) else "names nothing"
+        raise ArgumentError(f"{flag}: {what} in {value!r}")
     try:
-        items = [cast(x.strip()) for x in value.split(",") if x.strip()]
+        items = [cast(x) for x in raw]
     except ValueError:
         raise ArgumentError(f"{flag}: expected comma-separated integers, got {value!r}") from None
-    if not items:
-        raise ArgumentError(f"{flag}: names nothing in {value!r}")
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ArgumentError(f"{flag}: {item} named twice in {value!r}")
     return items
 
 

@@ -124,37 +124,27 @@ def algorithm_cost(
     else:
         raise ArgumentError(f"unknown inv_type {inv_type!r}")
 
-    gradcomm = 2 * (workers - 1) * n_g
-    if algorithm == "ssgd":
-        return CostReport(
-            algorithm, workers, n_g, n_f,
-            gradcomp=n_g, factorcomp=0, inversecomp=0,
-            factorcomp_ideal=0.0, inversecomp_ideal=0.0,
-            gradcomm=gradcomm, factorcomm=0, predcomm=0, inversecomm=0,
-            memory=float(n_g), memory_realized=n_g,
-        )
-    ideal = n_f / workers
-    if algorithm in ("mpd_kfac_co", "mpd_kfac_mo"):
-        comm_opt = algorithm == "mpd_kfac_co"
-        return CostReport(
-            algorithm, workers, n_g, n_f,
-            gradcomp=n_g, factorcomp=n_f, inversecomp=realized_max,
-            factorcomp_ideal=float(n_f), inversecomp_ideal=ideal,
-            gradcomm=gradcomm,
-            factorcomm=2 * (workers - 1) * n_f,
-            predcomm=0 if comm_opt else (workers - 1) * n_g,
-            inversecomm=(workers - 1) * payload if comm_opt else 0,
-            memory=float(2 * (n_g + n_f)),
-            memory_realized=2 * (n_g + n_f),
-        )
-    # dp_kfac
+    second_order = algorithm != "ssgd"
+    mpd = algorithm in ("mpd_kfac_co", "mpd_kfac_mo")
+    if second_order:
+        # every worker builds every layer's factors under MPD-KFAC, and each
+        # owner only its own layers' under DP-KFAC; each owner refreshes its own
+        ideal = n_f / workers
+        factorcomp, factorcomp_ideal = (n_f, float(n_f)) if mpd else (realized_max, ideal)
+        inversecomp, inversecomp_ideal = realized_max, ideal
+    else:
+        factorcomp, factorcomp_ideal, inversecomp, inversecomp_ideal = 0, 0.0, 0, 0.0
     return CostReport(
         algorithm, workers, n_g, n_f,
-        gradcomp=n_g, factorcomp=realized_max, inversecomp=realized_max,
-        factorcomp_ideal=ideal, inversecomp_ideal=ideal,
-        gradcomm=gradcomm, factorcomm=0, predcomm=(workers - 1) * n_g, inversecomm=0,
-        memory=2.0 * (n_g + ideal),
-        memory_realized=2 * (n_g + realized_max),
+        gradcomp=n_g, factorcomp=factorcomp, inversecomp=inversecomp,
+        factorcomp_ideal=factorcomp_ideal, inversecomp_ideal=inversecomp_ideal,
+        gradcomm=2 * (workers - 1) * n_g,
+        factorcomm=2 * (workers - 1) * n_f if mpd else 0,
+        predcomm=(workers - 1) * n_g if algorithm in ("mpd_kfac_mo", "dp_kfac") else 0,
+        inversecomm=(workers - 1) * payload if algorithm == "mpd_kfac_co" else 0,
+        # the classic table: a worker holds as many factor elements as it builds
+        memory=2.0 * (n_g + factorcomp_ideal) if second_order else float(n_g),
+        memory_realized=2 * (n_g + factorcomp) if second_order else n_g,
     )
 
 

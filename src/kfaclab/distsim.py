@@ -1,25 +1,25 @@
 """Deterministic single-process simulation of a data-parallel cluster.
 
 A :class:`Cluster` holds the training state and nothing else: what a
-checkpoint restores, plus the algorithm and worker count it was built for.
-The step contract keeps every worker's weights and momentum bit-identical,
+checkpoint restores, plus the three settings it was built with.  The step
+contract keeps every worker's weights and momentum bit-identical,
 so the cluster holds ONE weight set and ONE momentum set that every worker
 references, and applies each update once.  Every layer has one owner
 (``Cluster.owners``, round-robin) and ONE factor state (averaged factors,
 decompositions, staleness stamps): DP-KFAC keeps it only at the owner, and
 under MPD-KFAC every worker would hold the same bits.  What differs between
-workers is the data shard and that worker's local forward/backward pass:
-its column block of ONE pass over the shards laid side by side (see
-:mod:`kfaclab.model`), with its own gradient ``(1/b) g_p a_p^T``, factors
-and mean loss.  The captures are local values, never on the shared network.
+workers is the data shard, the worker's span of the global batch's columns
+(:func:`worker_spans`), and its local pass: that span of ONE forward/backward
+pass over the batch (see :mod:`kfaclab.model`), with its own gradient
+``(1/b) g_p a_p^T``, factors and mean loss.  The captures are local values.
 
 Per-worker work runs in worker-index order and every collective reduces
 over a fixed pairwise tree of worker indices, so runs are bit-reproducible.
 Replicated-data cluster runs equal their single-worker counterparts
-exactly: shards that are one object (the ``replicate`` policy) share one
-pass, the single-worker pass, and the tree returns the bits of P identical
-tensors unchanged whenever P is a power of two (every partial sum is x + x,
-which is exact).  Only the first tree level allocates; later levels and
+exactly: equal spans (the ``replicate`` policy) share one pass, the
+single-worker pass, and the tree returns the bits of P identical tensors
+unchanged whenever P is a power of two (every partial sum is x + x, which
+is exact).  Only the first tree level allocates; later levels and
 the final division by P work in place on those fresh partial sums.
 
 :func:`run_step` is the one step skeleton.  It does the work every
@@ -62,8 +62,8 @@ from . import kfac
 from .costmodel import ALGORITHMS, LayerDims, layer_counts, round_robin_partition
 from .errors import ArgumentError, KfacLabError, NumericError, ShapeError
 from .kfac import FactorState, KfacHyper
-from .model import (Batch, Network, NetworkSpec, backward, column_blocks, forward, init_momentum,
-                    init_network, sgd_step)
+from .model import (Batch, Network, NetworkSpec, backward, forward, init_momentum, init_network,
+                    sgd_step)
 from .numerics import divide_in_place
 
 SHARD_POLICIES = ("disjoint", "replicate")
@@ -96,11 +96,12 @@ class WorkerView(NamedTuple):
 @dataclass
 class Cluster:
     """The training state: one shared weight/momentum set, one factor state
-    per layer, and each layer's owner, plus the two settings it was built
+    per layer, and each layer's owner, plus the three settings it was built
     from."""
 
     algorithm: str
     n_workers: int
+    shard_policy: str
     net: Network
     momentum: list[np.ndarray]
     factors: dict[int, FactorState]  # one per layer; none for ssgd
@@ -134,14 +135,17 @@ def build_cluster(
     algorithm: str,
     workers: int,
     seed: int,
+    shard_policy: str = "disjoint",
 ) -> Cluster:
     """One shared weight/momentum set, one factor state per layer, layer
     ownership by :func:`kfaclab.costmodel.round_robin_partition`, the
-    partition the cost model assumes."""
+    partition the cost model assumes; ``shard_policy`` for :func:`worker_spans`."""
     if algorithm not in ALGORITHMS:
         raise ArgumentError(f"unknown algorithm {algorithm!r}")
     if workers < 1:
         raise ArgumentError("worker count must be >= 1")
+    if shard_policy not in SHARD_POLICIES:
+        raise ArgumentError(f"unknown shard policy {shard_policy!r}")
     net = init_network(spec, seed)
     # allocated right after the weights: allocated after the assignment
     # instead, the steps of the 192-wide P=8 perfbench workload ran 2-7%
@@ -150,7 +154,7 @@ def build_cluster(
     owner_by_layer = {i: p for p, part in enumerate(round_robin_partition(net.depth, workers))
                       for i in part}
     factors = {} if algorithm == "ssgd" else {i: FactorState() for i in range(net.depth)}
-    return Cluster(algorithm, workers, net, momentum, factors,
+    return Cluster(algorithm, workers, shard_policy, net, momentum, factors,
                    tuple(owner_by_layer[i] for i in range(net.depth)))
 
 
@@ -224,25 +228,21 @@ def broadcast(
     return received
 
 
-def shard_batch(batch: Batch, workers: int, policy: str = "disjoint") -> list[Batch]:
-    """Split one global batch into per-worker batches.
+def worker_spans(batch_size: int, workers: int, policy: str = "disjoint") -> tuple[slice, ...]:
+    """Each worker's columns of a global batch of ``batch_size`` samples.
 
-    ``disjoint`` hands out contiguous equal slices (batch size must divide);
+    ``disjoint`` hands out contiguous equal spans (batch size must divide);
     ``replicate`` gives every worker the full batch (test mode).
     """
     if policy not in SHARD_POLICIES:
         raise ArgumentError(f"unknown shard policy {policy!r}")
     if policy == "replicate":
-        return [batch] * workers
-    B = batch.size
-    if B % workers != 0:
-        raise ArgumentError(f"batch of {B} samples does not divide across {workers} workers")
-    size = B // workers
-    shards = []
-    for p in range(workers):
-        cols = slice(p * size, (p + 1) * size)
-        shards.append(Batch(batch.inputs[:, cols], batch.targets[..., cols]))
-    return shards
+        return (slice(0, batch_size),) * workers
+    if batch_size % workers != 0:
+        raise ArgumentError(f"batch of {batch_size} samples does not divide across "
+                            f"{workers} workers")
+    b = batch_size // workers
+    return tuple(slice(p * b, (p + 1) * b) for p in range(workers))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +257,7 @@ class StepResult:
 
 @dataclass(frozen=True)
 class LocalPass:
-    """One worker's forward/backward over its own shard: the local gradients
+    """One worker's forward/backward over its own span: the local gradients
     and, per layer, the two K-FAC captures (input batch and per-sample
     pre-activation gradient batch)."""
 
@@ -266,21 +266,21 @@ class LocalPass:
     preact_grads: list[np.ndarray]
 
 
-def _local_grads(cluster: Cluster, shards: Sequence[Batch], t: int) -> tuple[list[LocalPass], float]:
-    """The workers' local passes: one forward and one backward over the
-    shards as column blocks, or over one shard that every worker holds."""
-    if len(shards) != cluster.n_workers:
-        raise ArgumentError(f"got {len(shards)} shards for {cluster.n_workers} workers")
-    blocks = shards[:1] if all(s is shards[0] for s in shards) else shards
-    losses, captures = forward(cluster.net, blocks)
+def _local_grads(cluster: Cluster, batch: Batch, t: int) -> tuple[list[LocalPass], float]:
+    """The workers' local passes: their spans of one forward and one backward
+    over the global batch, or one pass that every worker shares when the
+    spans are all equal."""
+    spans = worker_spans(batch.size, cluster.n_workers, cluster.shard_policy)
+    distinct = spans[:1] if all(span == spans[0] for span in spans) else spans
+    losses, captures = forward(cluster.net, batch, distinct)
     for p, loss in enumerate(losses):
         if not np.isfinite(loss):
             raise NumericError(f"worker {p}, iteration {t}: training loss is {loss}")
-    grads, preact_grads = backward(cluster.net, blocks, captures)
-    passes = [LocalPass(block_grads, [c.input[:, span] for c in captures],
+    grads, preact_grads = backward(cluster.net, batch, captures, distinct)
+    passes = [LocalPass(span_grads, [c.input[:, span] for c in captures],
                         [g[:, span] for g in preact_grads])
-              for block_grads, span in zip(grads, column_blocks(blocks)[1])]
-    copies = len(shards) // len(blocks)
+              for span_grads, span in zip(grads, distinct)]
+    copies = len(spans) // len(distinct)
     return passes * copies, float(np.mean(losses * copies))
 
 
@@ -384,21 +384,21 @@ def lr_schedule(t: int, epoch: int, sched: LrSchedule) -> float:
 
 def run_step(
     cluster: Cluster,
-    shards: Sequence[Batch],
+    batch: Batch,
     hyper: KfacHyper,
     lr: float,
     momentum: float,
     t: int,
 ) -> StepResult:
-    """One synchronous step of the cluster's configured algorithm: local
-    passes, the gradient all-reduce, the algorithm's preconditioning (none
-    for ``ssgd``), then one momentum-SGD update of the shared weights.
-    Returns the mean local loss and the step's own counters."""
+    """One synchronous step over the global ``batch``: the workers' local
+    passes over their spans of it, the gradient all-reduce, the algorithm's
+    preconditioning (none for ``ssgd``), then one momentum-SGD update of the
+    shared weights.  Returns the mean local loss and the step's own counters."""
     counters = StepCounters()
     # a diverging run overflows here; the finiteness checks report it as a
     # NumericError instead of numpy warnings followed by inf/nan weights
     with np.errstate(over="ignore", invalid="ignore"):
-        local, loss = _local_grads(cluster, shards, t)
+        local, loss = _local_grads(cluster, batch, t)
         update = [
             all_reduce_avg([lp.grads[i] for lp in local], counters, "gradcomm")
             for i in range(cluster.n_layers)

@@ -34,6 +34,9 @@ from .errors import ArgumentError, NumericError, OrderingError, ShapeError
 from .numerics import EigenPair, divide_in_place, kron, sym_eig, sym_inverse, unvec, vec
 
 INV_TYPES = ("inverse", "eigen")
+# the arrays each damping scheme's refresh leaves, named as in decomposition_arrays
+DECOMPOSITION_NAMES = {"inverse": ("a_damped_inv", "g_damped_inv"),
+                       "eigen": ("a_eig_q", "a_eig_v", "g_eig_q", "g_eig_v")}
 
 
 @dataclass
@@ -278,9 +281,9 @@ def decomposition_arrays(state: FactorState) -> dict[str, np.ndarray]:
 def load_decomposition(state: FactorState, group: Callable[..., list]):
     """Set a state's decompositions from arrays named as in
     :func:`decomposition_arrays`: ``group(*names)`` returns the arrays of
-    names stored together, or None for each if they are absent."""
-    state.a_damped_inv, state.g_damped_inv = group("a_damped_inv", "g_damped_inv")
-    a_q, a_v, g_q, g_v = group("a_eig_q", "a_eig_v", "g_eig_q", "g_eig_v")
+    names stored together, or None for each to leave them unset."""
+    state.a_damped_inv, state.g_damped_inv = group(*DECOMPOSITION_NAMES["inverse"])
+    a_q, a_v, g_q, g_v = group(*DECOMPOSITION_NAMES["eigen"])
     if a_q is not None:
         state.a_eig, state.g_eig = EigenPair(a_q, a_v), EigenPair(g_q, g_v)
 

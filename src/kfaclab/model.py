@@ -10,11 +10,11 @@ pre-activation gradients.  The network itself holds weights only, so any
 number of callers can run passes over one weight set without overwriting
 each other's captures.
 
-A pass may also run over several batches as the column blocks of one (all
-P workers' local passes in :mod:`kfaclab.distsim`): each layer is then one
-matrix product over all B columns, and each block gets the loss and the
-gradient of a pass over its batch alone, up to the last bits where BLAS
-picks another kernel for the wider product.
+A pass may also report per column span (all P workers' local passes in
+:mod:`kfaclab.distsim`, each worker's span its columns of the global batch):
+each layer is still one matrix product over all B columns, and each span
+gets the loss and the gradient of a pass over its columns alone, up to the
+last bits where BLAS picks another kernel for the wider product.
 
 ``backward`` never evaluates an activation function.  It reads the last
 layer's pre-activation (the network output) and, for each hidden layer, the
@@ -46,7 +46,6 @@ appended to every layer input and the weight gains one column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -216,11 +215,7 @@ def _check_mse_targets(targets: np.ndarray, out_shape) -> np.ndarray:
 
 def predict(net: Network, inputs: np.ndarray) -> np.ndarray:
     """Pure forward pass: returns the final pre-activation outputs (d_L x B)."""
-    if inputs.ndim != 2 or inputs.shape[0] != net.spec.layer_dims[0]:
-        raise ShapeError(
-            f"input rows {inputs.shape} do not match d_0={net.spec.layer_dims[0]}"
-        )
-    return _layers(net, _first_input(net, [inputs], [slice(0, inputs.shape[1])]))
+    return _layers(net, _first_input(net, inputs))
 
 
 def mean_loss(net: Network, batch: Batch) -> float:
@@ -229,38 +224,18 @@ def mean_loss(net: Network, batch: Batch) -> float:
     return float(np.mean(_per_sample_losses(outputs, batch.targets, net.spec.loss_kind)))
 
 
-def column_blocks(batch: Batch | Sequence[Batch]) -> tuple[list[Batch], list[slice]]:
-    """The batches of one pass and the columns each occupies: a sequence of
-    batches is that many column blocks side by side, a batch is one."""
-    blocks = [batch] if isinstance(batch, Batch) else list(batch)
-    ends = list(accumulate(block.size for block in blocks))
-    if not ends:
-        raise ArgumentError("a pass needs at least one batch")
-    return blocks, [slice(end - block.size, end) for end, block in zip(ends, blocks)]
-
-
-def _joined_targets(blocks: list[Batch]) -> np.ndarray:
-    if len(blocks) == 1:
-        return blocks[0].targets
-    if any(np.shape(block.targets)[-1:] != (block.size,) for block in blocks):
-        raise ShapeError("every block needs one target column per sample, got shapes "
-                         f"{[np.shape(block.targets) for block in blocks]}")
-    return np.concatenate([block.targets for block in blocks], axis=-1)
-
-
-def _first_input(net: Network, inputs: list[np.ndarray], spans: list[slice]) -> np.ndarray:
-    """Layer 0's input buffer: ``(d_0 + 1) x B`` with a last row of ones
-    under a homogeneous bias, holding the column blocks in the layout of the
-    first (F-order for IDX data), on which the bits of the layer's matrix
-    products depend.  One block without a bias row is its own buffer."""
-    if len(inputs) == 1 and net.spec.bias_mode == "none":
-        return inputs[0]
-    d0 = net.spec.layer_dims[0]
-    a_in = np.empty((net.spec.weight_shape(0)[1], spans[-1].stop),
-                    order="F" if np.isfortran(inputs[0]) else "C")
-    for x, span in zip(inputs, spans):
-        a_in[:d0, span] = x
-    a_in[d0:] = 1.0  # the bias row, if there is one
+def _first_input(net: Network, inputs: np.ndarray) -> np.ndarray:
+    """Layer 0's input buffer: the inputs themselves, or under a homogeneous
+    bias a copy with a last row of ones in the layout of the inputs (F-order
+    for IDX data), on which the bits of the layer's matrix products depend."""
+    if inputs.ndim != 2 or inputs.shape[0] != net.spec.layer_dims[0]:
+        raise ShapeError(f"input rows {inputs.shape} do not match d_0={net.spec.layer_dims[0]}")
+    if net.spec.bias_mode == "none":
+        return inputs
+    a_in = np.empty((inputs.shape[0] + 1, inputs.shape[1]),
+                    order="F" if np.isfortran(inputs) else "C")
+    a_in[:-1] = inputs
+    a_in[-1] = 1.0
     return a_in
 
 
@@ -282,30 +257,28 @@ def _layers(net: Network, a_in: np.ndarray,
     return s
 
 
-def forward(net: Network, batch: Batch | Sequence[Batch]) -> tuple[float | list[float], list[LayerCapture]]:
+def forward(net: Network, batch: Batch, spans: Optional[Sequence[slice]] = None
+            ) -> tuple[float | list[float], list[LayerCapture]]:
     """Forward pass: returns the mean batch loss and every layer's capture.
 
-    Over a sequence of batches (column blocks) the captures are B wide and
-    the first value is the list of the blocks' mean losses.
+    Given nonempty column ``spans`` of the batch, the first value is the list
+    of the spans' mean losses; the captures are always the whole batch's.
 
     Each layer's input capture is one buffer, ``(d + 1) x B`` with a last
     row of ones under a homogeneous bias (see :func:`_first_input` for layer
     0's); every hidden activation is written straight into it.
     """
-    blocks, spans = column_blocks(batch)
-    d0 = net.spec.layer_dims[0]
-    for block in blocks:
-        if block.inputs.shape[0] != d0:
-            raise ShapeError(f"batch input rows {block.inputs.shape[0]} do not match d_0={d0}")
     captures: list[LayerCapture] = []
-    s = _layers(net, _first_input(net, [block.inputs for block in blocks], spans), captures)
-    losses = _per_sample_losses(s, _joined_targets(blocks), net.spec.loss_kind)
-    means = [float(np.mean(losses[span])) for span in spans]
-    return (means[0] if isinstance(batch, Batch) else means), captures
+    s = _layers(net, _first_input(net, batch.inputs), captures)
+    losses = _per_sample_losses(s, batch.targets, net.spec.loss_kind)
+    if spans is None:
+        return float(np.mean(losses)), captures
+    return [float(np.mean(losses[span])) for span in spans], captures
 
 
 def backward(
-    net: Network, batch: Batch | Sequence[Batch], captures: list[LayerCapture]
+    net: Network, batch: Batch, captures: list[LayerCapture],
+    spans: Optional[Sequence[slice]] = None,
 ) -> tuple[list, list[np.ndarray]]:
     """Backward pass over the captures ``forward`` returned for this batch.
 
@@ -314,12 +287,11 @@ def backward(
     gradients ``g_i``.  Only the last layer's pre-activation is read; the
     hidden derivatives come from the activations in the input captures.
 
-    Over a sequence of batches the first value is one gradient list per
-    block, ``(1/b) * g_i[:, blk] @ a_{i-1}[:, blk]^T``, never one of the
-    whole pass.
+    Given column ``spans`` of the batch, the first value is one gradient
+    list per span, ``(1/b) * g_i[:, span] @ a_{i-1}[:, span]^T``, never one
+    of the whole batch.
     """
-    blocks, spans = column_blocks(batch)
-    B = spans[-1].stop
+    B = batch.size
     if len(captures) != net.depth:
         raise ShapeError(f"got captures for {len(captures)} layers, network has {net.depth}")
     for i, (a_in, s) in enumerate(captures):
@@ -331,20 +303,21 @@ def backward(
             )
     _, act_deriv = _ACT_FNS[net.spec.activation]
     homogeneous = net.spec.bias_mode == "homogeneous"
-    g = _per_sample_output_grads(captures[-1].preact, _joined_targets(blocks), net.spec.loss_kind)
-    grads: list[list] = [[None] * net.depth for _ in blocks]
+    g = _per_sample_output_grads(captures[-1].preact, batch.targets, net.spec.loss_kind)
+    grads_over = [slice(0, B)] if spans is None else spans
+    grads: list[list] = [[None] * net.depth for _ in grads_over]
     preact_grads: list[Optional[np.ndarray]] = [None] * net.depth
     for i in range(net.depth - 1, -1, -1):
         a_in = captures[i].input
         preact_grads[i] = g
-        for block_grads, span in zip(grads, spans):
-            block_grads[i] = divide_in_place(g[:, span] @ a_in[:, span].T, span.stop - span.start)
+        for span_grads, span in zip(grads, grads_over):
+            span_grads[i] = divide_in_place(g[:, span] @ a_in[:, span].T, span.stop - span.start)
         if i > 0:
             weight = net.layers[i].weight
             core, a = (weight[:, :-1], a_in[:-1]) if homogeneous else (weight, a_in)
             g = core.T @ g
             g *= act_deriv(a)
-    return (grads[0] if isinstance(batch, Batch) else grads), preact_grads  # type: ignore[return-value]
+    return (grads[0] if spans is None else grads), preact_grads  # type: ignore[return-value]
 
 
 def finite_diff_grad(net: Network, batch: Batch, h: float = 1e-5) -> list[np.ndarray]:

@@ -24,7 +24,7 @@ from . import __version__, kfac
 from .config import RunConfig
 from .costmodel import COMM_STAGES, COMPUTE_STAGES
 from .datasets import Dataset, gen_synthetic, load_idx
-from .distsim import Cluster, build_cluster, lr_schedule, run_step, shard_batch
+from .distsim import Cluster, build_cluster, lr_schedule, run_step
 from .errors import ArgumentError, DataFormatError
 from .kfac import FactorState
 from .model import Batch, predict, _per_sample_losses
@@ -140,9 +140,8 @@ def prepare_training(cfg: RunConfig, resume_from: Optional["Checkpoint"] = None)
     if iters_per_epoch < 1:
         raise ArgumentError(f"batch size {B} exceeds the {len(train_idx)} training samples")
 
-    cluster = build_cluster(
-        cfg.network, cfg.train.algorithm, cfg.train.workers, seeds["init"]
-    )
+    cluster = build_cluster(cfg.network, cfg.train.algorithm, cfg.train.workers, seeds["init"],
+                            cfg.train.shard_policy)
     start_epoch = 0
     t = 0
     if resume_from is not None:
@@ -183,9 +182,8 @@ def run_prepared(
         order = np.random.default_rng([shuffle_seed, epoch]).permutation(len(train_idx))
         for b in range(iters_per_epoch):
             batch = _take(dataset, train_idx[order[b * B: (b + 1) * B]])
-            shards = shard_batch(batch, cfg.train.workers, cfg.train.shard_policy)
             lr = lr_schedule(t, epoch, sched)
-            result = run_step(cluster, shards, hyper, lr, cfg.hyper.momentum, t)
+            result = run_step(cluster, batch, hyper, lr, cfg.hyper.momentum, t)
             eval_loss = eval_acc = None
             if b == iters_per_epoch - 1 and eval_batch is not None:
                 eval_loss, eval_acc = evaluate(cluster, eval_batch)
@@ -419,41 +417,46 @@ def _restore_factor_state(state: FactorState, ckpt: Checkpoint, layer: int, owne
                                   f"-1..{ckpt.iteration - 1} for a checkpoint at iteration "
                                   f"{ckpt.iteration}")
 
-    def group(*names, required=False):
-        """Copies of arrays saved together: all of them, or None for each if
-        absent.  The state owns its copies: the running average folds into
-        them in place, which must not write into the checkpoint."""
-        if not required and not any(f"{prefix}/{n}" in ckpt.arrays for n in names):
+    if fm["initialized"] != (fm["last_factor_update"] >= 0):
+        raise DataFormatError(f"checkpoint {where}: initialized = {json.dumps(fm['initialized'])} "
+                              f"contradicts last_factor_update = {fm['last_factor_update']}")
+    state.initialized = fm["initialized"]
+    state.last_factor_update = fm["last_factor_update"]
+    state.last_inverse_update = fm["last_inverse_update"]
+    # the run reads the averaged factors of an initialized state, and of a
+    # refreshed one the decomposition of its own inv_type; restore_cluster
+    # rejects every other stored array
+    covs = ("a_cov", "g_cov") if state.initialized else ()
+    decomposition = kfac.DECOMPOSITION_NAMES[inv_type] if state.last_inverse_update >= 0 else ()
+    stored = [kind for kind, names in kfac.DECOMPOSITION_NAMES.items()
+              if any(f"{prefix}/{n}" in ckpt.arrays for n in names)]
+    if decomposition and inv_type not in stored:
+        held = f"inv_type {stored[0]!r} decompositions" if stored else "no decompositions"
+        raise DataFormatError(f"checkpoint {where} holds {held} (refreshed at iteration "
+                              f"{state.last_inverse_update}), but the run uses inv_type "
+                              f"{inv_type!r}")
+
+    def group(*names):
+        """Copies of arrays saved together, or None for each if the run does
+        not read them.  The state owns its copies: the running average folds
+        into them in place, which must not write into the checkpoint."""
+        if names not in (covs, decomposition):
             return [None] * len(names)
         # a_* arrays are d_in wide, g_* d_out; *_v are eigenvalue vectors
         return [_stored(ckpt, f"{prefix}/{n}", (d_in if n[0] == "a" else d_out,)
                         * (1 if n.endswith("_v") else 2)).copy() for n in names]
 
-    state.initialized = fm["initialized"]
-    state.last_factor_update = fm["last_factor_update"]
-    state.last_inverse_update = fm["last_inverse_update"]
-    # an initialized state cannot lack its averaged factors
-    state.a_cov, state.g_cov = group("a_cov", "g_cov", required=state.initialized)
+    state.a_cov, state.g_cov = group("a_cov", "g_cov")
     kfac.load_decomposition(state, group)
-    # a refreshed state must hold the decomposition the run preconditions with
-    if state.last_inverse_update >= 0:
-        held = ("eigen" if state.a_eig is not None
-                else "inverse" if state.a_damped_inv is not None else None)
-        if held != inv_type:
-            stored = f"inv_type {held!r} decompositions" if held else "no decompositions"
-            raise DataFormatError(
-                f"checkpoint {where} holds {stored} (refreshed at iteration "
-                f"{state.last_inverse_update}), but the run uses inv_type {inv_type!r}"
-            )
 
 
 def restore_cluster(cluster: Cluster, ckpt: Checkpoint, cfg: RunConfig):
     """Load a checkpoint's weights, momentum and every layer's factor state
-    into a freshly built cluster of the same configuration.  A missing or
-    mis-shaped array or factor state is a DataFormatError, and so is a
-    staleness stamp outside ``-1 <= stamp < iteration`` and a refreshed
-    factor state that lacks the decomposition of the run's ``inv_type`` (a
-    resume that switches the damping scheme)."""
+    into a freshly built cluster of the same configuration, reading exactly
+    what a checkpoint of the run holds.  A DataFormatError names a missing,
+    mis-shaped or unread array or factor state, a staleness stamp outside
+    ``-1 <= stamp < iteration`` or contradicting ``initialized``, and a
+    refreshed state that lacks the decomposition of the run's ``inv_type``."""
     if ckpt.meta["algorithm"] != cfg.train.algorithm or ckpt.meta["workers"] != cfg.train.workers:
         raise ArgumentError(
             "checkpoint was produced with a different algorithm/worker configuration"
@@ -466,3 +469,8 @@ def restore_cluster(cluster: Cluster, ckpt: Checkpoint, cfg: RunConfig):
         d_out, d_in = cluster.net.layers[i].weight.shape
         _restore_factor_state(state, ckpt, i, cluster.owners[i], d_in, d_out,
                               cfg.hyper.inv_type)
+    # what the restored cluster holds is what it reads, and what it would save
+    unread = sorted(set(ckpt.arrays) - set(_cluster_arrays(cluster)[0]))
+    if unread:
+        raise DataFormatError(f"checkpoint array {unread[0]!r} is not part of the state this "
+                              f"run restores ({len(unread)} such arrays)")

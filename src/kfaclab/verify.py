@@ -180,10 +180,9 @@ def criterion_4() -> CheckResult:
     hyper = KfacHyper()
 
     def run(algorithm, workers, policy, steps=20):
-        cluster = distsim.build_cluster(SPEC_DIST, algorithm, workers, seed=5)
+        cluster = distsim.build_cluster(SPEC_DIST, algorithm, workers, seed=5, shard_policy=policy)
         for t in range(steps):
-            shards = distsim.shard_batch(batch, workers, policy)
-            distsim.run_step(cluster, shards, hyper, 0.05, 0.9, t)
+            distsim.run_step(cluster, batch, hyper, 0.05, 0.9, t)
         return _final_weights(cluster)
 
     single = run("dp_kfac", 1, "replicate")
@@ -202,9 +201,9 @@ def criterion_4() -> CheckResult:
 def run_dist_suite() -> list[CheckResult]:
     """Worker-count equivalences of the simulated cluster."""
     results = [criterion_4()]
+    batch = _dist_batch()
     cluster = distsim.build_cluster(SPEC_DIST, "dp_kfac", 4, seed=9)
-    shards = distsim.shard_batch(_dist_batch(), 4, "disjoint")
-    distsim.run_step(cluster, shards, KfacHyper(), 0.05, 0.9, 0)
+    distsim.run_step(cluster, batch, KfacHyper(), 0.05, 0.9, 0)
     one_state = sorted(cluster.factors) == list(range(cluster.n_layers))
     views = [sorted(w.factors) for w in cluster.workers]
     partition = costmodel.round_robin_partition(cluster.n_layers, 4)
@@ -214,10 +213,12 @@ def run_dist_suite() -> list[CheckResult]:
     # DP-KFAC's core mechanism: the owner builds the factors from its own
     # shard, through the weights every worker started the step with
     reference = init_network(SPEC_DIST, seed=9)
+    spans = distsim.worker_spans(batch.size, 4)
     from_owner = []
     for i, owner in enumerate(cluster.owners):
-        _, captures = forward(reference, shards[owner])
-        _, preact_grads = backward(reference, shards[owner], captures)
+        shard = Batch(batch.inputs[:, spans[owner]], batch.targets[spans[owner]])
+        _, captures = forward(reference, shard)
+        _, preact_grads = backward(reference, shard, captures)
         a_cov, g_cov = kfac.compute_factors(captures[i].input, preact_grads[i])
         state = cluster.factors[i]
         from_owner.append(np.array_equal(state.a_cov, a_cov)
@@ -236,9 +237,9 @@ def criterion_5() -> CheckResult:
     dp_factorcomm_total = 0
     for algorithm in costmodel.ALGORITHMS:
         for workers in (1, 2, 4, 8, 64):
-            cluster = distsim.build_cluster(SPEC_DIST, algorithm, workers, seed=0)
-            shards = distsim.shard_batch(batch_small, workers, "replicate")
-            steps = [distsim.run_step(cluster, shards, hyper, 0.05, 0.9, t).counters
+            cluster = distsim.build_cluster(SPEC_DIST, algorithm, workers, seed=0,
+                                            shard_policy="replicate")
+            steps = [distsim.run_step(cluster, batch_small, hyper, 0.05, 0.9, t).counters
                      for t in range(4)]  # t = 0, 2 are full second-order updates
             report = costmodel.algorithm_cost(cluster.layer_dims(), workers,
                                               algorithm, inv_type="eigen")
@@ -281,11 +282,10 @@ def criterion_6() -> CheckResult:
 
 def run_cost_suite() -> list[CheckResult]:
     """Simulated counters against the analytic complexity model."""
-    cluster = distsim.build_cluster(SPEC_DIST, "dp_kfac", 4, seed=1)
+    cluster = distsim.build_cluster(SPEC_DIST, "dp_kfac", 4, seed=1, shard_policy="replicate")
     stale = KfacHyper(f_freq=5, k_freq=10)
-    shards = distsim.shard_batch(_dist_batch(), 4, "replicate")
-    factor_total = sum(distsim.run_step(cluster, shards, stale, 0.05, 0.9, t).counters.factorcomm
-                       for t in range(12))
+    factor_total = sum(distsim.run_step(cluster, _dist_batch(), stale, 0.05, 0.9, t)
+                       .counters.factorcomm for t in range(12))
     return [
         criterion_5(),
         criterion_6(),

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from kfaclab import cli
 from kfaclab.config import DataConfig, HyperConfig, RunConfig, TrainConfig
-from kfaclab.distsim import build_cluster, run_step, shard_batch
+from kfaclab.distsim import build_cluster, run_step
 from kfaclab.errors import DataFormatError
 from kfaclab.model import Batch, NetworkSpec
 from kfaclab.trainer import (
@@ -254,6 +254,54 @@ def test_restore_rejects_refreshed_state_without_decomposition(tmp_path, capsys,
     assert "the run uses inv_type 'eigen'" in err
 
 
+def test_restore_rejects_decompositions_of_both_damping_schemes(tmp_path, capsys, co_run):
+    # an eigen run stores eigenbases only; damped inverses next to them would
+    # be carried into the next save although the run never reads them
+    cfg, ckpt = co_run
+    a_cov, g_cov = ckpt.arrays["factors/layer0/a_cov"], ckpt.arrays["factors/layer0/g_cov"]
+    arrays = {**ckpt.arrays, "factors/layer0/a_damped_inv": np.eye(a_cov.shape[0]),
+              "factors/layer0/g_damped_inv": np.eye(g_cov.shape[0])}
+    code, err = _resume(tmp_path, capsys, cfg, ckpt.meta, arrays)
+    assert code == cli.EXIT_DATA
+    assert ("checkpoint array 'factors/layer0/a_damped_inv' is not part of the state this run "
+            "restores (2 such arrays)") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["layer0/velocity", "factors/layer7/a_cov",
+                                  "factors/layer1/a_eig_w"])
+def test_restore_rejects_arrays_the_run_does_not_read(tmp_path, capsys, co_run, name):
+    cfg, ckpt = co_run
+    code, err = _resume(tmp_path, capsys, cfg, ckpt.meta, {**ckpt.arrays, name: np.zeros(3)})
+    assert code == cli.EXIT_DATA
+    assert f"checkpoint array {name!r} is not part of the state this run restores" in err
+
+
+@pytest.mark.parametrize("initialized, stamp", [(False, 3), (True, -1)])
+def test_restore_rejects_initialized_flag_that_contradicts_its_stamp(
+        tmp_path, capsys, co_run, initialized, stamp):
+    # an uninitialized state's next running-average update would replace the
+    # restored averages instead of folding into them
+    meta = json.loads(json.dumps(co_run[1].meta))
+    meta["factor_states"]["factors/layer1"].update(initialized=initialized,
+                                                   last_factor_update=stamp)
+    _rejected_resume(tmp_path, capsys, co_run,
+                     f"factor state 'factors/layer1' (layer 1, owner worker 1): initialized = "
+                     f"{json.dumps(initialized)} contradicts last_factor_update = {stamp}", meta)
+
+
+def test_restore_rejects_factors_of_an_uninitialized_state(tmp_path, capsys, co_run):
+    cfg, ckpt = co_run
+    meta = json.loads(json.dumps(ckpt.meta))
+    meta["factor_states"]["factors/layer1"].update(initialized=False, last_factor_update=-1,
+                                                   last_inverse_update=-1)
+    arrays = {n: a for n, a in ckpt.arrays.items()
+              if not (n.startswith("factors/layer1/") and "_eig_" in n)}
+    code, err = _resume(tmp_path, capsys, cfg, meta, arrays)
+    assert code == cli.EXIT_DATA
+    assert "checkpoint array 'factors/layer1/a_cov' is not part of the state this run" in err
+
+
 def _rejected_resume(tmp_path, capsys, co_run, fragment, meta=None, version=CHECKPOINT_VERSION):
     """Resume the co_run config from its checkpoint with ``meta`` in place of
     the stored one, into a directory that already holds metrics: exit 3 with
@@ -340,7 +388,7 @@ def test_restored_clusters_own_their_factor_arrays(tmp_path):
         restore_cluster(cluster, ckpt, cfg)
     rng = np.random.default_rng(0)
     batch = Batch(rng.standard_normal((3, 8)), rng.integers(0, 2, size=8))
-    run_step(stepped, shard_batch(batch, 2), cfg.hyper.kfac_hyper(), 0.1, 0.9,
+    run_step(stepped, batch, cfg.hyper.kfac_hyper(), 0.1, 0.9,
              ckpt.iteration)
 
     from_file = load_checkpoint(path)

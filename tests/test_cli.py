@@ -347,6 +347,15 @@ _BAD_COST = {
     "p-not-integer": (["{toy}", "--p", "x"], cli.EXIT_DATA, "--p: expected"),
     "p-empty": (["{toy}", "--p", ","], cli.EXIT_DATA, "--p: names nothing"),
     "alg-empty": (["{toy}", "--alg", ","], cli.EXIT_DATA, "--alg: names nothing"),
+    "p-empty-item": (["{toy}", "--p", "4,,8"], cli.EXIT_DATA, "--p: empty item in '4,,8'"),
+    "p-trailing-comma": (["{toy}", "--p", "4,"], cli.EXIT_DATA, "--p: empty item in '4,'"),
+    "p-repeated": (["{toy}", "--p", "4,4"], cli.EXIT_DATA, "--p: 4 named twice in '4,4'"),
+    "p-repeated-spelled-apart": (["{toy}", "--p", "8, 4,08"], cli.EXIT_DATA,
+                                 "--p: 8 named twice in '8, 4,08'"),
+    "alg-empty-item": (["{toy}", "--alg", "ssgd,,dp_kfac"], cli.EXIT_DATA,
+                       "--alg: empty item in 'ssgd,,dp_kfac'"),
+    "alg-repeated": (["{toy}", "--alg", "dp_kfac,dp_kfac"], cli.EXIT_DATA,
+                     "--alg: dp_kfac named twice in 'dp_kfac,dp_kfac'"),
     "f-freq-zero": (["{toy}", "--f-freq", "0"], cli.EXIT_DATA, "staleness intervals"),
     "k-freq-zero": (["{toy}", "--k-freq", "0"], cli.EXIT_DATA, "staleness intervals"),
     "manifest-directory": (["{dir}"], cli.EXIT_DATA, "cannot read manifest"),

@@ -162,9 +162,9 @@ def test_simulated_counters_match_model_sweep():
                       rng.integers(0, spec.layer_dims[-1], size=16))
         for algorithm in distsim.ALGORITHMS:
             for P in (1, 2, 4, 8):
-                cluster = distsim.build_cluster(spec, algorithm, P, seed=0)
-                shards = distsim.shard_batch(batch, P, "replicate")
-                res = distsim.run_step(cluster, shards, hyper, 0.05, 0.9, 0)
+                cluster = distsim.build_cluster(spec, algorithm, P, seed=0,
+                                                shard_policy="replicate")
+                res = distsim.run_step(cluster, batch, hyper, 0.05, 0.9, 0)
                 report = algorithm_cost(cluster.layer_dims(), P, algorithm,
                                         inv_type=hyper.inv_type)
                 verdict = verify_counters(report, res.counters)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kfaclab import distsim, kfac
 from kfaclab.costmodel import round_robin_partition
@@ -11,7 +13,7 @@ from kfaclab.distsim import (
     build_cluster,
     lr_schedule,
     run_step,
-    shard_batch,
+    worker_spans,
 )
 from kfaclab.errors import ArgumentError, NumericError, OrderingError, ShapeError
 from kfaclab.kfac import KfacHyper
@@ -25,6 +27,20 @@ def _weights(cluster, rank=0):
 def _batch(seed=0, d=6, B=32, classes=4):
     rng = np.random.default_rng(seed)
     return Batch(rng.standard_normal((d, B)), rng.integers(0, classes, size=B))
+
+
+def _shards(batch, workers, policy="disjoint"):
+    """Each worker's columns of ``batch`` as a batch of its own: the
+    reference the local passes are checked against."""
+    return [Batch(batch.inputs[:, span], batch.targets[..., span])
+            for span in worker_spans(batch.size, workers, policy)]
+
+
+def _poisoned(batch, workers, worker, value):
+    """A copy of ``batch`` whose columns of ``worker`` hold ``value``."""
+    inputs = batch.inputs.copy()
+    inputs[:, worker_spans(batch.size, workers)[worker]] = value
+    return Batch(inputs, batch.targets)
 
 
 SPEC = NetworkSpec((6, 8, 4), activation="tanh", bias_mode="homogeneous")
@@ -141,29 +157,50 @@ def test_broadcast_invalid_root():
 
 
 def test_shard_disjoint_contiguous_slices():
-    batch = _batch(B=8)
-    shards = shard_batch(batch, 2, "disjoint")
-    assert np.array_equal(shards[0].inputs, batch.inputs[:, :4])
-    assert np.array_equal(shards[1].inputs, batch.inputs[:, 4:])
-    assert np.array_equal(shards[0].targets, batch.targets[:4])
+    assert worker_spans(8, 2, "disjoint") == (slice(0, 4), slice(4, 8))
+    assert worker_spans(8, 2) == worker_spans(8, 2, "disjoint")
 
 
 def test_shard_replicate_identical():
-    batch = _batch(B=6)
-    shards = shard_batch(batch, 3, "replicate")
-    assert all(s is batch for s in shards)
+    assert worker_spans(6, 3, "replicate") == (slice(0, 6),) * 3
 
 
 def test_shard_indivisible_batch_rejected():
-    with pytest.raises(ArgumentError):
-        shard_batch(_batch(B=10), 4, "disjoint")
+    with pytest.raises(ArgumentError,
+                       match="^batch of 10 samples does not divide across 4 workers$"):
+        worker_spans(10, 4, "disjoint")
+
+
+def test_unknown_shard_policy_rejected(monkeypatch):
+    with pytest.raises(ArgumentError, match="^unknown shard policy 'strided'$"):
+        worker_spans(8, 2, "strided")
+    # and by build_cluster before it allocates
+    monkeypatch.setattr(distsim, "init_network", None)
+    with pytest.raises(ArgumentError, match="^unknown shard policy 'strided'$"):
+        build_cluster(SPEC, "ssgd", 2, seed=0, shard_policy="strided")
+
+
+@settings(max_examples=200, deadline=None)
+@given(workers=st.integers(1, 64), b=st.integers(1, 64))
+def test_worker_spans_tile_the_batch(workers, b):
+    # disjoint spans tile range(B) in worker order with equal widths; replicate
+    # gives every worker the full batch
+    B = workers * b
+    spans = worker_spans(B, workers, "disjoint")
+    assert len(spans) == workers
+    assert [i for span in spans for i in range(B)[span]] == list(range(B))
+    assert {span.stop - span.start for span in spans} == {b}
+    assert worker_spans(B, workers, "replicate") == (slice(0, B),) * workers
+    if workers > 1:
+        with pytest.raises(ArgumentError):
+            worker_spans(B + 1, workers, "disjoint")
 
 
 def test_shard_mean_of_shard_gradients_equals_full_batch():
     batch = _batch(B=16)
     net = init_network(SPEC, seed=0)
     full, _ = backward(net, batch, forward(net, batch)[1])
-    shards = shard_batch(batch, 4, "disjoint")
+    shards = _shards(batch, 4)
     partial = []
     for shard in shards:
         partial.append(backward(net, shard, forward(net, shard)[1])[0])
@@ -181,10 +218,9 @@ def test_dp_replicate_matches_single_worker_bitwise():
     batch = _batch()
 
     def run(workers):
-        cluster = build_cluster(SPEC, "dp_kfac", workers, seed=7)
+        cluster = build_cluster(SPEC, "dp_kfac", workers, seed=7, shard_policy="replicate")
         for t in range(20):
-            run_step(cluster, shard_batch(batch, workers, "replicate"),
-                     hyper, 0.05, 0.9, t)
+            run_step(cluster, batch, hyper, 0.05, 0.9, t)
         return _weights(cluster)
 
     reference = run(1)
@@ -196,10 +232,10 @@ def test_mpd_replicate_matches_single_worker():
     hyper = KfacHyper()
     batch = _batch()
     single = build_cluster(SPEC, "dp_kfac", 1, seed=7)
-    multi = build_cluster(SPEC, "mpd_kfac_co", 2, seed=7)
+    multi = build_cluster(SPEC, "mpd_kfac_co", 2, seed=7, shard_policy="replicate")
     for t in range(10):
-        run_step(single, [batch], hyper, 0.05, 0.9, t)
-        run_step(multi, shard_batch(batch, 2, "replicate"), hyper, 0.05, 0.9, t)
+        run_step(single, batch, hyper, 0.05, 0.9, t)
+        run_step(multi, batch, hyper, 0.05, 0.9, t)
     assert np.array_equal(_weights(single), _weights(multi))
 
 
@@ -209,8 +245,8 @@ def test_dp_equals_mpd_on_one_worker():
     dp = build_cluster(SPEC, "dp_kfac", 1, seed=3)
     mo = build_cluster(SPEC, "mpd_kfac_mo", 1, seed=3)
     for t in range(8):
-        run_step(dp, [batch], hyper, 0.1, 0.9, t)
-        run_step(mo, [batch], hyper, 0.1, 0.9, t)
+        run_step(dp, batch, hyper, 0.1, 0.9, t)
+        run_step(mo, batch, hyper, 0.1, 0.9, t)
     assert np.array_equal(_weights(dp), _weights(mo))
 
 
@@ -221,8 +257,7 @@ def test_mpd_co_and_mo_agree():
     def run(variant):
         cluster = build_cluster(SPEC, f"mpd_kfac_{variant}", 4, seed=5)
         for t in range(12):
-            run_step(cluster, shard_batch(batch, 4, "disjoint"),
-                     hyper, 0.05, 0.9, t)
+            run_step(cluster, batch, hyper, 0.05, 0.9, t)
         return _weights(cluster)
 
     assert np.abs(run("co") - run("mo")).max() <= 1e-14
@@ -235,8 +270,7 @@ def test_mpd_co_and_mo_bit_identical():
     def run(variant):
         cluster = build_cluster(SPEC, f"mpd_kfac_{variant}", 4, seed=5)
         for t in range(12):
-            run_step(cluster, shard_batch(batch, 4, "disjoint"),
-                     hyper, 0.05, 0.9, t)
+            run_step(cluster, batch, hyper, 0.05, 0.9, t)
         return _weights(cluster)
 
     assert np.array_equal(run("co"), run("mo"))
@@ -257,8 +291,9 @@ def test_dp_factors_come_from_each_owners_own_shard():
     workers = 3
     cluster = build_cluster(spec, "dp_kfac", workers, seed=1)
     reference = init_network(spec, seed=1)
-    shards = shard_batch(_batch(B=30), workers, "disjoint")
-    run_step(cluster, shards, KfacHyper(), 0.05, 0.9, 0)
+    batch = _batch(B=30)
+    shards = _shards(batch, workers)
+    run_step(cluster, batch, KfacHyper(), 0.05, 0.9, 0)
     assert sorted(set(cluster.owners)) == list(range(workers))
     for i, owner in enumerate(cluster.owners):
         shard = shards[owner]
@@ -282,8 +317,7 @@ def test_mpd_folds_each_layer_once_into_one_shared_average(monkeypatch):
         cluster = build_cluster(SPEC, algorithm, 4, seed=0)
         for t in range(3):
             calls.clear()
-            run_step(cluster, shard_batch(_batch(), 4, "disjoint"),
-                     KfacHyper(), 0.05, 0.9, t)
+            run_step(cluster, _batch(), KfacHyper(), 0.05, 0.9, t)
             assert calls == [t] * cluster.n_layers
             assert sorted(cluster.factors) == list(range(cluster.n_layers))
             for i, state in cluster.factors.items():
@@ -353,14 +387,14 @@ def test_mpd_factor_states_match_worker_major_oracle(workers, algorithm, inv_typ
     oracle = [{i: kfac.FactorState() for i in range(cluster.n_layers)}
               for _ in range(workers)]
     for t in range(7):
-        shards = shard_batch(_batch(seed=t, B=48), workers, "disjoint")
+        batch = _batch(seed=t, B=48)
         passes = []
-        for shard in shards:
+        for shard in _shards(batch, workers):
             _, captures = forward(cluster.net, shard)
             _, preact_grads = backward(cluster.net, shard, captures)
             passes.append(([c.input for c in captures], preact_grads))
         _worker_major_factor_stage(oracle, passes, hyper, t, owners, algorithm)
-        run_step(cluster, shards, hyper, 0.05, 0.9, t)
+        run_step(cluster, batch, hyper, 0.05, 0.9, t)
         # under MPD-KFAC every worker holds the factors, under DP-KFAC only
         # the owner; under COMM-OPT every worker also holds the
         # decomposition, otherwise only the owner
@@ -383,8 +417,7 @@ def test_run_step_never_reads_the_worker_views(monkeypatch):
             hyper = KfacHyper(inv_type=inv_type, f_freq=2, k_freq=3)
             cluster = build_cluster(SPEC, algorithm, 3, seed=0)
             for t in range(4):
-                run_step(cluster, shard_batch(_batch(B=30), 3, "disjoint"),
-                         hyper, 0.05, 0.9, t)
+                run_step(cluster, _batch(B=30), hyper, 0.05, 0.9, t)
 
 
 def test_mpd_co_preconditions_each_layer_once_per_step(monkeypatch):
@@ -401,25 +434,22 @@ def test_mpd_co_preconditions_each_layer_once_per_step(monkeypatch):
         cluster = build_cluster(SPEC, algorithm, 4, seed=0)
         for t in range(3):
             calls.clear()
-            run_step(cluster, shard_batch(_batch(), 4, "disjoint"),
-                     KfacHyper(), 0.05, 0.9, t)
+            run_step(cluster, _batch(), KfacHyper(), 0.05, 0.9, t)
             assert sorted(calls) == sorted(l.weight.shape for l in cluster.net.layers), algorithm
 
 
 def test_non_finite_loss_names_worker_and_iteration():
     cluster = build_cluster(SPEC, "ssgd", 2, seed=0)
-    shards = shard_batch(_batch(), 2, "disjoint")
-    poisoned = Batch(np.full_like(shards[1].inputs, np.inf), shards[1].targets)
     with pytest.raises(NumericError, match=r"worker 1, iteration 7"):
-        run_step(cluster, [shards[0], poisoned], KfacHyper(), 0.05, 0.9, 7)
+        run_step(cluster, _poisoned(_batch(), 2, 1, np.inf), KfacHyper(), 0.05, 0.9, 7)
 
 
 def test_non_finite_aggregated_gradient_names_layer_and_iteration(monkeypatch):
     original = distsim.backward
 
-    def poisoned(net, batch, captures):
-        # one gradient list per worker block; poison worker 0's layer 1
-        grads, preact_grads = original(net, batch, captures)
+    def poisoned(net, batch, captures, spans):
+        # one gradient list per worker span; poison worker 0's layer 1
+        grads, preact_grads = original(net, batch, captures, spans)
         grads[0][1][0, 0] = np.nan
         return grads, preact_grads
 
@@ -427,7 +457,7 @@ def test_non_finite_aggregated_gradient_names_layer_and_iteration(monkeypatch):
     cluster = build_cluster(SPEC, "ssgd", 2, seed=0)
     before = _weights(cluster)
     with pytest.raises(NumericError, match=r"^layer 1, iteration 5: aggregated gradient"):
-        run_step(cluster, shard_batch(_batch(), 2, "disjoint"), KfacHyper(), 0.05, 0.9, 5)
+        run_step(cluster, _batch(), KfacHyper(), 0.05, 0.9, 5)
     assert np.array_equal(_weights(cluster), before)
 
 
@@ -445,7 +475,7 @@ def test_non_finite_preconditioned_gradient_names_owner_layer_and_iteration(
     before = _weights(cluster)
     with pytest.raises(NumericError,
                        match=r"^worker 1, layer 1, iteration 3: preconditioned gradient"):
-        run_step(cluster, shard_batch(_batch(), 2, "disjoint"), KfacHyper(), 0.05, 0.9, 3)
+        run_step(cluster, _batch(), KfacHyper(), 0.05, 0.9, 3)
     assert np.array_equal(_weights(cluster), before)
 
 
@@ -454,11 +484,11 @@ def test_comm_opt_preconditioner_failure_names_the_owner():
     # simulator happens to compute the shared result on
     cluster = build_cluster(SPEC, "mpd_kfac_co", 2, seed=0)
     hyper = KfacHyper(k_freq=2)
-    run_step(cluster, shard_batch(_batch(), 2, "disjoint"), hyper, 0.05, 0.9, 0)
+    run_step(cluster, _batch(), hyper, 0.05, 0.9, 0)
     assert cluster.owners[1] == 1
     cluster.factors[1].a_eig = None  # no decomposition to apply at step 1
     with pytest.raises(OrderingError, match=r"^worker 1, layer 1, iteration 1: preconditioning requested"):
-        run_step(cluster, shard_batch(_batch(), 2, "disjoint"), hyper, 0.05, 0.9, 1)
+        run_step(cluster, _batch(), hyper, 0.05, 0.9, 1)
 
 
 def test_replicas_identical_after_each_algorithm():
@@ -467,8 +497,7 @@ def test_replicas_identical_after_each_algorithm():
     for algorithm in distsim.ALGORITHMS:
         cluster = build_cluster(SPEC, algorithm, 4, seed=2)
         for t in range(3):
-            distsim.run_step(cluster, shard_batch(batch, 4, "disjoint"),
-                             hyper, 0.05, 0.9, t)
+            distsim.run_step(cluster, batch, hyper, 0.05, 0.9, t)
         for worker in cluster.workers[1:]:
             for i in range(cluster.n_layers):
                 assert np.array_equal(worker.replica.layers[i].weight,
@@ -505,8 +534,7 @@ def test_each_layer_is_broadcast_from_its_owner(monkeypatch):
             shapes = [l.weight.shape for l in cluster.net.layers]
             for t in range(4):
                 sent.clear()
-                run_step(cluster, shard_batch(_batch(seed=t, B=30), 3, "disjoint"),
-                         hyper, 0.05, 0.9, t)
+                run_step(cluster, _batch(seed=t, B=30), hyper, 0.05, 0.9, t)
                 where = (algorithm, inv_type, t)
                 if algorithm != "mpd_kfac_co":
                     assert {stage for stage, _, _ in sent} == {"predcomm"}, where
@@ -528,7 +556,7 @@ def test_ssgd_single_worker_equals_plain_sgd():
     reference = init_network(SPEC, seed=4)
     momentum = init_momentum(reference)
     for t in range(10):
-        run_step(cluster, [batch], KfacHyper(), 0.05, 0.9, t)
+        run_step(cluster, batch, KfacHyper(), 0.05, 0.9, t)
         _, captures = forward(reference, batch)
         sgd_step(reference, backward(reference, batch, captures)[0], 0.05, momentum, 0.9)
     ref = np.concatenate([l.weight.ravel() for l in reference.layers])
@@ -541,7 +569,7 @@ def test_ssgd_disjoint_matches_full_batch():
     def run(workers):
         cluster = build_cluster(SPEC, "ssgd", workers, seed=4)
         for t in range(20):
-            run_step(cluster, shard_batch(batch, workers, "disjoint"), KfacHyper(), 0.05, 0.9, t)
+            run_step(cluster, batch, KfacHyper(), 0.05, 0.9, t)
         return _weights(cluster)
 
     assert np.abs(run(2) - run(1)).max() <= 1e-13
@@ -549,8 +577,7 @@ def test_ssgd_disjoint_matches_full_batch():
 
 def test_ssgd_logs_no_second_order_traffic():
     cluster = build_cluster(SPEC, "ssgd", 4, seed=0)
-    entry = run_step(cluster, shard_batch(_batch(), 4, "disjoint"),
-                     KfacHyper(), 0.05, 0.9, 0).counters
+    entry = run_step(cluster, _batch(), KfacHyper(), 0.05, 0.9, 0).counters
     assert entry.factorcomm == entry.predcomm == entry.inversecomm == 0
     assert entry.factorcomp == entry.inversecomp == 0
     assert entry.gradcomm > 0
@@ -562,7 +589,7 @@ def test_mpd_factorcomm_formula_single_layer():
     batch = Batch(np.random.default_rng(0).standard_normal((4, 8)),
                   np.random.default_rng(1).integers(0, 3, size=8))
     cluster = build_cluster(spec, "mpd_kfac_mo", 4, seed=0)
-    res = run_step(cluster, shard_batch(batch, 4, "disjoint"), KfacHyper(), 0.05, 0.9, 0)
+    res = run_step(cluster, batch, KfacHyper(), 0.05, 0.9, 0)
     assert res.counters.factorcomm == 150
 
 
@@ -573,9 +600,8 @@ def test_stale_iterations_skip_factor_traffic():
     dp = build_cluster(SPEC, "dp_kfac", 4, seed=0)
     mpd_steps, dp_steps = [], []
     for t in range(10):
-        shards = shard_batch(batch, 4, "disjoint")
-        mpd_steps.append(run_step(mpd, shards, hyper, 0.05, 0.9, t).counters)
-        dp_steps.append(run_step(dp, shards, hyper, 0.05, 0.9, t).counters)
+        mpd_steps.append(run_step(mpd, batch, hyper, 0.05, 0.9, t).counters)
+        dp_steps.append(run_step(dp, batch, hyper, 0.05, 0.9, t).counters)
     for t, entry in enumerate(mpd_steps):
         if t % 5 == 0:
             assert entry.factorcomm > 0 and entry.factorcomp > 0
@@ -601,8 +627,7 @@ def dp_expected_inverse(cluster, t):
 def test_same_seed_same_log_and_weights():
     def run():
         cluster = build_cluster(SPEC, "dp_kfac", 4, seed=11)
-        log = [run_step(cluster, shard_batch(_batch(), 4, "disjoint"),
-                        KfacHyper(), 0.05, 0.9, t).counters
+        log = [run_step(cluster, _batch(), KfacHyper(), 0.05, 0.9, t).counters
                for t in range(5)]
         return _weights(cluster), log
 
@@ -614,13 +639,10 @@ def test_same_seed_same_log_and_weights():
 
 def test_kfac_errors_carry_worker_and_layer():
     cluster = build_cluster(SPEC, "dp_kfac", 2, seed=0)
-    batch = _batch()
-    shards = shard_batch(batch, 2, "disjoint")
     hyper = KfacHyper(gamma=0.0)  # zero damping on singular factors must fail
     # make the first worker's first-layer stats rank-deficient by zeroing inputs
-    zero_inputs = Batch(np.zeros_like(shards[0].inputs), shards[0].targets)
     with pytest.raises(NumericError, match=r"^worker 0, layer 0, iteration 0:"):
-        run_step(cluster, [zero_inputs, shards[1]], hyper, 0.05, 0.9, 0)
+        run_step(cluster, _poisoned(_batch(), 2, 0, 0.0), hyper, 0.05, 0.9, 0)
 
 
 @pytest.mark.parametrize("algorithm", ["mpd_kfac_co", "mpd_kfac_mo", "dp_kfac"])
@@ -629,7 +651,7 @@ def test_refresh_failure_names_its_iteration(monkeypatch, algorithm):
     cluster = build_cluster(SPEC, algorithm, 2, seed=0)
     hyper = KfacHyper(k_freq=2)
     for t in range(2):
-        run_step(cluster, shard_batch(_batch(), 2, "disjoint"), hyper, 0.05, 0.9, t)
+        run_step(cluster, _batch(), hyper, 0.05, 0.9, t)
     original = kfac.sym_eig
 
     def failing(m):
@@ -641,7 +663,7 @@ def test_refresh_failure_names_its_iteration(monkeypatch, algorithm):
     owner = cluster.owners[1]
     with pytest.raises(NumericError,
                        match=rf"^worker {owner}, layer 1, iteration 2: eigendecomposition failed$"):
-        run_step(cluster, shard_batch(_batch(), 2, "disjoint"), hyper, 0.05, 0.9, 2)
+        run_step(cluster, _batch(), hyper, 0.05, 0.9, 2)
 
 
 @pytest.mark.parametrize("algorithm", ["mpd_kfac_co", "mpd_kfac_mo"])
@@ -649,7 +671,8 @@ def test_factor_build_failure_names_the_building_worker(monkeypatch, algorithm):
     # layer 0 is owned by worker 0, but its factors are also built by worker
     # 1, and a failure there is worker 1's
     cluster = build_cluster(SPEC, algorithm, 2, seed=0)
-    shards = shard_batch(_batch(), 2, "disjoint")
+    batch = _batch()
+    shards = _shards(batch, 2)
     assert cluster.owners[0] == 0
     original = kfac.compute_factors
 
@@ -661,11 +684,11 @@ def test_factor_build_failure_names_the_building_worker(monkeypatch, algorithm):
 
     monkeypatch.setattr(kfac, "compute_factors", failing)
     with pytest.raises(NumericError, match=r"^worker 1, layer 0, iteration 0: injected factor failure"):
-        run_step(cluster, shards, KfacHyper(), 0.05, 0.9, 0)
+        run_step(cluster, batch, KfacHyper(), 0.05, 0.9, 0)
 
 
 # ---------------------------------------------------------------------------
-# the local passes: column blocks of one pass over the global batch
+# the local passes: worker spans of one pass over the global batch
 
 
 @pytest.mark.parametrize("algorithm", ["ssgd", "mpd_kfac_co", "mpd_kfac_mo", "dp_kfac"])
@@ -680,12 +703,27 @@ def test_run_step_runs_one_forward_and_one_backward_per_step(monkeypatch, algori
     cluster = build_cluster(SPEC, algorithm, 4, seed=0)
     for t in range(3):
         calls.clear()
-        run_step(cluster, shard_batch(_batch(), 4, "disjoint"), KfacHyper(k_freq=2), 0.05, 0.9, t)
+        run_step(cluster, _batch(), KfacHyper(k_freq=2), 0.05, 0.9, t)
         assert calls == ["forward", "backward"], (algorithm, t)
 
 
+@pytest.mark.parametrize("policy", ["disjoint", "replicate"])
+def test_run_step_passes_the_callers_batch_to_both_passes(monkeypatch, policy):
+    # no per-worker copies or views: each pass runs over the caller's batch
+    seen = []
+    for name in ("forward", "backward"):
+        def spying(net, batch, *args, _original=getattr(distsim, name)):
+            seen.append(batch)
+            return _original(net, batch, *args)
+        monkeypatch.setattr(distsim, name, spying)
+    batch = _batch()
+    run_step(build_cluster(SPEC, "dp_kfac", 4, seed=0, shard_policy=policy),
+             batch, KfacHyper(), 0.05, 0.9, 0)
+    assert len(seen) == 2 and all(b is batch for b in seen)
+
+
 def _per_worker_loop(net, shards):
-    """The local passes as P separate passes, one per shard."""
+    """The local passes as P separate passes, one per worker's columns."""
     passes, losses = [], []
     for shard in shards:
         loss, captures = forward(net, shard)
@@ -700,12 +738,11 @@ BLOCK_SPEC = NetworkSpec((64, 64, 10), activation="tanh", bias_mode="homogeneous
 
 def _block_case(spec, workers, b, order="C", policy="disjoint"):
     rng = np.random.default_rng(workers * 1000 + b)
-    cluster = build_cluster(spec, "dp_kfac", workers, seed=b)
+    cluster = build_cluster(spec, "dp_kfac", workers, seed=b, shard_policy=policy)
     batch = Batch(np.asarray(rng.standard_normal((spec.layer_dims[0], workers * b)), order=order),
                   rng.integers(0, spec.layer_dims[-1], size=workers * b))
-    shards = shard_batch(batch, workers, policy)
-    want, want_loss = _per_worker_loop(cluster.net, shards)
-    got, got_loss = distsim._local_grads(cluster, shards, 0)
+    want, want_loss = _per_worker_loop(cluster.net, _shards(batch, workers, policy))
+    got, got_loss = distsim._local_grads(cluster, batch, 0)
     assert len(got) == workers
     pairs = [(want_loss, got_loss)]
     for (grads, inputs, preact_grads), lp in zip(want, got):
@@ -745,21 +782,22 @@ def test_block_pass_matches_per_worker_passes_to_rounding(spec, b, order):
 @pytest.mark.parametrize("worker", [0, 2, 3])
 def test_non_finite_loss_in_a_block_names_its_worker(worker):
     cluster = build_cluster(SPEC, "dp_kfac", 4, seed=0)
-    shards = shard_batch(_batch(), 4, "disjoint")
-    shards[worker] = Batch(np.full_like(shards[worker].inputs, np.inf), shards[worker].targets)
     before = _weights(cluster)
     with pytest.raises(NumericError, match=rf"^worker {worker}, iteration 2: training loss"):
-        run_step(cluster, shards, KfacHyper(), 0.05, 0.9, 2)
+        run_step(cluster, _poisoned(_batch(), 4, worker, np.inf), KfacHyper(), 0.05, 0.9, 2)
     assert np.array_equal(_weights(cluster), before)
 
 
-def test_block_targets_must_match_their_block():
-    # the joined targets have the right length, but not block by block
-    shards = shard_batch(_batch(), 2, "disjoint")
-    skewed = [Batch(shards[0].inputs, shards[0].targets[:-1]),
-              Batch(shards[1].inputs, np.append(shards[1].targets, 0))]
-    with pytest.raises(ShapeError, match="one target column per sample"):
-        run_step(build_cluster(SPEC, "ssgd", 2, seed=0), skewed, KfacHyper(), 0.05, 0.9, 0)
+def test_step_targets_must_match_the_batch_columns():
+    # one target per column of the global batch, whatever the worker spans
+    batch = _batch()
+    short = Batch(batch.inputs, batch.targets[:-1])
+    before = _weights(build_cluster(SPEC, "ssgd", 2, seed=0))
+    for policy in ("disjoint", "replicate"):
+        cluster = build_cluster(SPEC, "ssgd", 2, seed=0, shard_policy=policy)
+        with pytest.raises(ShapeError, match=r"^expected 32 class indices, got shape \(31,\)$"):
+            run_step(cluster, short, KfacHyper(), 0.05, 0.9, 0)
+        assert np.array_equal(_weights(cluster), before)
 
 
 # ---------------------------------------------------------------------------

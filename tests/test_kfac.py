@@ -338,7 +338,7 @@ def _layer_pass(cluster, batch):
 
 
 def _one_layer_step(cluster, batch, hyper, t):
-    run_step(cluster, [batch], hyper, 0.05, 0.9, t)
+    run_step(cluster, batch, hyper, 0.05, 0.9, t)
     return cluster.factors[0]
 
 
@@ -455,6 +455,7 @@ def test_decomposition_arrays_name_what_a_refresh_leaves(inv_type, names):
     assert kfac.decomposition_arrays(state) == {}
     held = kfac.decomposition_arrays(kfac.refresh_inverses(state, hyper, 0))
     assert list(held) == names
+    assert kfac.DECOMPOSITION_NAMES[inv_type] == tuple(names)
     # what load_decomposition sets from those names is what they name
     restored = FactorState(a_cov=state.a_cov, g_cov=state.g_cov, initialized=True)
     kfac.load_decomposition(restored, lambda *group: [held.get(n) for n in group])

@@ -301,6 +301,42 @@ def test_forward_shape_error():
         forward(net, Batch(np.zeros((4, 2)), np.array([0, 1])))
 
 
+@pytest.mark.parametrize("loss", LOSSES)
+def test_targets_must_match_the_batch_columns(loss):
+    rng = np.random.default_rng(13)
+    spec = NetworkSpec((3, 4, 2), loss_kind=loss)
+    net = init_network(spec, seed=0)
+    batch = _random_batch(rng, spec, 6)
+    short = Batch(batch.inputs, batch.targets[..., :-1])
+    with pytest.raises(ShapeError):
+        forward(net, short)
+    _, captures = forward(net, batch)
+    with pytest.raises(ShapeError):
+        backward(net, short, captures)
+
+
+def test_spans_report_the_passes_over_their_columns():
+    # the whole batch's captures, one mean loss and one gradient list per
+    # span, each a pass over the span's columns alone (to rounding)
+    rng = np.random.default_rng(14)
+    spec = NetworkSpec((5, 6, 3), bias_mode="homogeneous")
+    net = init_network(spec, seed=1)
+    batch = _random_batch(rng, spec, 12)
+    spans = [slice(0, 4), slice(4, 12), slice(0, 12)]
+    losses, captures = forward(net, batch, spans)
+    grads, preact_grads = backward(net, batch, captures, spans)
+    assert len(losses) == len(grads) == 3
+    assert _bits(c.input for c in captures) == _bits(c.input for c in forward(net, batch)[1])
+    assert losses[2] == forward(net, batch)[0]
+    assert _bits(grads[2]) == _bits(backward(net, batch, captures)[0])
+    for span, loss, span_grads in zip(spans, losses, grads):
+        part = Batch(batch.inputs[:, span], batch.targets[span])
+        want_loss, part_captures = forward(net, part)
+        assert abs(loss - want_loss) <= 1e-14 * abs(want_loss)
+        for got, want in zip(span_grads, backward(net, part, part_captures)[0]):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 # ---------------------------------------------------------------------------
 # bit-exact oracle: the local pass written the straightforward way, which
 # stacks a ones row with vstack, differentiates the activation at its input
