@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Mapping, Optional, get_type_hints
 
 from .costmodel import ALGORITHMS
-from .distsim import SHARD_POLICIES, LrSchedule
-from .errors import ConfigError
+from .distsim import SHARD_POLICIES, LrSchedule, worker_spans
+from .errors import ArgumentError, ConfigError
 from .kfac import INV_TYPES, KfacHyper
 from .model import ACTIVATIONS, BIAS_MODES, LOSSES, NetworkSpec
 from .datasets import SYNTHETIC_KINDS
@@ -244,11 +244,10 @@ def validate_config(cfg: RunConfig):
         if not ok:
             raise ConfigError(f"{dotted} must be {requirement}, got {value!r}")
     t, d = cfg.train, cfg.data
-    if t.shard_policy == "disjoint" and t.batch_size % t.workers != 0:
-        raise ConfigError(
-            f"train.batch_size={t.batch_size} not divisible by train.workers={t.workers} "
-            "under disjoint sharding"
-        )
+    try:
+        worker_spans(t.batch_size, t.workers, t.shard_policy)
+    except ArgumentError as exc:
+        raise ConfigError(f"train.batch_size, train.workers and train.shard_policy: {exc}") from exc
     if d.kind == "idx":
         for label, p in (("data.images", d.images), ("data.labels", d.labels)):
             if not p:

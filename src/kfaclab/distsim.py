@@ -144,8 +144,7 @@ def build_cluster(
         raise ArgumentError(f"unknown algorithm {algorithm!r}")
     if workers < 1:
         raise ArgumentError("worker count must be >= 1")
-    if shard_policy not in SHARD_POLICIES:
-        raise ArgumentError(f"unknown shard policy {shard_policy!r}")
+    worker_spans(workers, workers, shard_policy)  # rejects an unknown policy before allocating
     net = init_network(spec, seed)
     # allocated right after the weights: allocated after the assignment
     # instead, the steps of the 192-wide P=8 perfbench workload ran 2-7%

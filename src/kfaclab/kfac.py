@@ -26,7 +26,7 @@ before the first update.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,7 +42,7 @@ DECOMPOSITION_NAMES = {"inverse": ("a_damped_inv", "g_damped_inv"),
 @dataclass
 class FactorState:
     """Per-layer curvature state: averaged factors, their decompositions, and
-    staleness bookkeeping."""
+    staleness bookkeeping.  :func:`state_problems` says which states are legal."""
 
     a_cov: Optional[np.ndarray] = None
     g_cov: Optional[np.ndarray] = None
@@ -52,7 +52,11 @@ class FactorState:
     g_damped_inv: Optional[np.ndarray] = None
     last_factor_update: int = -1
     last_inverse_update: int = -1
-    initialized: bool = False
+
+    @property
+    def initialized(self) -> bool:
+        """A factor update has run; checkpoints still store it as a flag."""
+        return self.last_factor_update >= 0
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,6 @@ def update_running_average(
     if not state.initialized:
         state.a_cov = a_new.copy()
         state.g_cov = g_new.copy()
-        state.initialized = True
     else:
         if state.a_cov.shape != a_new.shape or state.g_cov.shape != g_new.shape:
             raise ShapeError("factor shapes changed between running-average updates")
@@ -187,15 +190,6 @@ def _check_grad_shape(grad: np.ndarray, dim_g: int, dim_a: int):
         )
 
 
-def precondition_inverse(
-    a_cov: np.ndarray, g_cov: np.ndarray, grad: np.ndarray, gamma: float
-) -> np.ndarray:
-    """Matrix-inversion damping: ``(G + sqrt(gamma)/pi I)^-1 grad (A + pi sqrt(gamma) I)^-1``."""
-    _check_grad_shape(grad, g_cov.shape[0], a_cov.shape[0])
-    a_inv, g_inv = damped_inverses(a_cov, g_cov, gamma)
-    return g_inv @ grad @ a_inv
-
-
 def precondition_eigen(
     a_eig: EigenPair, g_eig: EigenPair, grad: np.ndarray, gamma: float
 ) -> np.ndarray:
@@ -235,7 +229,8 @@ def factored_precondition_oracle(
 ) -> np.ndarray:
     """Dense solve against the pi-split FACTORED damped curvature
     ``(A + pi sqrt(gamma) I) kron (G + sqrt(gamma)/pi I)``; the reference
-    for :func:`precondition_inverse`."""
+    for ``inverse`` damping (:func:`damped_inverses`, then the step's
+    :func:`apply_preconditioner`)."""
     dim_g, dim_a = g_cov.shape[0], a_cov.shape[0]
     _check_grad_shape(grad, dim_g, dim_a)
     pi = pi_scalar(a_cov, g_cov)
@@ -266,26 +261,53 @@ def refresh_inverses(state: FactorState, hyper: KfacHyper, t: int) -> FactorStat
     return state
 
 
-def decomposition_arrays(state: FactorState) -> dict[str, np.ndarray]:
-    """The arrays of the decompositions a state holds, by checkpoint name:
-    ``{a,g}_eig_q`` and ``{a,g}_eig_v`` (eigenbases and eigenvalues) and
-    ``{a,g}_damped_inv``, ``a`` for the input factor and ``g`` for the
-    gradient factor.  A refresh leaves those of its ``inv_type`` only."""
-    held = {"a_damped_inv": state.a_damped_inv, "g_damped_inv": state.g_damped_inv}
+def state_arrays(state: FactorState) -> dict[str, np.ndarray]:
+    """Every array a state holds, by checkpoint name: the averaged factors
+    ``a_cov`` and ``g_cov``, and of the decompositions ``{a,g}_eig_q`` and
+    ``{a,g}_eig_v`` (eigenbases and eigenvalues) and ``{a,g}_damped_inv``,
+    ``a`` for the input factor and ``g`` for the gradient factor."""
+    held = {"a_cov": state.a_cov, "g_cov": state.g_cov,
+            "a_damped_inv": state.a_damped_inv, "g_damped_inv": state.g_damped_inv}
     for side, pair in (("a", state.a_eig), ("g", state.g_eig)):
         if pair is not None:
             held.update({f"{side}_eig_q": pair.q, f"{side}_eig_v": pair.values})
     return {name: arr for name, arr in held.items() if arr is not None}
 
 
-def load_decomposition(state: FactorState, group: Callable[..., list]):
-    """Set a state's decompositions from arrays named as in
-    :func:`decomposition_arrays`: ``group(*names)`` returns the arrays of
-    names stored together, or None for each to leave them unset."""
-    state.a_damped_inv, state.g_damped_inv = group(*DECOMPOSITION_NAMES["inverse"])
-    a_q, a_v, g_q, g_v = group(*DECOMPOSITION_NAMES["eigen"])
-    if a_q is not None:
-        state.a_eig, state.g_eig = EigenPair(a_q, a_v), EigenPair(g_q, g_v)
+def decomposition_arrays(state: FactorState) -> dict[str, np.ndarray]:
+    """The decompositions' arrays of :func:`state_arrays`.  A refresh leaves
+    those of its ``inv_type`` only."""
+    return {name: arr for name, arr in state_arrays(state).items() if not name.endswith("_cov")}
+
+
+def load_arrays(state: FactorState, arrays: dict[str, np.ndarray]):
+    """Set every array of a state from ``arrays``, named as in :func:`state_arrays`
+    (an absent name empties its slot); :func:`state_problems` judges the result."""
+    for name in ("a_cov", "g_cov", "a_damped_inv", "g_damped_inv"):
+        setattr(state, name, arrays.get(name))
+    for side in "ag":
+        q, v = arrays.get(f"{side}_eig_q"), arrays.get(f"{side}_eig_v")
+        setattr(state, f"{side}_eig", None if q is None and v is None else EigenPair(q, v))
+
+
+def state_problems(state: FactorState, inv_type: str, d_in: int, d_out: int) -> list[str]:
+    """Why no run of ``inv_type`` on a ``d_out x d_in`` layer reaches
+    ``state``; empty for a legal state.  In a legal state a refresh follows
+    a factor update, the averaged factors exist exactly when a factor update
+    has run, the decomposition of ``inv_type`` and no other exists exactly
+    when a refresh has run, and every array has the layer's shape."""
+    f, k = state.last_factor_update, state.last_inverse_update
+    stamps = f"last_factor_update = {f}, last_inverse_update = {k}"
+    if k >= 0 > f:
+        return [f"a refresh needs a factor update first, but {stamps}"]
+    held = state_arrays(state)
+    # a_* arrays are d_in wide, g_* d_out; *_v are eigenvalue vectors
+    needed = {n: (d_in if n[0] == "a" else d_out,) * (1 if n.endswith("_v") else 2)
+              for n in ("a_cov", "g_cov") * (f >= 0) + DECOMPOSITION_NAMES[inv_type] * (k >= 0)}
+    return ([f"{n} is missing from a state with {stamps}" for n in needed if n not in held]
+            + [f"{n} is not part of a state with {stamps}" for n in held if n not in needed]
+            + [f"{n} is of shape {held[n].shape}; the layer needs {shape}"
+               for n, shape in needed.items() if n in held and held[n].shape != shape])
 
 
 def apply_preconditioner(state: FactorState, grad: np.ndarray, hyper: KfacHyper) -> np.ndarray:

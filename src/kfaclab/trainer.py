@@ -26,7 +26,6 @@ from .costmodel import COMM_STAGES, COMPUTE_STAGES
 from .datasets import Dataset, gen_synthetic, load_idx
 from .distsim import Cluster, build_cluster, lr_schedule, run_step
 from .errors import ArgumentError, DataFormatError
-from .kfac import FactorState
 from .model import Batch, predict, _per_sample_losses
 
 CSV_COLUMNS = (
@@ -273,10 +272,7 @@ def _cluster_arrays(cluster: Cluster) -> tuple[dict[str, np.ndarray], dict]:
             "last_factor_update": state.last_factor_update,
             "last_inverse_update": state.last_inverse_update,
         }
-        fields = {"a_cov": state.a_cov, "g_cov": state.g_cov, **kfac.decomposition_arrays(state)}
-        for name, arr in fields.items():
-            if arr is not None:
-                arrays[f"{prefix}/{name}"] = arr
+        arrays.update({f"{prefix}/{name}": arr for name, arr in kfac.state_arrays(state).items()})
     return arrays, factor_meta
 
 
@@ -404,7 +400,7 @@ def _stored(ckpt: Checkpoint, name: str, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-def _restore_factor_state(state: FactorState, ckpt: Checkpoint, layer: int, owner: int,
+def _restore_factor_state(state: kfac.FactorState, ckpt: Checkpoint, layer: int, owner: int,
                           d_in: int, d_out: int, inv_type: str):
     prefix = f"factors/layer{layer}"
     where = f"factor state {prefix!r} (layer {layer}, owner worker {owner})"
@@ -420,34 +416,14 @@ def _restore_factor_state(state: FactorState, ckpt: Checkpoint, layer: int, owne
     if fm["initialized"] != (fm["last_factor_update"] >= 0):
         raise DataFormatError(f"checkpoint {where}: initialized = {json.dumps(fm['initialized'])} "
                               f"contradicts last_factor_update = {fm['last_factor_update']}")
-    state.initialized = fm["initialized"]
     state.last_factor_update = fm["last_factor_update"]
     state.last_inverse_update = fm["last_inverse_update"]
-    # the run reads the averaged factors of an initialized state, and of a
-    # refreshed one the decomposition of its own inv_type; restore_cluster
-    # rejects every other stored array
-    covs = ("a_cov", "g_cov") if state.initialized else ()
-    decomposition = kfac.DECOMPOSITION_NAMES[inv_type] if state.last_inverse_update >= 0 else ()
-    stored = [kind for kind, names in kfac.DECOMPOSITION_NAMES.items()
-              if any(f"{prefix}/{n}" in ckpt.arrays for n in names)]
-    if decomposition and inv_type not in stored:
-        held = f"inv_type {stored[0]!r} decompositions" if stored else "no decompositions"
-        raise DataFormatError(f"checkpoint {where} holds {held} (refreshed at iteration "
-                              f"{state.last_inverse_update}), but the run uses inv_type "
-                              f"{inv_type!r}")
-
-    def group(*names):
-        """Copies of arrays saved together, or None for each if the run does
-        not read them.  The state owns its copies: the running average folds
-        into them in place, which must not write into the checkpoint."""
-        if names not in (covs, decomposition):
-            return [None] * len(names)
-        # a_* arrays are d_in wide, g_* d_out; *_v are eigenvalue vectors
-        return [_stored(ckpt, f"{prefix}/{n}", (d_in if n[0] == "a" else d_out,)
-                        * (1 if n.endswith("_v") else 2)).copy() for n in names]
-
-    state.a_cov, state.g_cov = group("a_cov", "g_cov")
-    kfac.load_decomposition(state, group)
+    # copies: the running average folds into them in place, not into the checkpoint
+    kfac.load_arrays(state, {n[len(prefix) + 1:]: arr.copy() for n, arr in ckpt.arrays.items()
+                             if n.startswith(prefix + "/")})
+    problems = kfac.state_problems(state, inv_type, d_in, d_out)
+    if problems:
+        raise DataFormatError(f"checkpoint {where} under inv_type {inv_type!r}: {problems[0]}")
 
 
 def restore_cluster(cluster: Cluster, ckpt: Checkpoint, cfg: RunConfig):
@@ -456,7 +432,7 @@ def restore_cluster(cluster: Cluster, ckpt: Checkpoint, cfg: RunConfig):
     what a checkpoint of the run holds.  A DataFormatError names a missing,
     mis-shaped or unread array or factor state, a staleness stamp outside
     ``-1 <= stamp < iteration`` or contradicting ``initialized``, and a
-    refreshed state that lacks the decomposition of the run's ``inv_type``."""
+    factor state that :func:`kfaclab.kfac.state_problems` rejects."""
     if ckpt.meta["algorithm"] != cfg.train.algorithm or ckpt.meta["workers"] != cfg.train.workers:
         raise ArgumentError(
             "checkpoint was produced with a different algorithm/worker configuration"

@@ -8,11 +8,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from kfaclab import cli
-from kfaclab.config import DataConfig, HyperConfig, RunConfig, TrainConfig
+from kfaclab import cli, kfac
+from kfaclab.config import DataConfig, HyperConfig, RunConfig, TrainConfig, load_config
 from kfaclab.distsim import build_cluster, run_step
 from kfaclab.errors import DataFormatError
 from kfaclab.model import Batch, NetworkSpec
@@ -167,61 +167,98 @@ def co_run(tmp_path_factory):
     return cfg, load_checkpoint(root / "run" / "final.ckpt")
 
 
+def _edit_checkpoint(ckpt, meta_edit=(), drop=(), add=()):
+    """(meta, arrays) of ``ckpt`` after an edit, ``ckpt`` left as it is.
+    ``meta_edit`` maps a top-level meta key to its new value, or a factor
+    state's name to the fields to change in it (None drops the state); the
+    arrays named in ``drop`` go, and those in ``add`` join or replace the
+    stored ones."""
+    meta = json.loads(json.dumps(ckpt.meta))
+    states = meta["factor_states"]
+    for key, value in dict(meta_edit).items():
+        if key not in states:
+            meta[key] = value
+        elif value is None:
+            del states[key]
+        else:
+            states[key].update(value)
+    arrays = {n: a for n, a in ckpt.arrays.items() if n not in drop}
+    return meta, {**arrays, **dict(add)}
+
+
 def _resume(tmp_path, capsys, cfg, meta, arrays, version=CHECKPOINT_VERSION):
-    """Resume ``cfg`` to two epochs from a checkpoint holding ``meta`` and
-    ``arrays``; returns (exit code, stderr)."""
+    """Resume ``cfg`` to two epochs from ``tmp_path/edited.ckpt``, a
+    checkpoint holding ``meta`` and ``arrays`` laid out as the trainer saves
+    them; returns (exit code, stderr)."""
     names = sorted(arrays)
     header = {"meta": meta, "arrays": [
         {"name": n, "shape": list(arrays[n].shape), "dtype": "<f8"} for n in names]}
     path = tmp_path / "edited.ckpt"
     path.write_bytes(_pack(header, b"".join(arrays[n].tobytes() for n in names),
-                           version=version))
+                           blob=json.dumps(header, sort_keys=True).encode(), version=version))
     capsys.readouterr()
     code = cli.main(["--out-dir", str(tmp_path / "out"), "train", str(cfg),
                      "--train.epochs=2", "--resume", str(path)])
     return code, capsys.readouterr().err
 
 
+def _rejected_resume(tmp_path, capsys, co_run, fragment, edited=None, version=CHECKPOINT_VERSION):
+    """Resume the co_run config from its checkpoint, or from the (meta,
+    arrays) of ``edited``, into a directory that already holds metrics: exit
+    3 with ``fragment`` on stderr, no traceback, the metrics untouched.
+    Returns stderr."""
+    cfg, ckpt = co_run
+    kept = tmp_path / "out" / "metrics.csv"
+    kept.parent.mkdir()
+    kept.write_text("iteration,epoch\n0,0\n")
+    code, err = _resume(tmp_path, capsys, cfg, *(edited or (ckpt.meta, ckpt.arrays)), version)
+    assert code == cli.EXIT_DATA
+    assert fragment in err
+    assert "Traceback" not in err
+    assert kept.read_bytes() == b"iteration,epoch\n0,0\n"
+    return err
+
+
 def test_rewritten_checkpoint_resumes(tmp_path, capsys, co_run):
     cfg, ckpt = co_run
     assert _resume(tmp_path, capsys, cfg, ckpt.meta, ckpt.arrays) == (0, "")
+    # laid out as the trainer saves it
+    assert ((tmp_path / "edited.ckpt").read_bytes()
+            == (cfg.parent / "run" / "final.ckpt").read_bytes())
+
+
+LAYER1 = "factor state 'factors/layer1' (layer 1, owner worker 1)"
 
 
 def test_restore_rejects_eigenbasis_without_eigenvalues(tmp_path, capsys, co_run):
-    cfg, ckpt = co_run
-    arrays = dict(ckpt.arrays)
-    del arrays["factors/layer0/a_eig_v"]
-    code, err = _resume(tmp_path, capsys, cfg, ckpt.meta, arrays)
-    assert code == cli.EXIT_DATA
-    assert "'factors/layer0/a_eig_v' is missing" in err
+    _rejected_resume(tmp_path, capsys, co_run,
+                     "factor state 'factors/layer0' (layer 0, owner worker 0) under inv_type "
+                     "'eigen': a_eig_v is missing from a state with last_factor_update = 3, "
+                     "last_inverse_update = 3",
+                     _edit_checkpoint(co_run[1], drop=["factors/layer0/a_eig_v"]))
 
 
 def test_restore_rejects_mis_shaped_factor(tmp_path, capsys, co_run):
-    cfg, ckpt = co_run
-    arrays = {**ckpt.arrays, "factors/layer1/a_cov": np.eye(2)}
-    code, err = _resume(tmp_path, capsys, cfg, ckpt.meta, arrays)
-    assert code == cli.EXIT_DATA
-    assert "'factors/layer1/a_cov' is of shape (2, 2); the run needs (4, 4)" in err
+    _rejected_resume(tmp_path, capsys, co_run,
+                     f"{LAYER1} under inv_type 'eigen': a_cov is of shape (2, 2); the layer "
+                     f"needs (4, 4)",
+                     _edit_checkpoint(co_run[1], add={"factors/layer1/a_cov": np.eye(2)}))
 
 
 def test_restore_rejects_missing_factor_state(tmp_path, capsys, co_run):
-    cfg, ckpt = co_run
-    meta = json.loads(json.dumps(ckpt.meta))
-    del meta["factor_states"]["factors/layer1"]
-    arrays = {n: a for n, a in ckpt.arrays.items() if not n.startswith("factors/layer1/")}
-    code, err = _resume(tmp_path, capsys, cfg, meta, arrays)
-    assert code == cli.EXIT_DATA
-    assert "no factor state 'factors/layer1' (layer 1, owner worker 1)" in err
+    ckpt = co_run[1]
+    _rejected_resume(tmp_path, capsys, co_run, f"no {LAYER1}", _edit_checkpoint(
+        ckpt, {"factors/layer1": None},
+        drop=[n for n in ckpt.arrays if n.startswith("factors/layer1/")]))
 
 
 def test_restore_rejects_initialized_state_without_factors(tmp_path, capsys, co_run):
-    cfg, ckpt = co_run
-    assert ckpt.meta["factor_states"]["factors/layer1"]["initialized"]
-    arrays = {n: a for n, a in ckpt.arrays.items()
-              if n not in ("factors/layer1/a_cov", "factors/layer1/g_cov")}
-    code, err = _resume(tmp_path, capsys, cfg, ckpt.meta, arrays)
-    assert code == cli.EXIT_DATA
-    assert "'factors/layer1/a_cov' is missing" in err
+    assert co_run[1].meta["factor_states"]["factors/layer1"]["initialized"]
+    _rejected_resume(tmp_path, capsys, co_run,
+                     f"{LAYER1} under inv_type 'eigen': a_cov is missing from a state with "
+                     f"last_factor_update = 3, last_inverse_update = 3",
+                     _edit_checkpoint(co_run[1],
+                                      drop=["factors/layer1/a_cov", "factors/layer1/g_cov"]))
 
 
 @pytest.mark.parametrize("saved, resumed", [("eigen", "inverse"), ("inverse", "eigen")])
@@ -238,43 +275,43 @@ def test_resume_with_other_damping_scheme_is_data_error(tmp_path, capsys, saved,
                      "--resume", str(tmp_path / "run" / "final.ckpt")])
     err = capsys.readouterr().err
     assert code == cli.EXIT_DATA
-    assert (f"factor state 'factors/layer0' (layer 0, owner worker 0) holds inv_type "
-            f"'{saved}' decompositions (refreshed at iteration 3), but the run uses "
-            f"inv_type '{resumed}'") in err
+    first = {"inverse": "a_damped_inv", "eigen": "a_eig_q"}[resumed]
+    assert (f"factor state 'factors/layer0' (layer 0, owner worker 0) under inv_type "
+            f"'{resumed}': {first} is missing from a state with last_factor_update = 3, "
+            f"last_inverse_update = 3") in err
     assert "Traceback" not in err
 
 
 def test_restore_rejects_refreshed_state_without_decomposition(tmp_path, capsys, co_run):
-    cfg, ckpt = co_run
-    arrays = {n: a for n, a in ckpt.arrays.items()
-              if not (n.startswith("factors/layer1/") and "_eig_" in n)}
-    code, err = _resume(tmp_path, capsys, cfg, ckpt.meta, arrays)
-    assert code == cli.EXIT_DATA
-    assert "'factors/layer1' (layer 1, owner worker 1) holds no decompositions" in err
-    assert "the run uses inv_type 'eigen'" in err
+    ckpt = co_run[1]
+    _rejected_resume(tmp_path, capsys, co_run,
+                     f"{LAYER1} under inv_type 'eigen': a_eig_q is missing from a state with "
+                     f"last_factor_update = 3, last_inverse_update = 3",
+                     _edit_checkpoint(ckpt, drop=[n for n in ckpt.arrays
+                                                  if n.startswith("factors/layer1/")
+                                                  and "_eig_" in n]))
 
 
 def test_restore_rejects_decompositions_of_both_damping_schemes(tmp_path, capsys, co_run):
     # an eigen run stores eigenbases only; damped inverses next to them would
     # be carried into the next save although the run never reads them
-    cfg, ckpt = co_run
+    ckpt = co_run[1]
     a_cov, g_cov = ckpt.arrays["factors/layer0/a_cov"], ckpt.arrays["factors/layer0/g_cov"]
-    arrays = {**ckpt.arrays, "factors/layer0/a_damped_inv": np.eye(a_cov.shape[0]),
-              "factors/layer0/g_damped_inv": np.eye(g_cov.shape[0])}
-    code, err = _resume(tmp_path, capsys, cfg, ckpt.meta, arrays)
-    assert code == cli.EXIT_DATA
-    assert ("checkpoint array 'factors/layer0/a_damped_inv' is not part of the state this run "
-            "restores (2 such arrays)") in err
-    assert "Traceback" not in err
+    _rejected_resume(tmp_path, capsys, co_run,
+                     "factor state 'factors/layer0' (layer 0, owner worker 0) under inv_type "
+                     "'eigen': a_damped_inv is not part of a state with last_factor_update = 3, "
+                     "last_inverse_update = 3",
+                     _edit_checkpoint(ckpt, add={
+                         "factors/layer0/a_damped_inv": np.eye(a_cov.shape[0]),
+                         "factors/layer0/g_damped_inv": np.eye(g_cov.shape[0])}))
 
 
 @pytest.mark.parametrize("name", ["layer0/velocity", "factors/layer7/a_cov",
                                   "factors/layer1/a_eig_w"])
 def test_restore_rejects_arrays_the_run_does_not_read(tmp_path, capsys, co_run, name):
-    cfg, ckpt = co_run
-    code, err = _resume(tmp_path, capsys, cfg, ckpt.meta, {**ckpt.arrays, name: np.zeros(3)})
-    assert code == cli.EXIT_DATA
-    assert f"checkpoint array {name!r} is not part of the state this run restores" in err
+    _rejected_resume(tmp_path, capsys, co_run,
+                     f"checkpoint array {name!r} is not part of the state this run restores",
+                     _edit_checkpoint(co_run[1], add={name: np.zeros(3)}))
 
 
 @pytest.mark.parametrize("initialized, stamp", [(False, 3), (True, -1)])
@@ -282,40 +319,34 @@ def test_restore_rejects_initialized_flag_that_contradicts_its_stamp(
         tmp_path, capsys, co_run, initialized, stamp):
     # an uninitialized state's next running-average update would replace the
     # restored averages instead of folding into them
-    meta = json.loads(json.dumps(co_run[1].meta))
-    meta["factor_states"]["factors/layer1"].update(initialized=initialized,
-                                                   last_factor_update=stamp)
     _rejected_resume(tmp_path, capsys, co_run,
-                     f"factor state 'factors/layer1' (layer 1, owner worker 1): initialized = "
-                     f"{json.dumps(initialized)} contradicts last_factor_update = {stamp}", meta)
+                     f"{LAYER1}: initialized = {json.dumps(initialized)} contradicts "
+                     f"last_factor_update = {stamp}",
+                     _edit_checkpoint(co_run[1], {"factors/layer1": {
+                         "initialized": initialized, "last_factor_update": stamp}}))
 
 
 def test_restore_rejects_factors_of_an_uninitialized_state(tmp_path, capsys, co_run):
-    cfg, ckpt = co_run
-    meta = json.loads(json.dumps(ckpt.meta))
-    meta["factor_states"]["factors/layer1"].update(initialized=False, last_factor_update=-1,
-                                                   last_inverse_update=-1)
-    arrays = {n: a for n, a in ckpt.arrays.items()
-              if not (n.startswith("factors/layer1/") and "_eig_" in n)}
-    code, err = _resume(tmp_path, capsys, cfg, meta, arrays)
-    assert code == cli.EXIT_DATA
-    assert "checkpoint array 'factors/layer1/a_cov' is not part of the state this run" in err
+    ckpt = co_run[1]
+    _rejected_resume(tmp_path, capsys, co_run,
+                     f"{LAYER1} under inv_type 'eigen': a_cov is not part of a state with "
+                     f"last_factor_update = -1, last_inverse_update = -1",
+                     _edit_checkpoint(ckpt, {"factors/layer1": {
+                         "initialized": False, "last_factor_update": -1,
+                         "last_inverse_update": -1}},
+                         drop=[n for n in ckpt.arrays
+                               if n.startswith("factors/layer1/") and "_eig_" in n]))
 
 
-def _rejected_resume(tmp_path, capsys, co_run, fragment, meta=None, version=CHECKPOINT_VERSION):
-    """Resume the co_run config from its checkpoint with ``meta`` in place of
-    the stored one, into a directory that already holds metrics: exit 3 with
-    ``fragment`` on stderr, no traceback, the metrics untouched."""
-    cfg, ckpt = co_run
-    kept = tmp_path / "out" / "metrics.csv"
-    kept.parent.mkdir()
-    kept.write_text("iteration,epoch\n0,0\n")
-    code, err = _resume(tmp_path, capsys, cfg, ckpt.meta if meta is None else meta,
-                        ckpt.arrays, version)
-    assert code == cli.EXIT_DATA
-    assert fragment in err
-    assert "Traceback" not in err
-    assert kept.read_bytes() == b"iteration,epoch\n0,0\n"
+def test_resume_rejects_refresh_before_any_factor_update(tmp_path, capsys, co_run):
+    # no run refreshes a state before its first factor update, so a state
+    # whose eigenbases outlive its averaged factors is no state a run reaches
+    _rejected_resume(tmp_path, capsys, co_run,
+                     f"{LAYER1} under inv_type 'eigen': a refresh needs a factor update "
+                     f"first, but last_factor_update = -1, last_inverse_update = 3",
+                     _edit_checkpoint(co_run[1], {"factors/layer1": {
+                         "initialized": False, "last_factor_update": -1}},
+                         drop=["factors/layer1/a_cov", "factors/layer1/g_cov"]))
 
 
 def test_resume_from_version_1_checkpoint_is_rejected(tmp_path, capsys, co_run):
@@ -332,7 +363,7 @@ def test_resume_from_version_1_checkpoint_is_rejected(tmp_path, capsys, co_run):
      "checkpoint iteration = 2 is not epoch 0 x 4 iterations per epoch"),
 ], ids=["negative-epoch", "negative-iteration", "mid-epoch"])
 def test_resume_rejects_impossible_position(tmp_path, capsys, co_run, edit, fragment):
-    _rejected_resume(tmp_path, capsys, co_run, fragment, {**co_run[1].meta, **edit})
+    _rejected_resume(tmp_path, capsys, co_run, fragment, _edit_checkpoint(co_run[1], edit))
 
 
 @pytest.mark.parametrize("stamp, value", [
@@ -340,11 +371,64 @@ def test_resume_rejects_impossible_position(tmp_path, capsys, co_run, edit, frag
     ("last_factor_update", 4), ("last_inverse_update", -2),
 ])
 def test_resume_rejects_impossible_staleness_stamp(tmp_path, capsys, co_run, stamp, value):
-    meta = json.loads(json.dumps(co_run[1].meta))
-    meta["factor_states"]["factors/layer1"][stamp] = value
     _rejected_resume(tmp_path, capsys, co_run,
-                     f"factor state 'factors/layer1' (layer 1, owner worker 1): {stamp} = "
-                     f"{value} lies outside -1..3 for a checkpoint at iteration 4", meta)
+                     f"{LAYER1}: {stamp} = {value} lies outside -1..3 for a checkpoint at "
+                     f"iteration 4",
+                     _edit_checkpoint(co_run[1], {"factors/layer1": {stamp: value}}))
+
+
+_EIGEN_STATE = ("a_cov", "g_cov", "a_eig_q", "a_eig_v", "g_eig_q", "g_eig_v")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+# states a run reaches: never updated, updated and not refreshed, and stale
+@example(layer=1, f=-1, k=-1, flag=None, drop=set(_EIGEN_STATE), add=set())
+@example(layer=0, f=2, k=-1, flag=None, drop=set(_EIGEN_STATE[2:]), add=set())
+@example(layer=1, f=1, k=3, flag=None, drop=set(), add=set())
+@given(layer=st.integers(0, 1), f=st.integers(-1, 3), k=st.integers(-1, 3),
+       flag=st.none() | st.booleans(), drop=st.sets(st.sampled_from(_EIGEN_STATE)),
+       add=st.sets(st.sampled_from(kfac.DECOMPOSITION_NAMES["inverse"])))
+def test_edited_factor_state_resumes_exactly_or_exits_3(
+        tmp_path_factory, capsys, co_run, layer, f, k, flag, drop, add):
+    """An edit of one layer's flag, stamps (in range) and arrays either is
+    rejected naming what is wrong, or restores a state the rule accepts
+    that saves back to the same bytes.  Which of the two is decided here
+    from the rule's four clauses, stated again as sets of names."""
+    cfg, ckpt = co_run
+    prefix = f"factors/layer{layer}"
+    flag = f >= 0 if flag is None else flag
+    d_out, d_in = ckpt.arrays[f"layer{layer}/weight"].shape
+    edited = _edit_checkpoint(
+        ckpt, {prefix: {"initialized": flag, "last_factor_update": f, "last_inverse_update": k}},
+        drop=[f"{prefix}/{n}" for n in drop],
+        add={f"{prefix}/{n}": np.eye(d_in if n[0] == "a" else d_out) for n in add})
+    held = set(_EIGEN_STATE) - drop | add
+    needed = set(_EIGEN_STATE[:2] if f >= 0 else ()) | set(_EIGEN_STATE[2:] if k >= 0 else ())
+    tmp = tmp_path_factory.mktemp("edit")
+    legal = flag == (f >= 0) and not k >= 0 > f and held == needed
+    event("restored" if legal else "rejected")
+    if legal:
+        assert _resume(tmp, capsys, cfg, *edited) == (0, "")
+        run_cfg = load_config(cfg)
+        restored = build_cluster(run_cfg.network, "mpd_kfac_co", 2, seed=1)
+        restore_cluster(restored, load_checkpoint(tmp / "edited.ckpt"), run_cfg)
+        for i, state in restored.factors.items():
+            d_out, d_in = restored.net.layers[i].weight.shape
+            assert kfac.state_problems(state, "eigen", d_in, d_out) == []
+        save_checkpoint(tmp / "again.ckpt", restored, ckpt.iteration, ckpt.epoch)
+        assert (tmp / "again.ckpt").read_bytes() == (tmp / "edited.ckpt").read_bytes()
+        return
+    err = _rejected_resume(tmp, capsys, co_run,
+                           f"factor state {prefix!r} (layer {layer}, owner worker {layer})", edited)
+    if flag != (f >= 0):
+        assert f"initialized = {json.dumps(flag)} contradicts last_factor_update = {f}" in err
+    elif k >= 0 > f:
+        assert (f"a refresh needs a factor update first, but last_factor_update = {f}, "
+                f"last_inverse_update = {k}") in err
+    else:
+        # the first problem names an array the state lacks or should not hold
+        assert err.split("under inv_type 'eigen': ")[1].split(" ")[0] in held ^ needed
 
 
 def _state_bits(cluster):

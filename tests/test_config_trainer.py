@@ -121,7 +121,9 @@ def test_missing_file():
 
 def test_batch_divisibility_enforced(tmp_path):
     path = _write(tmp_path, GOOD_CONFIG.replace("workers = 2", "workers = 3"))
-    with pytest.raises(ConfigError, match="divisible"):
+    with pytest.raises(ConfigError, match="^train.batch_size, train.workers and "
+                                          "train.shard_policy: batch of 32 samples does not "
+                                          "divide across 3 workers$"):
         load_config(path)
 
 
@@ -419,6 +421,7 @@ def test_run_manifest_config_block_reproduces_run(tmp_path):
 
 @pytest.mark.parametrize("section, key, value", [
     ("hyper", "lr", "fast"), ("hyper", "gamma", float("nan")), ("train", "seed", -1),
+    ("train", "shard_policy", "strided"),
 ])
 def test_run_manifest_config_block_values_are_checked(section, key, value):
     from kfaclab.config import config_from_dict

@@ -407,6 +407,20 @@ def test_mpd_factor_states_match_worker_major_oracle(workers, algorithm, inv_typ
                             == _decomposition_bits(want[i])), (t, p, i)
 
 
+@pytest.mark.parametrize("freqs", [(1, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("inv_type", kfac.INV_TYPES)
+@pytest.mark.parametrize("algorithm", ["dp_kfac", "mpd_kfac_co", "mpd_kfac_mo"])
+def test_every_step_leaves_states_the_rule_accepts(algorithm, inv_type, freqs):
+    # the rule a resume checks holds for every state the step itself leaves
+    hyper = KfacHyper(inv_type=inv_type, f_freq=freqs[0], k_freq=freqs[1])
+    cluster = build_cluster(SPEC, algorithm, 3, seed=6)
+    for t in range(7):
+        run_step(cluster, _batch(seed=t, B=48), hyper, 0.05, 0.9, t)
+        for i, state in cluster.factors.items():
+            d_out, d_in = cluster.net.layers[i].weight.shape
+            assert kfac.state_problems(state, inv_type, d_in, d_out) == [], (t, i)
+
+
 def test_run_step_never_reads_the_worker_views(monkeypatch):
     def forbidden(self):
         raise AssertionError("the step read Cluster.workers")

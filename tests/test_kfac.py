@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from kfaclab.distsim import build_cluster, run_step
 from kfaclab.errors import ArgumentError, CapacityError, NumericError, OrderingError
 from kfaclab.kfac import FactorState, KfacHyper
 from kfaclab.model import Batch, NetworkSpec, backward, forward
+from kfaclab.verify import precondition_via_state
 
 
 def _spd(rng, d):
@@ -182,14 +185,14 @@ def test_precondition_inverse_scalar_closed_form():
     a, g, x, gamma = 2.0, 0.5, 3.0, 0.03
     pi = np.sqrt(a / g)
     expected = x / ((g + np.sqrt(gamma) / pi) * (a + pi * np.sqrt(gamma)))
-    out = kfac.precondition_inverse(np.array([[a]]), np.array([[g]]),
-                                    np.array([[x]]), gamma)
+    out = precondition_via_state(np.array([[a]]), np.array([[g]]),
+                                 np.array([[x]]), gamma, "inverse")
     assert abs(out[0, 0] - expected) <= 1e-14
 
 
 def test_precondition_inverse_identity_factors_zero_damping():
     grad = np.random.default_rng(3).standard_normal((3, 4))
-    out = kfac.precondition_inverse(np.eye(4), np.eye(3), grad, gamma=0.0)
+    out = precondition_via_state(np.eye(4), np.eye(3), grad, 0.0, "inverse")
     assert np.abs(out - grad).max() <= 1e-12
 
 
@@ -199,7 +202,7 @@ def test_precondition_inverse_matches_factored_oracle():
         a, g = _spd(rng, 3), _spd(rng, 2)
         grad = rng.standard_normal((2, 3))
         for gamma in (1e-3, 0.03, 1.0):
-            fast = kfac.precondition_inverse(a, g, grad, gamma)
+            fast = precondition_via_state(a, g, grad, gamma, "inverse")
             oracle = kfac.factored_precondition_oracle(a, g, grad, gamma)
             assert np.abs(fast - oracle).max() <= 1e-10
 
@@ -212,7 +215,7 @@ def test_precondition_inverse_approaches_exact_oracle_at_zero_damping():
     for _ in range(10):
         a, g = _spd(rng, 4) + 19 * np.eye(4), _spd(rng, 3) + 19 * np.eye(3)
         grad = rng.standard_normal((3, 4))
-        fast = kfac.precondition_inverse(a, g, grad, 1e-12)
+        fast = precondition_via_state(a, g, grad, 1e-12, "inverse")
         exact = kfac.exact_precondition_oracle(a, g, grad, 1e-12)
         assert np.abs(fast - exact).max() <= 1e-8
 
@@ -221,9 +224,9 @@ def test_precondition_inverse_pi_rescaling_invariance():
     rng = np.random.default_rng(6)
     a, g = _spd(rng, 4), _spd(rng, 3)
     grad = rng.standard_normal((3, 4))
-    base = kfac.precondition_inverse(a, g, grad, 0.03)
+    base = precondition_via_state(a, g, grad, 0.03, "inverse")
     for c in (4.0, 0.25):
-        scaled = kfac.precondition_inverse(c * a, g / c, grad, 0.03)
+        scaled = precondition_via_state(c * a, g / c, grad, 0.03, "inverse")
         assert np.abs(scaled - base).max() <= 1e-10
 
 
@@ -420,7 +423,8 @@ def test_layer_step_inverse_mode_matches_stateless(monkeypatch):
     inputs, grads_cap, grad = _layer_pass(cluster, batch)
     _one_layer_step(cluster, batch, hyper, t=0)
     a, g = kfac.compute_factors(inputs, grads_cap)
-    assert np.abs(updates[0] - kfac.precondition_inverse(a, g, grad, hyper.gamma)).max() <= 1e-14
+    stateless = precondition_via_state(a, g, grad, hyper.gamma, "inverse")
+    assert np.abs(updates[0] - stateless).max() <= 1e-14
 
 
 def test_apply_preconditioner_before_refresh_is_ordering_error():
@@ -456,11 +460,80 @@ def test_decomposition_arrays_name_what_a_refresh_leaves(inv_type, names):
     held = kfac.decomposition_arrays(kfac.refresh_inverses(state, hyper, 0))
     assert list(held) == names
     assert kfac.DECOMPOSITION_NAMES[inv_type] == tuple(names)
-    # what load_decomposition sets from those names is what they name
-    restored = FactorState(a_cov=state.a_cov, g_cov=state.g_cov, initialized=True)
-    kfac.load_decomposition(restored, lambda *group: [held.get(n) for n in group])
-    assert {n: id(a) for n, a in kfac.decomposition_arrays(restored).items()} == \
-           {n: id(a) for n, a in held.items()}
+    # what load_arrays sets from those names is what they name
+    restored = FactorState(last_factor_update=0, last_inverse_update=0)
+    kfac.load_arrays(restored, kfac.state_arrays(state))
+    assert {n: id(a) for n, a in kfac.state_arrays(restored).items()} == \
+           {n: id(a) for n, a in kfac.state_arrays(state).items()}
+    assert kfac.state_problems(restored, inv_type, 5, 3) == []
     grad = rng.standard_normal((3, 5))
     assert np.array_equal(kfac.apply_preconditioner(restored, grad, hyper),
                           kfac.apply_preconditioner(state, grad, hyper))
+
+
+def _refreshed_arrays(rng, d_in=4, d_out=3):
+    """Every array name of a state, from real eigen and inverse refreshes of
+    one pair of averaged factors."""
+    a, g = _spd(rng, d_in), _spd(rng, d_out)
+    arrays = {}
+    for inv_type in kfac.INV_TYPES:
+        state = kfac.update_running_average(FactorState(), a, g, 1.0, 0)
+        hyper = KfacHyper(inv_type=inv_type)
+        arrays.update(kfac.state_arrays(kfac.refresh_inverses(state, hyper, 0)))
+    return arrays
+
+
+@pytest.mark.parametrize("stamps, names, problem", [
+    ((-1, -1), (), None),
+    ((0, -1), ("a_cov", "g_cov"), None),
+    ((2, 1), ("a_cov", "g_cov", "a_eig_q", "a_eig_v", "g_eig_q", "g_eig_v"), None),
+    ((-1, 0), ("a_eig_q", "a_eig_v", "g_eig_q", "g_eig_v"),
+     "a refresh needs a factor update first, but last_factor_update = -1, "
+     "last_inverse_update = 0"),
+    ((0, -1), ("a_cov",), "g_cov is missing from a state with last_factor_update = 0, "
+                          "last_inverse_update = -1"),
+    ((-1, -1), ("g_cov",), "g_cov is not part of a state with last_factor_update = -1, "
+                           "last_inverse_update = -1"),
+    ((0, 0), ("a_cov", "g_cov", "a_eig_q", "a_eig_v", "g_eig_q"),
+     "g_eig_v is missing from a state with last_factor_update = 0, last_inverse_update = 0"),
+    ((0, 0), ("a_cov", "g_cov", "a_eig_q", "a_eig_v", "g_eig_q", "g_eig_v", "a_damped_inv"),
+     "a_damped_inv is not part of a state with last_factor_update = 0, last_inverse_update = 0"),
+], ids=["fresh", "updated", "refreshed", "refresh-first", "missing-factor", "extra-factor",
+        "half-eigenpair", "other-scheme"])
+def test_state_problems_states_the_four_clauses(stamps, names, problem):
+    arrays = _refreshed_arrays(np.random.default_rng(8))
+    state = FactorState(last_factor_update=stamps[0], last_inverse_update=stamps[1])
+    kfac.load_arrays(state, {n: arrays[n] for n in names})
+    assert kfac.state_problems(state, "eigen", 4, 3)[:1] == ([] if problem is None else [problem])
+
+
+def test_state_problems_checks_every_shape():
+    arrays = _refreshed_arrays(np.random.default_rng(9))
+    state = FactorState(last_factor_update=0, last_inverse_update=0)
+    kfac.load_arrays(state, {"a_cov": arrays["a_cov"], "g_cov": arrays["g_cov"],
+                             "a_damped_inv": np.eye(4)[0], "g_damped_inv": np.eye(4)})
+    assert kfac.state_problems(state, "inverse", 4, 3) == [
+        "a_damped_inv is of shape (4,); the layer needs (4, 4)",
+        "g_damped_inv is of shape (4, 4); the layer needs (3, 3)",
+    ]
+    assert kfac.state_problems(state, "inverse", 3, 4)[:2] == [
+        "a_cov is of shape (4, 4); the layer needs (3, 3)",
+        "g_cov is of shape (3, 3); the layer needs (4, 4)",
+    ]
+
+
+def test_refreshed_states_the_rule_accepts_can_be_applied():
+    # every subset of the arrays, under every damping scheme and stamp pair
+    arrays = _refreshed_arrays(np.random.default_rng(10))
+    grad = np.random.default_rng(11).standard_normal((3, 4))
+    accepted = 0
+    for inv_type, f, k, mask in itertools.product(kfac.INV_TYPES, (-1, 0, 2), (0, 1),
+                                                  range(2 ** len(arrays))):
+        state = FactorState(last_factor_update=f, last_inverse_update=k)
+        kfac.load_arrays(state, {n: a for bit, (n, a) in enumerate(arrays.items())
+                                 if mask >> bit & 1})
+        if not kfac.state_problems(state, inv_type, 4, 3):
+            accepted += 1
+            out = kfac.apply_preconditioner(state, grad, KfacHyper(inv_type=inv_type))
+            assert out.shape == grad.shape
+    assert accepted == 8  # f in {0, 2} x k in {0, 1} x both schemes
