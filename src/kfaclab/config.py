@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping, Optional, get_type_hints
 
 from .costmodel import ALGORITHMS
-from .distsim import SHARD_POLICIES, LrSchedule, worker_spans
+from .distsim import SHARD_POLICIES, worker_spans
 from .errors import ArgumentError, ConfigError
 from .kfac import INV_TYPES, KfacHyper
 from .model import ACTIVATIONS, BIAS_MODES, LOSSES, NetworkSpec
@@ -70,9 +70,15 @@ class HyperConfig:
         return KfacHyper(gamma=self.gamma, xi=self.xi, inv_type=self.inv_type,
                          f_freq=self.f_freq, k_freq=self.k_freq)
 
-    def schedule(self, workers: int) -> LrSchedule:
-        return LrSchedule(base_lr=self.lr, workers=workers,
-                          warmup_iters=self.warmup_iters, decay_epochs=self.decay_epochs)
+    def lr_at(self, t: int, epoch: int, workers: int) -> float:
+        """Learning rate at iteration ``t`` in epoch ``epoch`` on ``workers``
+        workers: a linear ramp from ``lr`` to ``workers * lr`` over the warmup
+        iterations, then divided by 10 at every decay epoch already reached."""
+        peak = self.lr * workers
+        if self.warmup_iters > 0 and t < self.warmup_iters:
+            return self.lr + (peak - self.lr) * (t / self.warmup_iters)
+        drops = sum(1 for e in self.decay_epochs if epoch >= e)
+        return peak / 10.0 ** drops
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,12 @@ counters.  For a layer mapping ``d_in`` inputs to ``d_out`` outputs, the
 gradient holds ``N_g = d_out * d_in`` elements and the two curvature factors
 hold ``N_f = d_in^2 + d_out^2``.
 
-Costs are quoted per second-order-update iteration (the iteration where
-factors are rebuilt and decompositions recomputed); :func:`amortized_cost`
-spreads the factor/decomposition stages over their staleness intervals.
+The seven stages are declared once, as the fields of :class:`StepCounters`,
+the stage record: a simulated step returns one, and :class:`CostReport` and
+the trainer's metrics row extend it.  Costs are quoted per
+second-order-update iteration (the iteration where factors are rebuilt and
+decompositions recomputed); :func:`amortized_cost` spreads the
+factor/decomposition stages over their staleness intervals.
 
 Caveat recorded in every report: InverseComp is counted in factor elements
 like every other stage, although an eigendecomposition is cubic in the
@@ -17,7 +20,7 @@ factor dimension, not linear in its element count.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -26,8 +29,23 @@ from .errors import ArgumentError, DataFormatError
 
 ALGORITHMS = ("ssgd", "mpd_kfac_co", "mpd_kfac_mo", "dp_kfac")
 
-COMPUTE_STAGES = ("gradcomp", "factorcomp", "inversecomp")
-COMM_STAGES = ("gradcomm", "factorcomm", "predcomm", "inversecomm")
+
+@dataclass
+class StepCounters:
+    """Element counts per stage of one step.  Compute counters are
+    per-worker maxima; communication counters are cluster totals."""
+
+    gradcomp: int = 0
+    factorcomp: int = 0
+    inversecomp: int = 0
+    gradcomm: int = 0
+    factorcomm: int = 0
+    predcomm: int = 0
+    inversecomm: int = 0
+
+
+# the stage names, in metrics-CSV order
+STAGES = tuple(f.name for f in fields(StepCounters))
 
 _NOTES = (
     "inversecomm for mpd_kfac_co counts the broadcast decomposition payload "
@@ -70,8 +88,8 @@ def round_robin_partition(n_items: int, n_workers: int) -> tuple[tuple[int, ...]
     return tuple(tuple(range(p, n_items, n_workers)) for p in range(n_workers))
 
 
-@dataclass(frozen=True)
-class CostReport:
+@dataclass(kw_only=True)
+class CostReport(StepCounters):
     """Element counts for one (algorithm, worker count) pair.
 
     ``factorcomp``/``inversecomp`` are the realized per-worker maxima under
@@ -84,15 +102,8 @@ class CostReport:
     workers: int
     n_g: int
     n_f: int
-    gradcomp: int
-    factorcomp: int
-    inversecomp: int
     factorcomp_ideal: float
     inversecomp_ideal: float
-    gradcomm: int
-    factorcomm: int
-    predcomm: int
-    inversecomm: int
     memory: float
     memory_realized: int
 
@@ -135,7 +146,7 @@ def algorithm_cost(
     else:
         factorcomp, factorcomp_ideal, inversecomp, inversecomp_ideal = 0, 0.0, 0, 0.0
     return CostReport(
-        algorithm, workers, n_g, n_f,
+        algorithm=algorithm, workers=workers, n_g=n_g, n_f=n_f,
         gradcomp=n_g, factorcomp=factorcomp, inversecomp=inversecomp,
         factorcomp_ideal=factorcomp_ideal, inversecomp_ideal=inversecomp_ideal,
         gradcomm=2 * (workers - 1) * n_g,
@@ -153,59 +164,25 @@ def amortized_cost(report: CostReport, f_freq: int, k_freq: int) -> dict:
     iterations and decomposition stages every ``k_freq``."""
     if f_freq < 1 or k_freq < 1:
         raise ArgumentError("staleness intervals must be >= 1")
-    return {
-        "algorithm": report.algorithm,
-        "workers": report.workers,
-        "f_freq": f_freq,
-        "k_freq": k_freq,
-        "gradcomp": float(report.gradcomp),
-        "factorcomp": report.factorcomp / f_freq,
-        "inversecomp": report.inversecomp / k_freq,
-        "gradcomm": float(report.gradcomm),
-        "factorcomm": report.factorcomm / f_freq,
-        "predcomm": float(report.predcomm),
-        "inversecomm": report.inversecomm / k_freq,
-    }
+    every = {"factorcomp": f_freq, "factorcomm": f_freq,
+             "inversecomp": k_freq, "inversecomm": k_freq}
+    return {"algorithm": report.algorithm, "workers": report.workers,
+            "f_freq": f_freq, "k_freq": k_freq,
+            **{s: getattr(report, s) / every.get(s, 1) for s in STAGES}}
 
 
-@dataclass(frozen=True)
-class StageDiff:
-    stage: str
-    analytic: int
-    simulated: int
-
-    @property
-    def delta(self) -> int:
-        return self.simulated - self.analytic
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of checking simulated counters against the analytic model."""
-
-    ok: bool
-    diffs: tuple[StageDiff, ...]
-
-    def describe(self) -> str:
-        if self.ok:
-            return "counters match"
-        return "; ".join(
-            f"{d.stage}: analytic {d.analytic} != simulated {d.simulated} (delta {d.delta:+d})"
-            for d in self.diffs
-        )
-
-
-def verify_counters(report: CostReport, counters) -> Verdict:
-    """Exact integer comparison of a simulator step's counters against the
-    analytic report.  Only meaningful on a full second-order-update iteration
-    (factor refresh and decomposition recompute both fired)."""
-    diffs = []
-    for stage in COMM_STAGES + COMPUTE_STAGES:
-        analytic = getattr(report, stage)
-        simulated = getattr(counters, stage)
+def counter_mismatches(report: CostReport, counters: StepCounters) -> list[str]:
+    """Every stage where a simulator step's counters differ from the
+    analytic report (exact integers), in stage order.  Only meaningful on a
+    full second-order-update iteration (factor refresh and decomposition
+    recompute both fired)."""
+    mismatches = []
+    for stage in STAGES:
+        analytic, simulated = getattr(report, stage), getattr(counters, stage)
         if analytic != simulated:
-            diffs.append(StageDiff(stage, analytic, simulated))
-    return Verdict(ok=not diffs, diffs=tuple(diffs))
+            mismatches.append(f"{stage}: analytic {analytic} != simulated {simulated} "
+                              f"(delta {simulated - analytic:+d})")
+    return mismatches
 
 
 def model_notes() -> tuple[str, ...]:

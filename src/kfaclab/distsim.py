@@ -16,11 +16,12 @@ pass over the batch (see :mod:`kfaclab.model`), with its own gradient
 Per-worker work runs in worker-index order and every collective reduces
 over a fixed pairwise tree of worker indices, so runs are bit-reproducible.
 Replicated-data cluster runs equal their single-worker counterparts
-exactly: equal spans (the ``replicate`` policy) share one pass, the
-single-worker pass, and the tree returns the bits of P identical tensors
-unchanged whenever P is a power of two (every partial sum is x + x, which
-is exact).  Only the first tree level allocates; later levels and
-the final division by P work in place on those fresh partial sums.
+exactly: equal spans (the ``replicate`` policy) read the same columns of
+the one pass, which are the single-worker pass's, and the tree returns the
+bits of P identical tensors unchanged whenever P is a power of two (every
+partial sum is x + x, which is exact).  Only the first tree level
+allocates; later levels and the final division by P work in place on
+those fresh partial sums.
 
 :func:`run_step` is the one step skeleton.  It does the work every
 algorithm shares once: the local forward/backward pass, the averaging
@@ -46,9 +47,9 @@ maxima.  One momentum-SGD update of the shared weights ends the step.
 A broadcast hands every receiver the same read-only tensor instead of P
 copies; its element count is still counted as (P-1) * N.
 
-Every step returns a fresh :class:`StepCounters` of element counts per
-stage (the cluster keeps no history); the analytic model in
-:mod:`kfaclab.costmodel` must reproduce them exactly.
+Every step returns a fresh :class:`~kfaclab.costmodel.StepCounters` of
+element counts per stage (the cluster keeps no history); the analytic model
+in :mod:`kfaclab.costmodel` must reproduce them exactly.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import kfac
-from .costmodel import ALGORITHMS, LayerDims, layer_counts, round_robin_partition
+from .costmodel import ALGORITHMS, LayerDims, StepCounters, layer_counts, round_robin_partition
 from .errors import ArgumentError, KfacLabError, NumericError, ShapeError
 from .kfac import FactorState, KfacHyper
 from .model import (Batch, Network, NetworkSpec, backward, forward, init_momentum, init_network,
@@ -67,20 +68,6 @@ from .model import (Batch, Network, NetworkSpec, backward, forward, init_momentu
 from .numerics import divide_in_place
 
 SHARD_POLICIES = ("disjoint", "replicate")
-
-
-@dataclass
-class StepCounters:
-    """Element counts for one simulated step.  Compute counters are per-worker
-    maxima; communication counters are cluster totals."""
-
-    gradcomp: int = 0
-    factorcomp: int = 0
-    inversecomp: int = 0
-    gradcomm: int = 0
-    factorcomm: int = 0
-    predcomm: int = 0
-    inversecomm: int = 0
 
 
 class WorkerView(NamedTuple):
@@ -142,9 +129,8 @@ def build_cluster(
     partition the cost model assumes; ``shard_policy`` for :func:`worker_spans`."""
     if algorithm not in ALGORITHMS:
         raise ArgumentError(f"unknown algorithm {algorithm!r}")
-    if workers < 1:
-        raise ArgumentError("worker count must be >= 1")
-    worker_spans(workers, workers, shard_policy)  # rejects an unknown policy before allocating
+    # rejects a worker count below 1 and an unknown policy before allocating
+    worker_spans(workers, workers, shard_policy)
     net = init_network(spec, seed)
     # allocated right after the weights: allocated after the assignment
     # instead, the steps of the 192-wide P=8 perfbench workload ran 2-7%
@@ -235,6 +221,8 @@ def worker_spans(batch_size: int, workers: int, policy: str = "disjoint") -> tup
     """
     if policy not in SHARD_POLICIES:
         raise ArgumentError(f"unknown shard policy {policy!r}")
+    if workers < 1:
+        raise ArgumentError("worker count must be >= 1")
     if policy == "replicate":
         return (slice(0, batch_size),) * workers
     if batch_size % workers != 0:
@@ -267,20 +255,17 @@ class LocalPass:
 
 def _local_grads(cluster: Cluster, batch: Batch, t: int) -> tuple[list[LocalPass], float]:
     """The workers' local passes: their spans of one forward and one backward
-    over the global batch, or one pass that every worker shares when the
-    spans are all equal."""
+    over the global batch."""
     spans = worker_spans(batch.size, cluster.n_workers, cluster.shard_policy)
-    distinct = spans[:1] if all(span == spans[0] for span in spans) else spans
-    losses, captures = forward(cluster.net, batch, distinct)
+    losses, captures = forward(cluster.net, batch, spans)
     for p, loss in enumerate(losses):
         if not np.isfinite(loss):
             raise NumericError(f"worker {p}, iteration {t}: training loss is {loss}")
-    grads, preact_grads = backward(cluster.net, batch, captures, distinct)
+    grads, preact_grads = backward(cluster.net, batch, captures, spans)
     passes = [LocalPass(span_grads, [c.input[:, span] for c in captures],
                         [g[:, span] for g in preact_grads])
-              for span_grads, span in zip(grads, distinct)]
-    copies = len(spans) // len(distinct)
-    return passes * copies, float(np.mean(losses * copies))
+              for span_grads, span in zip(grads, spans)]
+    return passes, float(np.mean(losses))
 
 
 def _where(worker: Optional[int], layer: int, t: int) -> str:
@@ -357,28 +342,6 @@ def _precondition(
     counters.factorcomp = max(factor_work)
     counters.inversecomp = max(inverse_work)
     return update
-
-
-@dataclass(frozen=True)
-class LrSchedule:
-    """Warmup from the base rate to ``workers * base``, then step decay."""
-
-    base_lr: float
-    workers: int
-    warmup_iters: int = 0
-    decay_epochs: tuple[int, ...] = ()
-    decay_factor: float = 10.0
-
-
-def lr_schedule(t: int, epoch: int, sched: LrSchedule) -> float:
-    """Learning rate at iteration ``t`` in epoch ``epoch``: linear ramp from
-    the base rate to ``P`` times it over the warmup iterations, then divided
-    by the decay factor at every decay-epoch boundary already passed."""
-    peak = sched.base_lr * sched.workers
-    if sched.warmup_iters > 0 and t < sched.warmup_iters:
-        return sched.base_lr + (peak - sched.base_lr) * (t / sched.warmup_iters)
-    drops = sum(1 for e in sched.decay_epochs if epoch >= e)
-    return peak / sched.decay_factor ** drops
 
 
 def run_step(

@@ -22,35 +22,31 @@ import numpy as np
 
 from . import __version__, kfac
 from .config import RunConfig
-from .costmodel import COMM_STAGES, COMPUTE_STAGES
+from .costmodel import STAGES, StepCounters
 from .datasets import Dataset, gen_synthetic, load_idx
-from .distsim import Cluster, build_cluster, lr_schedule, run_step
+from .distsim import Cluster, build_cluster, run_step
 from .errors import ArgumentError, DataFormatError
 from .model import Batch, predict, _per_sample_losses
 
 CSV_COLUMNS = (
     "iteration", "epoch", "lr", "train_loss", "eval_loss", "eval_accuracy",
-) + COMPUTE_STAGES + COMM_STAGES
+) + STAGES
 
 CHECKPOINT_MAGIC = b"KFACLAB\0"
 CHECKPOINT_VERSION = 2
 
 
-@dataclass
-class MetricsRow:
+@dataclass(kw_only=True)
+class MetricsRow(StepCounters):
+    """One iteration's row of ``metrics.csv``: the step's stage counts and
+    what the run recorded next to them."""
+
     iteration: int
     epoch: int
     lr: float
     train_loss: float
     eval_loss: Optional[float]
     eval_accuracy: Optional[float]
-    gradcomp: int
-    factorcomp: int
-    inversecomp: int
-    gradcomm: int
-    factorcomm: int
-    predcomm: int
-    inversecomm: int
 
     def as_csv_fields(self) -> list[str]:
         def fmt(v):
@@ -173,7 +169,6 @@ def run_prepared(
     iters_per_epoch = run.iters_per_epoch
     t = run.start_iteration
     hyper = cfg.hyper.kfac_hyper()
-    sched = cfg.hyper.schedule(cfg.train.workers)
     eval_batch = run.eval_batch
 
     rows: list[MetricsRow] = []
@@ -181,7 +176,7 @@ def run_prepared(
         order = np.random.default_rng([shuffle_seed, epoch]).permutation(len(train_idx))
         for b in range(iters_per_epoch):
             batch = _take(dataset, train_idx[order[b * B: (b + 1) * B]])
-            lr = lr_schedule(t, epoch, sched)
+            lr = cfg.hyper.lr_at(t, epoch, cfg.train.workers)
             result = run_step(cluster, batch, hyper, lr, cfg.hyper.momentum, t)
             eval_loss = eval_acc = None
             if b == iters_per_epoch - 1 and eval_batch is not None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -336,6 +337,15 @@ def test_cost_command_amortized_json(tmp_path):
     amortized = payload["amortized"][0]
     assert amortized["factorcomp"] == report["factorcomp"] / 10
     assert amortized["inversecomp"] == report["inversecomp"] / 50
+
+
+def test_cost_json_is_pinned(tmp_path):
+    # every report and amortized value of the bundled ResNet-50 manifest, byte for byte
+    json_out = tmp_path / "cost.json"
+    assert cli.main(["cost", "resnet50", "--f-freq", "5", "--k-freq", "10",
+                     "--json", str(json_out)]) == 0
+    assert hashlib.sha256(json_out.read_bytes()).hexdigest() == (
+        "29035274f03927d84d60ab22f0a7c0e4b854ade93e905c548c39c2495bd27ac9")
 
 
 def test_cost_missing_manifest_exit_code():

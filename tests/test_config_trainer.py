@@ -17,11 +17,11 @@ from kfaclab.config import (
     load_config,
     parse_overrides,
 )
-from kfaclab.costmodel import ALGORITHMS, COMM_STAGES, COMPUTE_STAGES
-from kfaclab.distsim import StepCounters
+from kfaclab.costmodel import ALGORITHMS, STAGES, CostReport, StepCounters
 from kfaclab.errors import ArgumentError, ConfigError, DataFormatError
 from kfaclab.model import NetworkSpec
 from kfaclab.trainer import (
+    MetricsRow,
     csv_header,
     load_checkpoint,
     prepare_training,
@@ -307,15 +307,14 @@ def test_row_counters_match_cluster_log(monkeypatch):
         return steps[-1]
 
     monkeypatch.setattr(trainer, "run_step", capturing)
-    stages = COMPUTE_STAGES + COMM_STAGES
     for algorithm in ALGORITHMS:
         steps.clear()
         res = run_training(_small_cfg(algorithm, workers=4, k_freq=3))
         assert len(steps) == len(res.rows) > 0
         for row, step in zip(res.rows, steps):
             assert row.train_loss == step.loss
-            assert ([getattr(row, s) for s in stages]
-                    == [getattr(step.counters, s) for s in stages]), (algorithm, row.iteration)
+            assert ([getattr(row, s) for s in STAGES]
+                    == [getattr(step.counters, s) for s in STAGES]), (algorithm, row.iteration)
 
 
 def test_csv_header_and_counter_fields_are_pinned():
@@ -324,7 +323,14 @@ def test_csv_header_and_counter_fields_are_pinned():
         "gradcomp,factorcomp,inversecomp,"
         "gradcomm,factorcomm,predcomm,inversecomm"
     )
-    assert tuple(f.name for f in dataclasses.fields(StepCounters)) == COMPUTE_STAGES + COMM_STAGES
+    assert STAGES == ("gradcomp", "factorcomp", "inversecomp",
+                      "gradcomm", "factorcomm", "predcomm", "inversecomm")
+    assert tuple(f.name for f in dataclasses.fields(StepCounters)) == STAGES
+    # the report and the row are the stage record plus fields of their own
+    for record in (CostReport, MetricsRow):
+        assert issubclass(record, StepCounters)
+        names = [f.name for f in dataclasses.fields(record)]
+        assert [n for n in names if n in STAGES] == list(STAGES), record
 
 
 def test_dp_and_mpd_identical_on_one_worker():

@@ -6,12 +6,12 @@ from kfaclab.costmodel import (
     LayerDims,
     algorithm_cost,
     amortized_cost,
+    counter_mismatches,
     layer_counts,
     load_manifest,
     resolve_manifest,
     round_robin_partition,
     totals,
-    verify_counters,
 )
 from kfaclab.distsim import StepCounters
 from kfaclab.errors import ArgumentError, DataFormatError
@@ -121,7 +121,7 @@ def test_round_robin_partition_shapes():
     assert round_robin_partition(0, 3) == ((), (), ())
 
 
-def test_verify_counters_accepts_matching():
+def test_counter_mismatches_accepts_matching():
     layers = [LayerDims(4, 3)]
     report = algorithm_cost(layers, 2, "dp_kfac")
     counters = StepCounters(
@@ -129,23 +129,20 @@ def test_verify_counters_accepts_matching():
         inversecomp=report.inversecomp, gradcomm=report.gradcomm,
         factorcomm=0, predcomm=report.predcomm, inversecomm=0,
     )
-    verdict = verify_counters(report, counters)
-    assert verdict.ok
-    assert verdict.describe() == "counters match"
+    assert counter_mismatches(report, counters) == []
 
 
-def test_verify_counters_names_stage_and_delta():
+def test_counter_mismatches_names_stage_and_delta():
     report = algorithm_cost([LayerDims(4, 3)], 2, "dp_kfac")
     counters = StepCounters(
         gradcomp=report.gradcomp, factorcomp=report.factorcomp,
         inversecomp=report.inversecomp, gradcomm=report.gradcomm,
         factorcomm=7, predcomm=report.predcomm + 5, inversecomm=0,
     )
-    verdict = verify_counters(report, counters)
-    assert not verdict.ok
-    stages = {d.stage for d in verdict.diffs}
-    assert stages == {"factorcomm", "predcomm"}
-    assert "predcomm" in verdict.describe() and "+5" in verdict.describe()
+    diffs = counter_mismatches(report, counters)
+    assert [d.split(":")[0] for d in diffs] == ["factorcomm", "predcomm"]
+    assert diffs[1] == (f"predcomm: analytic {report.predcomm} != simulated "
+                        f"{report.predcomm + 5} (delta +5)")
 
 
 def test_simulated_counters_match_model_sweep():
@@ -167,9 +164,9 @@ def test_simulated_counters_match_model_sweep():
                 res = distsim.run_step(cluster, batch, hyper, 0.05, 0.9, 0)
                 report = algorithm_cost(cluster.layer_dims(), P, algorithm,
                                         inv_type=hyper.inv_type)
-                verdict = verify_counters(report, res.counters)
-                if not verdict.ok:
-                    mismatches.append(f"{spec.layer_dims}/{algorithm}/P={P}: {verdict.describe()}")
+                diffs = counter_mismatches(report, res.counters)
+                if diffs:
+                    mismatches.append(f"{spec.layer_dims}/{algorithm}/P={P}: {'; '.join(diffs)}")
     assert not mismatches, "\n".join(mismatches)
 
 

@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfaclab import distsim, kfac
+from kfaclab.config import HyperConfig
 from kfaclab.costmodel import round_robin_partition
 from kfaclab.distsim import (
-    LrSchedule,
     StepCounters,
     all_reduce_avg,
     broadcast,
     build_cluster,
-    lr_schedule,
     run_step,
     worker_spans,
 )
@@ -169,6 +168,13 @@ def test_shard_indivisible_batch_rejected():
     with pytest.raises(ArgumentError,
                        match="^batch of 10 samples does not divide across 4 workers$"):
         worker_spans(10, 4, "disjoint")
+
+
+@pytest.mark.parametrize("policy", ["disjoint", "replicate"])
+@pytest.mark.parametrize("workers", [0, -1])
+def test_worker_count_below_one_rejected(policy, workers):
+    with pytest.raises(ArgumentError, match="^worker count must be >= 1$"):
+        worker_spans(8, workers, policy)
 
 
 def test_unknown_shard_policy_rejected(monkeypatch):
@@ -819,21 +825,20 @@ def test_step_targets_must_match_the_batch_columns():
 
 
 def test_lr_schedule_warmup_endpoints():
-    sched = LrSchedule(base_lr=0.1, workers=4, warmup_iters=98)
-    assert lr_schedule(0, 0, sched) == 0.1
-    assert abs(lr_schedule(98, 0, sched) - 0.4) <= 1e-15
+    hyper = HyperConfig(lr=0.1, warmup_iters=98)
+    assert hyper.lr_at(0, 0, 4) == 0.1
+    assert abs(hyper.lr_at(98, 0, 4) - 0.4) <= 1e-15
 
 
 def test_lr_schedule_decay_boundaries():
-    sched = LrSchedule(base_lr=0.1, workers=4, warmup_iters=98,
-                       decay_epochs=(35, 75, 90))
+    hyper = HyperConfig(lr=0.1, warmup_iters=98, decay_epochs=(35, 75, 90))
     peak = 0.4
-    assert abs(lr_schedule(10_000, 34, sched) - peak) <= 1e-15
-    assert abs(lr_schedule(10_000, 35, sched) - peak / 10) <= 1e-15
-    assert abs(lr_schedule(10_000, 75, sched) - peak / 100) <= 1e-16
-    assert abs(lr_schedule(10_000, 95, sched) - peak / 1000) <= 1e-17
+    assert abs(hyper.lr_at(10_000, 34, 4) - peak) <= 1e-15
+    assert abs(hyper.lr_at(10_000, 35, 4) - peak / 10) <= 1e-15
+    assert abs(hyper.lr_at(10_000, 75, 4) - peak / 100) <= 1e-16
+    assert abs(hyper.lr_at(10_000, 95, 4) - peak / 1000) <= 1e-17
 
 
 def test_lr_schedule_no_warmup_starts_at_peak():
-    sched = LrSchedule(base_lr=0.05, workers=8, warmup_iters=0)
-    assert lr_schedule(0, 0, sched) == 0.4
+    hyper = HyperConfig(lr=0.05, warmup_iters=0)
+    assert hyper.lr_at(0, 0, 8) == 0.4
