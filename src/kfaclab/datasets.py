@@ -9,7 +9,8 @@ Synthetic tasks are desk-scale stand-ins for image corpora:
 
 The IDX reader/writer implements the classic big-endian layout (magic
 0x00000803 for ubyte image stacks, 0x00000801 for ubyte label vectors);
-pixel values are scaled to [0, 1] and images flattened to columns.
+pixel values are scaled to [0, 1] and images flattened to columns.  No
+build, quantization or load holds a full-size temporary copy of the data.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ SYNTHETIC_KINDS = ("gaussian_blobs", "deep_linear_regression")
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+
+_BLOCK_ELEMENTS = 1 << 16  # 512 KiB of float64, an in-place build's one temporary
 
 
 @dataclass
@@ -67,12 +70,27 @@ def _noise(params: Mapping) -> float:
     return noise
 
 
+def _sample_blocks(dim: int, samples: int):
+    """Slices of whole samples, about ``_BLOCK_ELEMENTS`` elements each."""
+    step = max(1, _BLOCK_ELEMENTS // dim)
+    return (slice(j, j + step) for j in range(0, samples, step))
+
+
 def gen_synthetic(kind: str, params: Mapping, seed: int) -> Dataset:
     """Deterministic synthetic dataset; same (kind, params, seed) gives
-    bit-identical tensors."""
+    bit-identical tensors.  A finite ``noise`` so large that the data
+    overflow float64 is an ArgumentError naming it."""
     if kind not in SYNTHETIC_KINDS:
         raise ArgumentError(f"unknown synthetic dataset kind {kind!r}")
-    rng = np.random.default_rng(seed)
+    try:
+        with np.errstate(over="raise"):
+            return _generate(kind, params, np.random.default_rng(seed))
+    except FloatingPointError:
+        raise ArgumentError(f"synthetic dataset noise={params.get('noise')} overflows float64: "
+                            "the data would not be finite") from None
+
+
+def _generate(kind: str, params: Mapping, rng: np.random.Generator) -> Dataset:
     if kind == "gaussian_blobs":
         classes = _param(params, "classes", int)
         dim = _param(params, "dim", int)
@@ -83,7 +101,12 @@ def gen_synthetic(kind: str, params: Mapping, seed: int) -> Dataset:
         centers = rng.standard_normal((dim, classes))
         centers /= np.linalg.norm(centers, axis=0, keepdims=True)
         labels = np.arange(samples, dtype=np.int64) % classes
-        inputs = centers[:, labels] + noise * rng.standard_normal((dim, samples))
+        # built in place, the centres added in column blocks: noise*n + c is
+        # the same IEEE sum as c + noise*n, and no full-size temporary exists
+        inputs = rng.standard_normal((dim, samples))
+        inputs *= noise
+        for block in _sample_blocks(dim, samples):
+            inputs[:, block] += centers[:, labels[block]]
         return Dataset(inputs, labels, task="classification")
     dim = _param(params, "dim", int)
     out_dim = _param(params, "out_dim", int)
@@ -149,7 +172,8 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"{n_labels} labels in {labels_path} (counts at byte offset 4)"
         )
     images = np.frombuffer(pixels, dtype=np.uint8).reshape(n, rows * cols)
-    inputs = images.astype(np.float64).T / 255.0
+    inputs = images.astype(np.float64).T
+    inputs /= 255.0
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
     return Dataset(inputs, labels, task="classification")
 
@@ -200,7 +224,15 @@ def quantize_for_idx(dataset: Dataset, rows: int, cols: int) -> tuple[np.ndarray
     if int(dataset.targets.max()) > 255:
         raise ArgumentError("IDX labels are bytes; need class indices <= 255")
     lo, hi = float(dataset.inputs.min()), float(dataset.inputs.max())
+    if not math.isfinite(hi - lo):
+        raise ArgumentError(f"IDX export needs finite inputs with a finite range, got {lo}..{hi}")
     span = hi - lo if hi > lo else 1.0
-    scaled = np.clip(np.rint((dataset.inputs - lo) / span * 255.0), 0, 255)
-    images = scaled.T.reshape(dataset.n_samples, rows, cols).astype(np.uint8)
-    return images, dataset.targets.astype(np.uint8)
+    n = dataset.n_samples
+    images = np.empty((n, rows * cols), dtype=np.uint8)
+    for block in _sample_blocks(rows * cols, n):
+        scaled = dataset.inputs[:, block] - lo
+        scaled /= span
+        scaled *= 255.0
+        np.clip(np.rint(scaled, out=scaled), 0, 255, out=scaled)
+        images[block] = scaled.T
+    return images.reshape(n, rows, cols), dataset.targets.astype(np.uint8)

@@ -131,6 +131,11 @@ def build_cluster(
         raise ArgumentError(f"unknown algorithm {algorithm!r}")
     # rejects a worker count below 1 and an unknown policy before allocating
     worker_spans(workers, workers, shard_policy)
+    # The allocator state the step relies on: under glibc, freeing a mapped
+    # block of at most 32 MiB raises the mmap threshold to its size
+    # (mallopt(3)), so step arrays below 16 MiB come from the heap instead of
+    # being mapped and faulted in afresh each step.  It touches no page.
+    np.empty(16 << 20, dtype=np.uint8)
     net = init_network(spec, seed)
     # allocated right after the weights: allocated after the assignment
     # instead, the steps of the 192-wide P=8 perfbench workload ran 2-7%

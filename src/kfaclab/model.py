@@ -244,13 +244,15 @@ def _layers(net: Network, a_in: np.ndarray,
     """The layer loop from layer 0's input buffer; returns the network output.
     Every hidden activation is written straight into the next layer's input
     buffer.  Each layer's input and pre-activation are appended to
-    ``captures`` if it is given, and are otherwise freed as the loop moves on."""
+    ``captures`` if it is given; otherwise at most two of them are alive at once."""
     act, _ = _ACT_FNS[net.spec.activation]
     for i, layer in enumerate(net.layers):
         if i > 0:
+            del a_in
             a_in = np.empty((net.spec.weight_shape(i)[1], s.shape[1]))
             a_in[s.shape[0]:] = 1.0
             act(s, out=a_in[:s.shape[0]])
+            del s
         s = layer.weight @ a_in
         if captures is not None:
             captures.append(LayerCapture(a_in, s))

@@ -428,6 +428,21 @@ def test_gen_data_failure_leaves_neither_file(tmp_path, capsys, unwritable):
     assert left == (["y.idx"] if unwritable == "labels-is-a-directory" else []), left
 
 
+def test_noise_that_overflows_float64_is_a_data_error(config_path, tmp_path, capsys):
+    # the fault is in the data: no all-zero IDX pair with exit 0, and no
+    # "training loss is nan" with the numeric exit 4
+    img, lab = tmp_path / "x.idx", tmp_path / "y.idx"
+    assert cli.main(["gen-data", "gaussian_blobs", "--dim", "4", "--rows", "2", "--samples", "5",
+                     "--classes", "2", "--noise", "1e308",
+                     "--images", str(img), "--labels", str(lab)]) == cli.EXIT_DATA
+    assert not img.exists() and not lab.exists()
+    assert cli.main(["--out-dir", str(tmp_path / "out"), "train", str(config_path),
+                     "--data.noise=1e308"]) == cli.EXIT_DATA
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["data error: synthetic dataset noise=1e+308 overflows float64: "
+                     "the data would not be finite"] * 2, lines
+
+
 def test_gen_data_round_trip(tmp_path):
     img, lab = tmp_path / "x.idx", tmp_path / "y.idx"
     code = cli.main(["--seed", "4", "gen-data", "gaussian_blobs", "--classes", "4",

@@ -1,4 +1,6 @@
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +45,72 @@ def test_gen_blobs_shapes_and_balance():
 def test_gen_synthetic_rejects_negative_or_non_finite_noise(kind, params, noise):
     with pytest.raises(ArgumentError, match="noise must be finite and >= 0"):
         gen_synthetic(kind, {**params, "noise": noise}, seed=0)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("gaussian_blobs", {"classes": 2, "dim": 4, "samples": 5}),
+    ("deep_linear_regression", {"dim": 4, "out_dim": 2, "samples": 50}),
+])
+def test_gen_synthetic_rejects_a_finite_noise_that_overflows(kind, params):
+    # RuntimeWarnings are errors in this suite, so the overflow must not warn
+    with pytest.raises(ArgumentError, match=r"noise=1e\+308 overflows float64"):
+        gen_synthetic(kind, {**params, "noise": 1e308}, seed=0)
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+_BLOBS_192 = {"classes": 10, "dim": 192, "samples": 14600, "noise": 0.3}
+
+
+def test_provisioning_bits_are_pinned(tmp_path):
+    # sha256 of `c + noise*n` and of the whole-array quantize and load expressions
+    data = gen_synthetic("gaussian_blobs", _BLOBS_192, seed=1)
+    assert _sha256(data.inputs) == (
+        "2208a4e8d320600d7c881745ce8b49cda503a82da901df5137cf6bffd3da994e")
+    small = gen_synthetic("gaussian_blobs",
+                          {"classes": 7, "dim": 5, "samples": 33, "noise": 0.25}, seed=2)
+    assert _sha256(small.inputs) == (
+        "7ec5fc62501003ee00422e8c3e7334ab876efddc85896599da8ad5637b297a49")
+    images, labels = quantize_for_idx(data, 12, 16)
+    assert _sha256(images) == "e946448a207b8eaf96f024f6faef99e22fb581e554eadb0f3d22613e8dde56ea"
+    write_idx(tmp_path / "i.idx", tmp_path / "l.idx", images, labels)
+    loaded = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
+    assert _sha256(loaded.inputs) == (
+        "f1eb58836be73d22c5f5d97ee476f3547ae0ab1977bda8cc53318a29ec6a7e96")
+    assert np.isfortran(loaded.inputs)
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_synthetic_builds_its_data_in_place():
+    gen_synthetic("gaussian_blobs", {"classes": 2, "dim": 4, "samples": 5}, seed=0)  # warm-up
+    data, peak = _traced_peak(gen_synthetic, "gaussian_blobs", _BLOBS_192, 1)
+    assert peak <= 1.05 * (data.inputs.nbytes + data.targets.nbytes)
+
+
+def test_quantize_for_idx_holds_no_float_copy_of_the_data():
+    def build_and_quantize():
+        return quantize_for_idx(gen_synthetic("gaussian_blobs", _BLOBS_192, 1), 12, 16)
+    # the float data set, its labels, the uint8 pair and two 512 KiB blocks
+    (images, labels), peak = _traced_peak(build_and_quantize)
+    data_bytes = 192 * 14600 * 8 + labels.nbytes * 8
+    assert peak <= data_bytes + images.nbytes + labels.nbytes + (2 << 20)
+
+
+def test_load_idx_makes_one_float_copy(tmp_path):
+    images = np.random.default_rng(0).integers(0, 256, size=(4000, 12, 16), dtype=np.uint8)
+    write_idx(tmp_path / "i.idx", tmp_path / "l.idx", images, np.zeros(4000, dtype=np.uint8))
+    _, peak = _traced_peak(load_idx, tmp_path / "i.idx", tmp_path / "l.idx")
+    assert peak <= images.nbytes * (1 + 8) + (64 << 10)
 
 
 def test_gen_regression_shapes():
@@ -138,6 +206,17 @@ def test_quantize_for_idx_round_trip_shape(tmp_path):
     loaded = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
     assert loaded.input_dim == 12
     assert np.array_equal(loaded.targets, data.targets)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, "range"])
+def test_quantize_rejects_non_finite_inputs(bad):
+    inputs = np.zeros((4, 3))
+    if bad == "range":  # finite ends whose difference overflows
+        inputs[0, 0], inputs[1, 1] = -1e308, 1e308
+    else:
+        inputs[2, 1] = bad
+    with pytest.raises(ArgumentError, match="needs finite inputs with a finite range"):
+        quantize_for_idx(Dataset(inputs, np.zeros(3, dtype=np.int64), "classification"), 2, 2)
 
 
 def test_quantize_rejects_regression():

@@ -70,24 +70,23 @@ def test_scipy_is_loaded_only_by_a_cholesky_refresh(algorithm, inv_type, loads_s
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                     reason="glibc's dynamic mmap threshold is what this guards")
 def test_steady_state_steps_do_not_fault_fresh_pages():
-    """Guards the allocator state the fast step depends on.  A 192-wide
+    """Guards the explicit warm-up in ``distsim.build_cluster``.  A 192-wide
     layer's gradient (193 x 192 float64, 296 KiB) lies above glibc's initial
-    128 KiB mmap threshold.  The threshold rises only when a larger mmapped
-    block is freed, as the data set's temporaries are during provisioning.
-    Without that, every gradient is mmapped and unmapped afresh each step,
-    faulting ~1000 pages and making the S-SGD step take 1.5-1.8 times as
-    long.  Building the data set in place (no large temporary) does exactly
-    that, so a change to provisioning or to the step's allocations must keep
-    steady-state steps near 0 faults."""
+    128 KiB mmap threshold, which rises only when a larger mmapped block is
+    freed.  The data set is built in place, with no such block, so the
+    cluster frees one of 16 MiB before the first step.  Without it every
+    gradient is mmapped and unmapped afresh each step: about 1100 faults per
+    step, and the S-SGD step takes 1.5-1.8 times as long."""
     assert _steady_state_faults({"train.algorithm": "ssgd"}) <= 10
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                     reason="glibc's dynamic mmap threshold is what this guards")
 def test_steady_state_block_pass_steps_do_not_fault_fresh_pages():
-    """The same guard for the widest captures a step allocates: one pass
-    over 8 workers' shards of 32 makes B = 256 wide captures (193 x 256
-    float64, 386 KiB), next to DP-KFAC's factor builds and refreshes."""
+    """The same guard of the warm-up for the widest captures a step
+    allocates: one pass over 8 workers' shards of 32 makes B = 256 wide
+    captures (193 x 256 float64, 386 KiB), next to DP-KFAC's factor builds
+    and refreshes.  Without the warm-up: about 50-70 faults per step."""
     assert _steady_state_faults({"train.algorithm": "dp_kfac", "train.workers": "8",
                                  "train.batch_size": "256"}) <= 10
 

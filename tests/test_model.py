@@ -280,9 +280,10 @@ def test_predict_matches_forward_bitwise(bias_mode, activation, order):
     assert np.array_equal(predict(net, batch.inputs), captures[-1].preact)
 
 
-def test_predict_holds_at_most_three_layer_arrays_at_once():
-    # the final evaluation of a 192-wide run: one layer's input buffer, its
-    # pre-activation and the next layer's buffer, never a copy of an input
+def test_predict_holds_at_most_two_layer_arrays_at_once():
+    # the final evaluation of a 192-wide run: a layer's input buffer and its
+    # pre-activation, or that pre-activation and the next layer's buffer;
+    # never a copy of an input
     spec = NetworkSpec((192, 192, 192, 10), bias_mode="homogeneous")
     net = init_network(spec, seed=0)
     inputs = np.random.default_rng(0).standard_normal((192, 1460))
@@ -292,7 +293,7 @@ def test_predict_holds_at_most_three_layer_arrays_at_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (193 + 192 + 193) * 1460 * 8 + 64 * 1024
+    assert peak <= (193 + 193) * 1460 * 8 + 64 * 1024
 
 
 def test_forward_shape_error():
