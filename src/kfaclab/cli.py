@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (ConfigError), 3 data/format error (DataFormatError, ArgumentError,
-ShapeError, CapacityError, OrderingError), 4 numeric failure (NumericError).
+ShapeError, CapacityError, OrderingError) or a command that ran out of memory
+(MemoryError), 4 numeric failure (NumericError).
 An output path that cannot be created or written is a configuration error
 naming its setting (``train.out_dir``, ``--json``, ``--images``,
 ``--labels``).  Once its output directory exists, ``train``
@@ -115,6 +116,14 @@ def _holds_rows_before(csv_path: Path, iteration: int) -> bool:
             == [str(i) for i in range(iteration)])
 
 
+def _package_error(exc: KfacLabError | MemoryError, command: str) -> KfacLabError:
+    """A package error as it is; running out of memory as a CapacityError
+    naming the command."""
+    if isinstance(exc, MemoryError):
+        return CapacityError(f"{command}: out of memory")
+    return exc
+
+
 def _report(exc: KfacLabError) -> int:
     """Print a package error under its exit-code label; returns the code."""
     code = next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
@@ -187,7 +196,8 @@ def cmd_train(args, overrides) -> int:
             if not append:
                 fh.write(csv_header() + "\n")
             result = run_prepared(run, row_sink=sink)
-    except KfacLabError as exc:
+    except (KfacLabError, MemoryError) as exc:
+        exc = _package_error(exc, "train")
         code = _report(exc)
         write_run_manifest(manifest_path, cfg, extra=outcome("failed", code, str(exc)))
         if csv_written:
@@ -256,7 +266,7 @@ def cmd_cost(args) -> int:
             print(f"dp vs mpd: factorcomp {comp_ratio:.2f}x lower, "
                   f"factorcomm eliminated ({mpd.factorcomm} -> 0), "
                   f"memory {dp.memory / mpd.memory:.3f}x")
-    for note in costmodel.model_notes():
+    for note in costmodel.NOTES:
         print(f"note: {note}")
 
     if args.json_out:
@@ -265,7 +275,7 @@ def cmd_cost(args) -> int:
                          "nf_ng_ratio": n_f / n_g},
             "inv_type": args.inv_type,
             "reports": [r.to_dict() for r in reports],
-            "notes": list(costmodel.model_notes()),
+            "notes": list(costmodel.NOTES),
         }
         if amortized is not None:
             payload["amortized"] = amortized
@@ -322,8 +332,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_gen_data(args)
-    except KfacLabError as exc:
-        return _report(exc)
+    except (KfacLabError, MemoryError) as exc:
+        return _report(_package_error(exc, args.command))
 
 
 if __name__ == "__main__":

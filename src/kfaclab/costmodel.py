@@ -47,7 +47,8 @@ class StepCounters:
 # the stage names, in metrics-CSV order
 STAGES = tuple(f.name for f in fields(StepCounters))
 
-_NOTES = (
+# the model's caveats, printed with every cost report
+NOTES = (
     "inversecomm for mpd_kfac_co counts the broadcast decomposition payload "
     "(eigenbases plus eigenvalue vectors, or damped inverses); the classic "
     "complexity table omits this stage",
@@ -81,11 +82,13 @@ def totals(layers: Sequence[LayerDims]) -> tuple[int, int]:
     return n_g, n_f
 
 
-def round_robin_partition(n_items: int, n_workers: int) -> tuple[tuple[int, ...], ...]:
-    """Circular assignment: worker p owns items p, p+P, p+2P, ... (0-based)."""
-    if n_items < 0 or n_workers < 1:
-        raise ArgumentError("need n_items >= 0 and n_workers >= 1")
-    return tuple(tuple(range(p, n_items, n_workers)) for p in range(n_workers))
+def round_robin_owners(n_layers: int, n_workers: int) -> tuple[int, ...]:
+    """Circular placement: layer i is owned by worker i mod P (0-based), so
+    worker p owns layers p, p+P, p+2P, ...  Linear in the layer count for
+    any worker count."""
+    if n_layers < 0 or n_workers < 1:
+        raise ArgumentError("need n_layers >= 0 and n_workers >= 1")
+    return tuple(i % n_workers for i in range(n_layers))
 
 
 @dataclass(kw_only=True)
@@ -125,9 +128,11 @@ def algorithm_cost(
     per_layer = [layer_counts(d) for d in layers]
     n_g = sum(g for g, _ in per_layer)
     n_f = sum(f for _, f in per_layer)
-    parts = round_robin_partition(len(layers), workers)
-    owned_f = [sum(per_layer[i][1] for i in part) for part in parts]
-    realized_max = max(owned_f) if owned_f else 0
+    # only the first min(P, L) workers own a layer
+    owned_f = [0] * min(workers, len(layers))
+    for owner, (_, f) in zip(round_robin_owners(len(layers), workers), per_layer):
+        owned_f[owner] += f
+    realized_max = max(owned_f, default=0)
     if inv_type == "eigen":
         payload = sum(f + d.d_in + d.d_out for (_, f), d in zip(per_layer, layers))
     elif inv_type == "inverse":
@@ -183,10 +188,6 @@ def counter_mismatches(report: CostReport, counters: StepCounters) -> list[str]:
             mismatches.append(f"{stage}: analytic {analytic} != simulated {simulated} "
                               f"(delta {simulated - analytic:+d})")
     return mismatches
-
-
-def model_notes() -> tuple[str, ...]:
-    return _NOTES
 
 
 def load_manifest(path) -> list[LayerDims]:

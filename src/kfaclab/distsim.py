@@ -5,13 +5,15 @@ checkpoint restores, plus the three settings it was built with.  The step
 contract keeps every worker's weights and momentum bit-identical,
 so the cluster holds ONE weight set and ONE momentum set that every worker
 references, and applies each update once.  Every layer has one owner
-(``Cluster.owners``, round-robin) and ONE factor state (averaged factors,
-decompositions, staleness stamps): DP-KFAC keeps it only at the owner, and
-under MPD-KFAC every worker would hold the same bits.  What differs between
-workers is the data shard, the worker's span of the global batch's columns
-(:func:`worker_spans`), and its local pass: that span of ONE forward/backward
-pass over the batch (see :mod:`kfaclab.model`), with its own gradient
-``(1/b) g_p a_p^T``, factors and mean loss.  The captures are local values.
+(``Cluster.owners[i]``, from :func:`~kfaclab.costmodel.round_robin_owners`)
+and ONE factor state (averaged factors, decompositions, staleness stamps):
+DP-KFAC keeps it only at the owner, and under MPD-KFAC every worker would
+hold the same bits.  What differs between workers is the data shard, the
+worker's span of the global batch's columns (:func:`worker_spans`), and its
+local pass: that span of ONE forward/backward pass over the batch (see
+:mod:`kfaclab.model`), with its own gradient ``(1/b) g_p a_p^T``, factors and
+mean loss.  The step keeps the one pass and slices it: a builder's captures
+are its span's columns of the pass's captures.
 
 Per-worker work runs in worker-index order and every collective reduces
 over a fixed pairwise tree of worker indices, so runs are bit-reproducible.
@@ -60,11 +62,11 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import kfac
-from .costmodel import ALGORITHMS, LayerDims, StepCounters, layer_counts, round_robin_partition
+from .costmodel import ALGORITHMS, LayerDims, StepCounters, layer_counts, round_robin_owners
 from .errors import ArgumentError, KfacLabError, NumericError, ShapeError
 from .kfac import FactorState, KfacHyper
-from .model import (Batch, Network, NetworkSpec, backward, forward, init_momentum, init_network,
-                    sgd_step)
+from .model import (Batch, LayerCapture, Network, NetworkSpec, backward, forward, init_momentum,
+                    init_network, sgd_step)
 from .numerics import divide_in_place
 
 SHARD_POLICIES = ("disjoint", "replicate")
@@ -124,9 +126,9 @@ def build_cluster(
     seed: int,
     shard_policy: str = "disjoint",
 ) -> Cluster:
-    """One shared weight/momentum set, one factor state per layer, layer
-    ownership by :func:`kfaclab.costmodel.round_robin_partition`, the
-    partition the cost model assumes; ``shard_policy`` for :func:`worker_spans`."""
+    """One shared weight/momentum set, one factor state per layer, and
+    ``owners`` from :func:`kfaclab.costmodel.round_robin_owners`, the placement
+    the cost model assumes; ``shard_policy`` for :func:`worker_spans`."""
     if algorithm not in ALGORITHMS:
         raise ArgumentError(f"unknown algorithm {algorithm!r}")
     # rejects a worker count below 1 and an unknown policy before allocating
@@ -141,11 +143,9 @@ def build_cluster(
     # instead, the steps of the 192-wide P=8 perfbench workload ran 2-7%
     # slower (memory placement, not work)
     momentum = init_momentum(net)
-    owner_by_layer = {i: p for p, part in enumerate(round_robin_partition(net.depth, workers))
-                      for i in part}
     factors = {} if algorithm == "ssgd" else {i: FactorState() for i in range(net.depth)}
     return Cluster(algorithm, workers, shard_policy, net, momentum, factors,
-                   tuple(owner_by_layer[i] for i in range(net.depth)))
+                   round_robin_owners(net.depth, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -247,32 +247,6 @@ class StepResult:
     counters: StepCounters
 
 
-@dataclass(frozen=True)
-class LocalPass:
-    """One worker's forward/backward over its own span: the local gradients
-    and, per layer, the two K-FAC captures (input batch and per-sample
-    pre-activation gradient batch)."""
-
-    grads: list[np.ndarray]
-    inputs: list[np.ndarray]
-    preact_grads: list[np.ndarray]
-
-
-def _local_grads(cluster: Cluster, batch: Batch, t: int) -> tuple[list[LocalPass], float]:
-    """The workers' local passes: their spans of one forward and one backward
-    over the global batch."""
-    spans = worker_spans(batch.size, cluster.n_workers, cluster.shard_policy)
-    losses, captures = forward(cluster.net, batch, spans)
-    for p, loss in enumerate(losses):
-        if not np.isfinite(loss):
-            raise NumericError(f"worker {p}, iteration {t}: training loss is {loss}")
-    grads, preact_grads = backward(cluster.net, batch, captures, spans)
-    passes = [LocalPass(span_grads, [c.input[:, span] for c in captures],
-                        [g[:, span] for g in preact_grads])
-              for span_grads, span in zip(grads, spans)]
-    return passes, float(np.mean(losses))
-
-
 def _where(worker: Optional[int], layer: int, t: int) -> str:
     """Where in a step something failed: ``worker p, layer i, iteration t``."""
     return f"{'' if worker is None else f'worker {worker}, '}layer {layer}, iteration {t}"
@@ -292,7 +266,9 @@ def _check_finite(update: Sequence[np.ndarray], t: int, what: str,
 
 def _precondition(
     cluster: Cluster,
-    local: list[LocalPass],
+    captures: list[LayerCapture],
+    preact_grads: list[np.ndarray],
+    spans: Sequence[slice],
     agg: list[np.ndarray],
     hyper: KfacHyper,
     counters: StepCounters,
@@ -301,8 +277,9 @@ def _precondition(
     """K-FAC preconditioning of the aggregated gradients, one layer at a
     time: build factors, fold them into the layer's one state, refresh at
     the owner, precondition, broadcast.  The module docstring gives the two
-    decisions the algorithm makes and the compute ledger.  Only one layer's
-    P raw factor pairs are alive at a time.  A factor-build failure names
+    decisions the algorithm makes and the compute ledger.  Builder p reads
+    its span of the one pass's captures.  Only one layer's P raw factor
+    pairs are alive at a time.  A factor-build failure names
     the worker that built the factors; everything after it names the
     owner."""
     dp = cluster.algorithm == "dp_kfac"
@@ -319,7 +296,8 @@ def _precondition(
             raw = []
             for p in (owner,) if dp else range(P):
                 try:
-                    raw.append(kfac.compute_factors(local[p].inputs[i], local[p].preact_grads[i]))
+                    raw.append(kfac.compute_factors(captures[i].input[:, spans[p]],
+                                                    preact_grads[i][:, spans[p]]))
                 except KfacLabError as exc:
                     _rethrow(exc, p, i, t)
                 factor_work[p] += n_f
@@ -357,23 +335,29 @@ def run_step(
     momentum: float,
     t: int,
 ) -> StepResult:
-    """One synchronous step over the global ``batch``: the workers' local
-    passes over their spans of it, the gradient all-reduce, the algorithm's
-    preconditioning (none for ``ssgd``), then one momentum-SGD update of the
-    shared weights.  Returns the mean local loss and the step's own counters."""
+    """One synchronous step over the global ``batch``: one forward and one
+    backward over it that give each worker's span its local loss and
+    gradients, the gradient all-reduce, the algorithm's preconditioning (none
+    for ``ssgd``), then one momentum-SGD update of the shared weights.
+    Returns the mean local loss and the step's own counters."""
     counters = StepCounters()
     # a diverging run overflows here; the finiteness checks report it as a
     # NumericError instead of numpy warnings followed by inf/nan weights
     with np.errstate(over="ignore", invalid="ignore"):
-        local, loss = _local_grads(cluster, batch, t)
-        update = [
-            all_reduce_avg([lp.grads[i] for lp in local], counters, "gradcomm")
-            for i in range(cluster.n_layers)
-        ]
+        spans = worker_spans(batch.size, cluster.n_workers, cluster.shard_policy)
+        losses, captures = forward(cluster.net, batch, spans)
+        for p, loss in enumerate(losses):
+            if not np.isfinite(loss):
+                raise NumericError(f"worker {p}, iteration {t}: training loss is {loss}")
+        grads, preact_grads = backward(cluster.net, batch, captures, spans)
+        # grads[p][i]: worker p's gradient of layer i
+        update = [all_reduce_avg([g[i] for g in grads], counters, "gradcomm")
+                  for i in range(cluster.n_layers)]
         _check_finite(update, t, "aggregated gradient")
         counters.gradcomp = sum(g.size for g in update)
         if cluster.algorithm != "ssgd":
-            update = _precondition(cluster, local, update, hyper, counters, t)
+            update = _precondition(cluster, captures, preact_grads, spans, update, hyper,
+                                   counters, t)
             _check_finite(update, t, "preconditioned gradient", cluster.owners)
         sgd_step(cluster.net, update, lr, cluster.momentum, momentum)
-    return StepResult(loss, counters)
+    return StepResult(float(np.mean(losses)), counters)

@@ -58,13 +58,11 @@ LOSSES = ("softmax_cross_entropy", "mean_squared_error")
 BIAS_MODES = ("none", "homogeneous")
 
 
-def _relu(s, out=None):
+def _relu(s, out):
     return np.maximum(s, 0.0, out=out)
 
 
-def _identity(s, out=None):
-    if out is None:
-        return s
+def _identity(s, out):
     np.copyto(out, s)
     return out
 
@@ -74,7 +72,7 @@ def _tanh_deriv(a):
     return np.subtract(1.0, d, out=d)
 
 
-# name -> (activation f(s, out=None), its derivative as a function of the
+# name -> (activation f(s, out), its derivative as a function of the
 # activation's output a = f(s))
 _ACT_FNS: dict[str, tuple[Callable, Callable]] = {
     "relu": (_relu, lambda a: a > 0.0),

@@ -80,16 +80,15 @@ def divide_in_place(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def sym_eig(m: np.ndarray) -> EigenPair:
-    """Eigendecomposition of a (nearly) symmetric matrix.
+    """Eigendecomposition of a symmetric matrix.
 
-    The input is symmetrized as ``(M + M.T) / 2`` first; batch-estimated
-    covariance factors are symmetric only up to rounding.  Eigenvalues are
-    returned in descending order.
+    Reads the lower triangle of ``m``, like :func:`sym_inverse`: the K-FAC
+    factors are exactly symmetric (:func:`kfaclab.kfac.compute_factors`, and
+    averaging keeps them so).  Eigenvalues are returned in descending order.
     """
     m = _require_square(m, "sym_eig")
-    sym = (m + m.T) / 2.0
     try:
-        values, q = np.linalg.eigh(sym)
+        values, q = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"eigendecomposition failed to converge for a {m.shape[0]}x{m.shape[0]} matrix"

@@ -262,11 +262,7 @@ def _cluster_arrays(cluster: Cluster) -> tuple[dict[str, np.ndarray], dict]:
         arrays[f"layer{i}/momentum"] = m
     for i, state in cluster.factors.items():
         prefix = f"factors/layer{i}"
-        factor_meta[prefix] = {
-            "initialized": state.initialized,
-            "last_factor_update": state.last_factor_update,
-            "last_inverse_update": state.last_inverse_update,
-        }
+        factor_meta[prefix] = {key: getattr(state, key) for key, _ in _FACTOR_META_KEYS}
         arrays.update({f"{prefix}/{name}": arr for name, arr in kfac.state_arrays(state).items()})
     return arrays, factor_meta
 

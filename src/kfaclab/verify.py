@@ -19,9 +19,6 @@ from . import costmodel, distsim, kfac, numerics
 from .kfac import KfacHyper
 from .model import Batch, NetworkSpec, backward, finite_diff_grad, forward, init_network
 
-SUITES = ("oracle", "grad", "dist", "cost")
-
-
 @dataclass(frozen=True)
 class CheckResult:
     suite: str
@@ -209,9 +206,9 @@ def run_dist_suite() -> list[CheckResult]:
     distsim.run_step(cluster, batch, KfacHyper(), 0.05, 0.9, 0)
     one_state = sorted(cluster.factors) == list(range(cluster.n_layers))
     views = [sorted(w.factors) for w in cluster.workers]
-    partition = costmodel.round_robin_partition(cluster.n_layers, 4)
+    # round-robin over 4 workers: the two layers go to workers 0 and 1
     results.append(CheckResult("dist", "one factor state per layer, held by its owner only",
-                               one_state and views == [list(part) for part in partition],
+                               one_state and views == [[0], [1], [], []],
                                f"worker views {views}"))
     # DP-KFAC's core mechanism: the owner builds the factors from its own
     # shard, through the weights every worker started the step with
@@ -307,6 +304,7 @@ _SUITE_FNS: dict[str, Callable[[], list[CheckResult]]] = {
     "dist": run_dist_suite,
     "cost": run_cost_suite,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def run_suite(name: str) -> list[CheckResult]:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from kfaclab import cli, errors, numerics, verify
+from kfaclab import cli, config, errors, numerics, trainer, verify
 from kfaclab.datasets import load_idx
 
 SMALL_CONFIG = """
@@ -299,6 +299,43 @@ def test_interrupted_run_manifest_records_the_exception(config_path, tmp_path, m
     assert manifest["status"] == "failed"
     assert manifest["exit_code"] is None
     assert manifest["error"].startswith("KeyboardInterrupt")
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+def test_out_of_memory_before_the_run_directory_exists_exits_3(config_path, tmp_path,
+                                                                monkeypatch, capsys):
+    # the config check lays out the worker spans: a worker count too large
+    # for memory ends there, before the output directory is made
+    monkeypatch.setattr(config, "worker_spans", _out_of_memory)
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "train", str(config_path)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == ["data error: train: out of memory"]
+    assert not out.exists()
+
+
+def test_out_of_memory_during_training_is_recorded_in_the_manifest(config_path, tmp_path,
+                                                                    monkeypatch, capsys):
+    monkeypatch.setattr(trainer, "provision_dataset", _out_of_memory)
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "train", str(config_path)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == ["data error: train: out of memory"]
+    manifest = json.loads((out / "run.json").read_text())
+    assert (manifest["status"], manifest["exit_code"]) == ("failed", cli.EXIT_DATA)
+    assert manifest["error"] == "train: out of memory"
+
+
+@pytest.mark.parametrize("argv, binding", [
+    (["cost", "resnet50"], "cmd_cost"),
+    (["verify", "oracle"], "cmd_verify"),
+    (["gen-data", "gaussian_blobs", "--images", "x", "--labels", "y"], "cmd_gen_data"),
+])
+def test_every_command_out_of_memory_exits_3(monkeypatch, capsys, argv, binding):
+    monkeypatch.setattr(cli, binding, _out_of_memory)
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [f"data error: {argv[0]}: out of memory"]
 
 
 def test_cost_command_toy_manifest(tmp_path, capsys):

@@ -10,7 +10,7 @@ from kfaclab.costmodel import (
     layer_counts,
     load_manifest,
     resolve_manifest,
-    round_robin_partition,
+    round_robin_owners,
     totals,
 )
 from kfaclab.distsim import StepCounters
@@ -115,10 +115,12 @@ def test_dp_memory_below_mpd_memory():
         assert dp.memory_realized <= mo.memory_realized
 
 
-def test_round_robin_partition_shapes():
-    parts = round_robin_partition(5, 2)
-    assert parts == ((0, 2, 4), (1, 3))
-    assert round_robin_partition(0, 3) == ((), (), ())
+def test_round_robin_owners_shapes():
+    assert round_robin_owners(5, 2) == (0, 1, 0, 1, 0)
+    assert round_robin_owners(0, 3) == ()
+    for n_layers, n_workers in ((-1, 2), (3, 0)):
+        with pytest.raises(ArgumentError, match=r"^need n_layers >= 0 and n_workers >= 1$"):
+            round_robin_owners(n_layers, n_workers)
 
 
 def test_counter_mismatches_accepts_matching():

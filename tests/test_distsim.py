@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from kfaclab import distsim, kfac
 from kfaclab.config import HyperConfig
-from kfaclab.costmodel import round_robin_partition
+from kfaclab.costmodel import layer_counts, round_robin_owners
 from kfaclab.distsim import (
     StepCounters,
     all_reduce_avg,
@@ -50,23 +50,23 @@ SPEC = NetworkSpec((6, 8, 4), activation="tanh", bias_mode="homogeneous")
 
 
 def test_round_robin_one_layer_each():
-    assert round_robin_partition(4, 4) == ((0,), (1,), (2,), (3,))
+    assert round_robin_owners(4, 4) == (0, 1, 2, 3)
 
 
 def test_round_robin_five_layers_two_workers():
-    assert round_robin_partition(5, 2) == ((0, 2, 4), (1, 3))
+    # worker 0 owns layers 0, 2, 4 and worker 1 layers 1, 3
+    assert round_robin_owners(5, 2) == (0, 1, 0, 1, 0)
 
 
 def test_round_robin_single_worker_owns_all():
-    assert round_robin_partition(7, 1) == (tuple(range(7)),)
+    assert round_robin_owners(7, 1) == (0,) * 7
 
 
 def test_round_robin_more_workers_than_layers():
-    parts = round_robin_partition(3, 8)
-    assert len(parts) == 8
-    sizes = [len(p) for p in parts]
+    owners = round_robin_owners(3, 8)
+    assert owners == (0, 1, 2)
+    sizes = [owners.count(p) for p in range(8)]
     assert max(sizes) - min(sizes) <= 1
-    assert sorted(i for part in parts for i in part) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("algorithm, workers, message", [
@@ -635,12 +635,10 @@ def test_stale_iterations_skip_factor_traffic():
 
 
 def dp_expected_inverse(cluster, t):
-    from kfaclab.costmodel import layer_counts
-    dims = cluster.layer_dims()
-    per_worker = [
-        sum(layer_counts(dims[i])[1] for i in part)
-        for part in round_robin_partition(cluster.n_layers, cluster.n_workers)
-    ]
+    per_worker = [0] * cluster.n_workers
+    for owner, dims in zip(round_robin_owners(cluster.n_layers, cluster.n_workers),
+                           cluster.layer_dims()):
+        per_worker[owner] += layer_counts(dims)[1]
     return max(per_worker)
 
 
@@ -757,16 +755,23 @@ BLOCK_SPEC = NetworkSpec((64, 64, 10), activation="tanh", bias_mode="homogeneous
 
 
 def _block_case(spec, workers, b, order="C", policy="disjoint"):
+    """Pairs of (per-worker pass, the worker's span of the one pass the step
+    makes): the mean loss, then each worker's gradients, input captures and
+    pre-activation gradients."""
     rng = np.random.default_rng(workers * 1000 + b)
-    cluster = build_cluster(spec, "dp_kfac", workers, seed=b, shard_policy=policy)
+    net = init_network(spec, seed=b)
     batch = Batch(np.asarray(rng.standard_normal((spec.layer_dims[0], workers * b)), order=order),
                   rng.integers(0, spec.layer_dims[-1], size=workers * b))
-    want, want_loss = _per_worker_loop(cluster.net, _shards(batch, workers, policy))
-    got, got_loss = distsim._local_grads(cluster, batch, 0)
-    assert len(got) == workers
-    pairs = [(want_loss, got_loss)]
-    for (grads, inputs, preact_grads), lp in zip(want, got):
-        pairs += list(zip(grads + inputs + preact_grads, lp.grads + lp.inputs + lp.preact_grads))
+    want, want_loss = _per_worker_loop(net, _shards(batch, workers, policy))
+    spans = worker_spans(batch.size, workers, policy)
+    losses, captures = forward(net, batch, spans)
+    grads, preact_grads = backward(net, batch, captures, spans)
+    assert len(grads) == workers
+    pairs = [(want_loss, float(np.mean(losses)))]
+    for (w_grads, w_inputs, w_preact_grads), span_grads, span in zip(want, grads, spans):
+        got = (span_grads + [c.input[:, span] for c in captures]
+               + [g[:, span] for g in preact_grads])
+        pairs += list(zip(w_grads + w_inputs + w_preact_grads, got))
     return pairs
 
 

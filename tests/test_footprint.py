@@ -5,6 +5,7 @@ would hide them."""
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import textwrap
@@ -13,19 +14,26 @@ from pathlib import Path
 import pytest
 
 import kfaclab
+from kfaclab.costmodel import STAGES, layer_counts, resolve_manifest, totals
 
 SRC = Path(kfaclab.__file__).resolve().parent.parent
 BUNDLED = SRC.parent / "configs" / "blobs_dp_kfac.ini"
 
 
-def _fresh(*code: str):
+def _fresh(*code: str, address_space: int | None = None):
     """Run the ``code`` blocks in order in a new interpreter with one BLAS
-    thread; returns the JSON value of its last output line."""
+    thread, its address space capped at ``address_space`` bytes if given;
+    returns the JSON value of its last output line."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+    def cap():
+        if address_space is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     done = subprocess.run([sys.executable, "-c", "\n".join(map(textwrap.dedent, code))], env=env,
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300, preexec_fn=cap)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -106,3 +114,47 @@ def _steady_state_faults(overrides: dict) -> float:
         steady = [b - a for a, b in zip(stamps[10:], stamps[11:])]
         print(json.dumps(statistics.median(steady)))
     """)
+
+
+# A cost report is linear in the layer count whatever the worker count.  The
+# cap makes a regression to per-worker work end in a MemoryError at once
+# instead of filling the machine's memory.
+_ONE_GIB = 1 << 30
+
+
+def test_cost_model_at_a_huge_worker_count_is_the_formula():
+    # every one of ResNet-50's 54 layers on a worker of its own
+    P = 10**20
+    reports = _fresh(f"""
+        import json
+        from kfaclab import costmodel
+        layers = costmodel.resolve_manifest("resnet50")
+        print(json.dumps([costmodel.algorithm_cost(layers, {P}, alg).to_dict()
+                          for alg in costmodel.ALGORITHMS]))
+    """, address_space=_ONE_GIB)
+    layers = resolve_manifest("resnet50")
+    n_g, n_f = totals(layers)
+    max_f = max(layer_counts(d)[1] for d in layers)
+    payload = n_f + sum(d.d_in + d.d_out for d in layers)
+    gradcomm = 2 * (P - 1) * n_g
+    # the stages in STAGES order, then memory_realized
+    want = {
+        "ssgd": (n_g, 0, 0, gradcomm, 0, 0, 0, n_g),
+        "mpd_kfac_co": (n_g, n_f, max_f, gradcomm, 2 * (P - 1) * n_f, 0, (P - 1) * payload,
+                        2 * (n_g + n_f)),
+        "mpd_kfac_mo": (n_g, n_f, max_f, gradcomm, 2 * (P - 1) * n_f, (P - 1) * n_g, 0,
+                        2 * (n_g + n_f)),
+        "dp_kfac": (n_g, max_f, max_f, gradcomm, 0, (P - 1) * n_g, 0, 2 * (n_g + max_f)),
+    }
+    got = {r["algorithm"]: tuple(r[k] for k in (*STAGES, "memory_realized")) for r in reports}
+    assert got == want
+    assert all(r["workers"] == P for r in reports)
+
+
+def test_cost_command_at_a_huge_worker_count_exits_0():
+    code = _fresh("""
+        import json
+        from kfaclab import cli
+        print(json.dumps(cli.main(["cost", "resnet50", "--p", "99999999999999999999"])))
+    """, address_space=_ONE_GIB)
+    assert code == 0

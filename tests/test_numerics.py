@@ -39,6 +39,17 @@ def test_sym_eig_spd_eigenvalues_nonnegative():
         assert v.min() >= -1e-10 * np.abs(m).max()
 
 
+def test_sym_eig_reads_the_lower_triangle_only():
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 5, 65):
+        b = rng.standard_normal((d, d))
+        lower = np.tril(b @ b.T)
+        mirrored = lower + np.tril(lower, -1).T
+        garbage = lower + np.triu(rng.standard_normal((d, d)) * 1e3, 1)
+        want, got = numerics.sym_eig(mirrored), numerics.sym_eig(garbage)
+        assert np.array_equal(got.q, want.q) and np.array_equal(got.values, want.values), d
+
+
 def test_sym_eig_rejects_nonsquare():
     with pytest.raises(ShapeError):
         numerics.sym_eig(np.zeros((2, 3)))
