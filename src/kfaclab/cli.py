@@ -6,9 +6,9 @@ ShapeError, CapacityError, OrderingError) or a command that ran out of memory
 (MemoryError), 4 numeric failure (NumericError).
 An output path that cannot be created or written is a configuration error
 naming its setting (``train.out_dir``, ``--json``, ``--images``,
-``--labels``).  Once its output directory exists, ``train``
-records in ``run.json`` how it ended (status, exit code, error message, last
-iteration written) on every exit path.
+``--labels``).  Once its output directory exists, ``train`` records in
+``run.json``, written once after ``final.ckpt``, how it ended (status, exit
+code, error message, last iteration written) on every exit path.
 """
 
 from __future__ import annotations
@@ -166,18 +166,17 @@ def cmd_train(args, overrides) -> int:
         raise _unusable_output("create", out_dir, exc) from exc
     csv_path = out_dir / "metrics.csv"
     manifest_path = out_dir / "run.json"
+    ckpt_path = out_dir / "final.ckpt"
     last_iteration = None  # of the last row this invocation wrote
     csv_written = False
+    result = None
+    outcome = {"status": "failed", "exit_code": None, "error": None}
 
     def sink(row):
         nonlocal last_iteration
         fh.write(",".join(row.as_csv_fields()) + "\n")
         fh.flush()
         last_iteration = row.iteration
-
-    def outcome(status, exit_code, error):
-        return {"status": status, "exit_code": exit_code, "error": error,
-                "last_iteration": last_iteration}
 
     try:
         resume = load_checkpoint(args.resume) if args.resume else None
@@ -196,26 +195,31 @@ def cmd_train(args, overrides) -> int:
             if not append:
                 fh.write(csv_header() + "\n")
             result = run_prepared(run, row_sink=sink)
+        try:
+            save_checkpoint(ckpt_path, result.cluster, result.final_iteration, cfg.train.epochs)
+        except OSError as exc:
+            raise _unusable_output("write", ckpt_path, exc) from exc
+        outcome.update(status="finished", exit_code=EXIT_OK, iterations=result.final_iteration,
+                       iters_per_epoch=result.iters_per_epoch)
     except (KfacLabError, MemoryError) as exc:
         exc = _package_error(exc, "train")
-        code = _report(exc)
-        write_run_manifest(manifest_path, cfg, extra=outcome("failed", code, str(exc)))
-        if csv_written:
+        outcome.update(exit_code=_report(exc), error=str(exc))
+        if csv_written and result is None:
             print(f"partial metrics kept at {csv_path}", file=sys.stderr)
-        return code
     except BaseException as exc:
         # an interrupt or an internal fault: record it, keep the traceback
-        write_run_manifest(manifest_path, cfg, extra=outcome(
-            "failed", None, f"{type(exc).__name__}: {exc}"))
+        outcome["error"] = f"{type(exc).__name__}: {exc}"
         raise
-
-    write_run_manifest(manifest_path, cfg, extra={
-        **outcome("finished", EXIT_OK, None),
-        "iterations": result.final_iteration,
-        "iters_per_epoch": result.iters_per_epoch,
-    })
-    save_checkpoint(out_dir / "final.ckpt", result.cluster,
-                    result.final_iteration, cfg.train.epochs)
+    finally:
+        # once, after final.ckpt; a failed run keeps its own exit code
+        try:
+            write_run_manifest(manifest_path, cfg,
+                               extra={**outcome, "last_iteration": last_iteration})
+        except OSError as exc:
+            code = _report(_unusable_output("write", manifest_path, exc))
+            outcome["exit_code"] = outcome["exit_code"] or code
+    if outcome["exit_code"] != EXIT_OK:
+        return outcome["exit_code"]
     last = result.rows[-1]
     print(f"finished {result.final_iteration} iterations "
           f"({cfg.train.epochs} epochs) of {cfg.train.algorithm} "
@@ -223,7 +227,7 @@ def cmd_train(args, overrides) -> int:
     print(f"final train loss {last.train_loss:.6f}"
           + (f", eval loss {last.eval_loss:.6f}" if last.eval_loss is not None else "")
           + (f", eval accuracy {last.eval_accuracy:.4f}" if last.eval_accuracy is not None else ""))
-    print(f"outputs: {csv_path}, {manifest_path}, {out_dir / 'final.ckpt'}")
+    print(f"outputs: {csv_path}, {manifest_path}, {ckpt_path}")
     return EXIT_OK
 
 
@@ -254,11 +258,10 @@ def cmd_cost(args) -> int:
     for p in worker_counts:
         group = [r for r in reports if r.workers == p]
         print(f"\nP = {p} (per second-order-update iteration, element counts)")
-        header = "stage".ljust(12) + "".join(r.algorithm.rjust(14) for r in group)
-        print(header)
+        print("stage".ljust(12) + "".join(f" {r.algorithm:>13}" for r in group))
         for attr, label in _COST_FIELDS:
-            cells = "".join(f"{getattr(r, attr):>14.0f}" for r in group)
-            print(label.ljust(12) + cells)
+            # round: the counts print exactly, the idealized memory as .0f would
+            print(label.ljust(12) + "".join(f" {round(getattr(r, attr)):>13}" for r in group))
         dp = next((r for r in group if r.algorithm == "dp_kfac"), None)
         mpd = next((r for r in group if r.algorithm.startswith("mpd")), None)
         if dp and mpd:
@@ -303,6 +306,8 @@ def cmd_gen_data(args) -> int:
         raise ArgumentError(f"--rows {args.rows} must be >= 1")
     if args.dim % args.rows != 0:
         raise ArgumentError(f"--dim {args.dim} is not divisible by --rows {args.rows}")
+    if Path(args.images).resolve() == Path(args.labels).resolve():
+        raise ConfigError(f"--images {args.images} and --labels {args.labels} name the same file")
     seed = args.seed if args.seed is not None else 0
     dataset = gen_synthetic(args.kind, {
         "classes": args.classes, "dim": args.dim,

@@ -20,7 +20,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -171,6 +171,8 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"image/label counts differ: {n} images in {images_path}, "
             f"{n_labels} labels in {labels_path} (counts at byte offset 4)"
         )
+    if n == 0:
+        raise DataFormatError(f"{images_path}: the image count at byte offset 4 is 0")
     images = np.frombuffer(pixels, dtype=np.uint8).reshape(n, rows * cols)
     inputs = images.astype(np.float64).T
     inputs /= 255.0
@@ -178,35 +180,49 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(inputs, labels, task="classification")
 
 
-def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray):
-    """Write an IDX pair: ``images`` is uint8 of shape (n, rows, cols),
-    ``labels`` uint8 of shape (n,).
+def write_all_or_nothing(files: Sequence[tuple[str | os.PathLike, Iterable]]):
+    """Write each ``(path, chunks)`` pair all or nothing: the bytes-like chunks
+    stream into ``<path>.tmp``, and the files move into place once all are
+    complete.  A failure leaves no ``.tmp`` file and no new file, and its
+    ``OSError`` names the caller's path.  A path named twice, in any
+    spelling, is an ArgumentError before any file is touched."""
+    paths = [os.fspath(path) for path, _ in files]
+    real = [os.path.realpath(path) for path in paths]
+    for i, path in enumerate(real):
+        if path in real[:i]:
+            raise ArgumentError(f"{paths[real.index(path)]} and {paths[i]} name the same file")
+    made: list[str] = []
+    try:
+        for path, (_, chunks) in zip(paths, files):
+            with open(path + ".tmp", "wb") as fh:
+                made.append(path + ".tmp")
+                fh.writelines(chunks)
+        for path in paths:
+            os.replace(path + ".tmp", path)
+            made.append(path)
+    except BaseException as exc:
+        for leftover in made:
+            with contextlib.suppress(OSError):
+                os.remove(leftover)
+        if isinstance(exc, OSError):
+            exc.filename, exc.filename2 = path, None
+        raise
 
-    Both files are written as ``<path>.tmp`` and moved into place only once
-    both are complete, so a failed write leaves neither; its ``OSError``
-    names the path the caller gave."""
+
+def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray):
+    """Write an IDX pair all or nothing (:func:`write_all_or_nothing`):
+    ``images`` is uint8 of shape (n, rows, cols), ``labels`` uint8 of shape
+    (n,)."""
     if images.ndim != 3 or images.dtype != np.uint8:
         raise ArgumentError("images must be a uint8 array of shape (n, rows, cols)")
     if labels.ndim != 1 or labels.dtype != np.uint8 or labels.shape[0] != images.shape[0]:
         raise ArgumentError("labels must be uint8 of shape (n,) matching the image count")
     n, rows, cols = images.shape
-    files = [(os.fspath(images_path), struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols), images),
-             (os.fspath(labels_path), struct.pack(">II", IDX_LABELS_MAGIC, n), labels)]
-    placed = []
-    try:
-        for path, header, body in files:
-            with open(path + ".tmp", "wb") as fh:
-                fh.write(header)
-                fh.write(body.tobytes(order="C"))
-        for path, _, _ in files:
-            os.replace(path + ".tmp", path)
-            placed.append(path)
-    except OSError as exc:
-        for leftover in [path + ".tmp" for path, _, _ in files] + placed:
-            with contextlib.suppress(OSError):
-                os.remove(leftover)
-        exc.filename = exc.filename.removesuffix(".tmp")
-        raise
+    write_all_or_nothing([
+        (images_path, [struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols),
+                       np.ascontiguousarray(images)]),
+        (labels_path, [struct.pack(">II", IDX_LABELS_MAGIC, n), np.ascontiguousarray(labels)]),
+    ])
 
 
 def quantize_for_idx(dataset: Dataset, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:

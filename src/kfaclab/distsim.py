@@ -65,8 +65,8 @@ from . import kfac
 from .costmodel import ALGORITHMS, LayerDims, StepCounters, layer_counts, round_robin_owners
 from .errors import ArgumentError, KfacLabError, NumericError, ShapeError
 from .kfac import FactorState, KfacHyper
-from .model import (Batch, LayerCapture, Network, NetworkSpec, backward, forward, init_momentum,
-                    init_network, sgd_step)
+from .model import (Batch, Network, NetworkSpec, backward, forward, init_momentum, init_network,
+                    sgd_step)
 from .numerics import divide_in_place
 
 SHARD_POLICIES = ("disjoint", "replicate")
@@ -266,7 +266,7 @@ def _check_finite(update: Sequence[np.ndarray], t: int, what: str,
 
 def _precondition(
     cluster: Cluster,
-    captures: list[LayerCapture],
+    captures: list[np.ndarray],
     preact_grads: list[np.ndarray],
     spans: Sequence[slice],
     agg: list[np.ndarray],
@@ -296,7 +296,7 @@ def _precondition(
             raw = []
             for p in (owner,) if dp else range(P):
                 try:
-                    raw.append(kfac.compute_factors(captures[i].input[:, spans[p]],
+                    raw.append(kfac.compute_factors(captures[i][:, spans[p]],
                                                     preact_grads[i][:, spans[p]]))
                 except KfacLabError as exc:
                     _rethrow(exc, p, i, t)

@@ -2,13 +2,14 @@
 
 Layers compute ``s_i = W_i a_{i-1}`` with an elementwise activation on all
 hidden layers; the last layer's pre-activation output feeds the loss
-directly.  ``forward`` returns, next to the loss, every layer's input batch
-and pre-activation; ``backward`` takes those captures back and returns, next
-to the gradients, every layer's per-sample pre-activation gradient batch.
-Curvature factors are second moments of the layer inputs and of these
-pre-activation gradients.  The network itself holds weights only, so any
-number of callers can run passes over one weight set without overwriting
-each other's captures.
+directly.  ``forward`` returns, next to the loss, L+1 captures: each layer's
+input batch ``a_{i-1}`` (bias row included), then the network output
+``s_L``; no hidden pre-activation outlives the pass.  ``backward`` takes the
+captures back and returns, next to the gradients, every layer's per-sample
+pre-activation gradient batch.  Curvature factors are second moments of the
+layer inputs and of these pre-activation gradients.  The network itself
+holds weights only, so any number of callers can run passes over one weight
+set without overwriting each other's captures.
 
 A pass may also report per column span (all P workers' local passes in
 :mod:`kfaclab.distsim`, each worker's span its columns of the global batch):
@@ -16,11 +17,10 @@ each layer is still one matrix product over all B columns, and each span
 gets the loss and the gradient of a pass over its columns alone, up to the
 last bits where BLAS picks another kernel for the wider product.
 
-``backward`` never evaluates an activation function.  It reads the last
-layer's pre-activation (the network output) and, for each hidden layer, the
-activation's OUTPUT ``a = f(s)``, which ``forward`` already stored as the
-next layer's input capture (without its bias row).  Each derivative is
-written in terms of that output:
+``backward`` never evaluates an activation function.  It reads the network
+output and, for each hidden layer, the activation's OUTPUT ``a = f(s)``,
+which ``forward`` stored as the next layer's input capture (without its bias
+row).  Each derivative is written in terms of that output:
 
     ==========  ============  ==================
     activation  f(s)          f'(s) as fn of a
@@ -46,7 +46,7 @@ appended to every layer input and the weight gains one column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -147,14 +147,6 @@ class Network:
         return self.spec.depth
 
 
-class LayerCapture(NamedTuple):
-    """What one forward pass records for one layer: the (bias-augmented)
-    input batch ``a_{i-1}`` and the pre-activation batch ``s_i``."""
-
-    input: np.ndarray
-    preact: np.ndarray
-
-
 def init_network(spec: NetworkSpec, seed: int) -> Network:
     """Seeded weight init: uniform on ±sqrt(6 / (fan_in + fan_out)).
 
@@ -238,11 +230,11 @@ def _first_input(net: Network, inputs: np.ndarray) -> np.ndarray:
 
 
 def _layers(net: Network, a_in: np.ndarray,
-            captures: Optional[list[LayerCapture]] = None) -> np.ndarray:
+            captures: Optional[list[np.ndarray]] = None) -> np.ndarray:
     """The layer loop from layer 0's input buffer; returns the network output.
     Every hidden activation is written straight into the next layer's input
-    buffer.  Each layer's input and pre-activation are appended to
-    ``captures`` if it is given; otherwise at most two of them are alive at once."""
+    buffer and its pre-activation freed.  Each input buffer is appended to
+    ``captures`` if given; otherwise at most two layer arrays are alive at once."""
     act, _ = _ACT_FNS[net.spec.activation]
     for i, layer in enumerate(net.layers):
         if i > 0:
@@ -251,15 +243,16 @@ def _layers(net: Network, a_in: np.ndarray,
             a_in[s.shape[0]:] = 1.0
             act(s, out=a_in[:s.shape[0]])
             del s
-        s = layer.weight @ a_in
         if captures is not None:
-            captures.append(LayerCapture(a_in, s))
+            captures.append(a_in)
+        s = layer.weight @ a_in
     return s
 
 
 def forward(net: Network, batch: Batch, spans: Optional[Sequence[slice]] = None
-            ) -> tuple[float | list[float], list[LayerCapture]]:
-    """Forward pass: returns the mean batch loss and every layer's capture.
+            ) -> tuple[float | list[float], list[np.ndarray]]:
+    """Forward pass: returns the mean batch loss and the L+1 captures, every
+    layer's input batch and then the network output.
 
     Given nonempty column ``spans`` of the batch, the first value is the list
     of the spans' mean losses; the captures are always the whole batch's.
@@ -268,8 +261,9 @@ def forward(net: Network, batch: Batch, spans: Optional[Sequence[slice]] = None
     row of ones under a homogeneous bias (see :func:`_first_input` for layer
     0's); every hidden activation is written straight into it.
     """
-    captures: list[LayerCapture] = []
+    captures: list[np.ndarray] = []
     s = _layers(net, _first_input(net, batch.inputs), captures)
+    captures.append(s)
     losses = _per_sample_losses(s, batch.targets, net.spec.loss_kind)
     if spans is None:
         return float(np.mean(losses)), captures
@@ -277,38 +271,36 @@ def forward(net: Network, batch: Batch, spans: Optional[Sequence[slice]] = None
 
 
 def backward(
-    net: Network, batch: Batch, captures: list[LayerCapture],
+    net: Network, batch: Batch, captures: list[np.ndarray],
     spans: Optional[Sequence[slice]] = None,
 ) -> tuple[list, list[np.ndarray]]:
-    """Backward pass over the captures ``forward`` returned for this batch.
+    """Backward pass over the captures ``forward`` returned for this batch:
+    the L layer inputs, then the network output.
 
     Returns the per-layer gradients of the mean batch loss,
     ``(1/B) * g_i @ a_{i-1}^T``, and the per-layer per-sample pre-activation
-    gradients ``g_i``.  Only the last layer's pre-activation is read; the
-    hidden derivatives come from the activations in the input captures.
+    gradients ``g_i``.  The hidden derivatives come from the activations in
+    the input captures.
 
     Given column ``spans`` of the batch, the first value is one gradient
     list per span, ``(1/b) * g_i[:, span] @ a_{i-1}[:, span]^T``, never one
     of the whole batch.
     """
     B = batch.size
-    if len(captures) != net.depth:
-        raise ShapeError(f"got captures for {len(captures)} layers, network has {net.depth}")
-    for i, (a_in, s) in enumerate(captures):
-        rows, cols = net.spec.weight_shape(i)
-        if a_in.shape != (cols, B) or s.shape != (rows, B):
-            raise ShapeError(
-                f"layer {i} captures have shapes {a_in.shape} and {s.shape}; "
-                f"a batch of {B} needs {(cols, B)} and {(rows, B)}"
-            )
+    wants = [(net.spec.weight_shape(i)[1], B) for i in range(net.depth)]
+    wants.append((net.spec.layer_dims[-1], B))
+    shapes = [capture.shape for capture in captures]
+    if shapes != wants:
+        raise ShapeError(f"captures of shapes {shapes} do not fit a batch of {B}: "
+                         f"the network needs {wants}")
     _, act_deriv = _ACT_FNS[net.spec.activation]
     homogeneous = net.spec.bias_mode == "homogeneous"
-    g = _per_sample_output_grads(captures[-1].preact, batch.targets, net.spec.loss_kind)
+    g = _per_sample_output_grads(captures[-1], batch.targets, net.spec.loss_kind)
     grads_over = [slice(0, B)] if spans is None else spans
     grads: list[list] = [[None] * net.depth for _ in grads_over]
     preact_grads: list[Optional[np.ndarray]] = [None] * net.depth
     for i in range(net.depth - 1, -1, -1):
-        a_in = captures[i].input
+        a_in = captures[i]
         preact_grads[i] = g
         for span_grads, span in zip(grads, grads_over):
             span_grads[i] = divide_in_place(g[:, span] @ a_in[:, span].T, span.stop - span.start)

@@ -9,7 +9,7 @@ regenerates shuffle order instead of persisting RNG state.
 
 from __future__ import annotations
 
-import contextlib
+import itertools
 import json
 import math
 import os
@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, kfac
 from .config import RunConfig
 from .costmodel import STAGES, StepCounters
-from .datasets import Dataset, gen_synthetic, load_idx
+from .datasets import Dataset, gen_synthetic, load_idx, write_all_or_nothing
 from .distsim import Cluster, build_cluster, run_step
 from .errors import ArgumentError, DataFormatError
 from .model import Batch, predict, _per_sample_losses
@@ -214,27 +214,15 @@ def run_training(
 # file outputs
 
 
-@contextlib.contextmanager
-def _atomic_writer(path: Path):
-    """A binary file handle on ``path.tmp``, moved over ``path`` once the
-    block completes, so readers see the old file or the whole new one."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        yield fh
-    os.replace(tmp, path)
-
-
 def write_run_manifest(path: Path, cfg: RunConfig, extra: Optional[dict] = None):
     manifest = {
         "kfaclab_version": __version__,
         "seed": cfg.train.seed,
         "config": cfg.to_dict(),
         "csv_columns": list(CSV_COLUMNS),
+        **(extra or {}),
     }
-    if extra:
-        manifest.update(extra)
-    with _atomic_writer(path) as fh:
-        fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+    write_all_or_nothing([(path, [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()])])
 
 
 def csv_header() -> str:
@@ -284,11 +272,9 @@ def save_checkpoint(path: Path, cluster: Cluster, iteration: int, epoch: int):
     }
     blob = json.dumps(header, sort_keys=True).encode()
     # streamed: only an array that is not already C-ordered "<f8" is copied
-    with _atomic_writer(path) as fh:
-        fh.write(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
-        fh.write(blob)
-        for n in names:
-            fh.write(np.ascontiguousarray(arrays[n], dtype="<f8"))
+    write_all_or_nothing([(path, itertools.chain(
+        [CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)), blob],
+        (np.ascontiguousarray(arrays[n], dtype="<f8") for n in names)))])
 
 
 _HEADER_START = 20  # magic (8) + u32 version (4) + u64 header length (8)

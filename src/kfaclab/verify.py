@@ -219,7 +219,7 @@ def run_dist_suite() -> list[CheckResult]:
         shard = Batch(batch.inputs[:, spans[owner]], batch.targets[spans[owner]])
         _, captures = forward(reference, shard)
         _, preact_grads = backward(reference, shard, captures)
-        a_cov, g_cov = kfac.compute_factors(captures[i].input, preact_grads[i])
+        a_cov, g_cov = kfac.compute_factors(captures[i], preact_grads[i])
         state = cluster.factors[i]
         from_owner.append(np.array_equal(state.a_cov, a_cov)
                           and np.array_equal(state.g_cov, g_cov))

@@ -259,6 +259,45 @@ lr = 5
 """
 
 
+def test_checkpoint_path_that_is_a_directory_is_config_error(config_path, tmp_path, capsys):
+    # the run trains in full, then cannot place final.ckpt: run.json must
+    # not say finished, and no temporary file may stay behind
+    out = tmp_path / "out"
+    (out / "final.ckpt").mkdir(parents=True)
+    code = cli.main(["--out-dir", str(out), "train", str(config_path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert err.splitlines() == [
+        f"config error: train.out_dir: cannot write {out / 'final.ckpt'}: Is a directory"]
+    manifest = json.loads((out / "run.json").read_text())
+    assert (manifest["status"], manifest["exit_code"]) == ("failed", cli.EXIT_CONFIG)
+    assert "final.ckpt: Is a directory" in manifest["error"]
+    assert sorted(p.name for p in out.iterdir()) == ["final.ckpt", "metrics.csv", "run.json"]
+
+
+def test_manifest_path_that_is_a_directory_is_config_error(config_path, tmp_path, capsys):
+    # run.json is written last, after final.ckpt
+    out = tmp_path / "out"
+    (out / "run.json").mkdir(parents=True)
+    code = cli.main(["--out-dir", str(out), "train", str(config_path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert err.splitlines() == [
+        f"config error: train.out_dir: cannot write {out / 'run.json'}: Is a directory"]
+    assert (out / "final.ckpt").is_file() and (out / "run.json").is_dir()
+    assert sorted(p.name for p in out.iterdir()) == ["final.ckpt", "metrics.csv", "run.json"]
+
+
+def test_failed_run_keeps_its_exit_code_when_run_json_also_fails(tmp_path, capsys):
+    cfg = tmp_path / "diverge.ini"
+    cfg.write_text(DIVERGING_CONFIG)
+    out = tmp_path / "out"
+    (out / "run.json").mkdir(parents=True)
+    assert cli.main(["--out-dir", str(out), "train", str(cfg)]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "worker 0, iteration 160" in err and "run.json: Is a directory" in err
+
+
 def test_diverged_run_exits_numeric_and_keeps_rows(tmp_path, capsys):
     # the loss first overflows at iteration 160; the run must stop there
     # with the numeric exit code instead of finishing on inf/nan weights
@@ -299,6 +338,19 @@ def test_interrupted_run_manifest_records_the_exception(config_path, tmp_path, m
     assert manifest["status"] == "failed"
     assert manifest["exit_code"] is None
     assert manifest["error"].startswith("KeyboardInterrupt")
+
+
+def test_interrupt_is_raised_when_run_json_cannot_be_written(config_path, tmp_path,
+                                                            monkeypatch, capsys):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_prepared", interrupt)
+    out = tmp_path / "out"
+    (out / "run.json").mkdir(parents=True)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["--out-dir", str(out), "train", str(config_path)])
+    assert "run.json: Is a directory" in capsys.readouterr().err
 
 
 def _out_of_memory(*args, **kwargs):
@@ -385,6 +437,28 @@ def test_cost_json_is_pinned(tmp_path):
         "29035274f03927d84d60ab22f0a7c0e4b854ade93e905c548c39c2495bd27ac9")
 
 
+def test_cost_text_is_pinned(capsys):
+    # the default table, byte for byte
+    assert cli.main(["cost", "resnet50"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "4dde96f010f1514555ada546449a8c39fa2672f1a25c2a5cd65f2d94dd22ca16")
+
+
+def test_cost_cells_are_separated_and_exact(tmp_path, capsys):
+    # 28-digit counts: every cell its own column, with the --json digits
+    json_out = tmp_path / "cost.json"
+    assert cli.main(["cost", "resnet50", "--p", str(10**20), "--json", str(json_out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    reports = json.loads(json_out.read_text())["reports"]
+    assert lines[3].split() == ["stage"] + [r["algorithm"] for r in reports]
+    for attr, label in cli._COST_FIELDS:
+        cells = next(line for line in lines if line.startswith(label + " ")).split()
+        want = [f"{r[attr]:.0f}" if isinstance(r[attr], float) else str(r[attr])
+                for r in reports]
+        assert cells == [label] + want
+    assert str(2 * (10**20 - 1) * 25503912) in lines[7]
+
+
 def test_cost_missing_manifest_exit_code():
     assert cli.main(["cost", "/no/such/manifest.txt"]) == cli.EXIT_DATA
 
@@ -463,6 +537,21 @@ def test_gen_data_failure_leaves_neither_file(tmp_path, capsys, unwritable):
     assert f"{flag}: cannot write" in capsys.readouterr().err
     left = sorted(p.name for p in out.iterdir())
     assert left == (["y.idx"] if unwritable == "labels-is-a-directory" else []), left
+
+
+@pytest.mark.parametrize("images, labels", [("same.idx", "same.idx"),
+                                            ("./same.idx", "same.idx")])
+def test_gen_data_names_both_flags_for_one_path(tmp_path, monkeypatch, capsys, images, labels):
+    def no_data(*args):
+        raise AssertionError("data generated before the paths were checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "gen_synthetic", no_data)
+    assert cli.main(["gen-data", "gaussian_blobs", "--images", images,
+                     "--labels", labels]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: --images {images} and --labels {labels} name the same file"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_noise_that_overflows_float64_is_a_data_error(config_path, tmp_path, capsys):

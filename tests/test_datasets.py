@@ -12,6 +12,7 @@ from kfaclab.datasets import (
     gen_synthetic,
     load_idx,
     quantize_for_idx,
+    write_all_or_nothing,
     write_idx,
 )
 from kfaclab.errors import ArgumentError, DataFormatError
@@ -153,6 +154,47 @@ def test_idx_round_trip(tmp_path):
     assert np.array_equal(data.inputs, images.reshape(5, 12).T / 255.0)
 
 
+def test_all_or_nothing_one_path_that_cannot_be_replaced(tmp_path):
+    # written in full, then the directory in its place refuses it
+    target = tmp_path / "out.bin"
+    target.mkdir()
+    with pytest.raises(OSError) as info:
+        write_all_or_nothing([(target, [b"header", np.arange(4.0)])])
+    assert info.value.filename == str(target) and info.value.filename2 is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+
+def test_all_or_nothing_failing_write_names_its_path(tmp_path):
+    def chunks():
+        yield b"part"
+        raise OSError(28, "No space left on device")
+
+    first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+    first.write_bytes(b"old")
+    with pytest.raises(OSError) as info:
+        write_all_or_nothing([(first, [b"new"]), (second, chunks())])
+    assert info.value.filename == str(second)
+    assert first.read_bytes() == b"old" and not second.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin"]
+
+
+def test_all_or_nothing_two_paths_leave_neither(tmp_path):
+    # the first file is moved into place, the second cannot be: both go
+    first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+    second.mkdir()
+    with pytest.raises(OSError) as info:
+        write_all_or_nothing([(first, [b"a"]), (second, [b"b"])])
+    assert info.value.filename == str(second)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.bin"]
+
+
+def test_all_or_nothing_rejects_a_path_named_twice(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ArgumentError, match="./same.idx and same.idx name the same file"):
+        write_all_or_nothing([("./same.idx", [b"a"]), ("same.idx", [b"b"])])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_idx_bad_magic_names_offset(tmp_path):
     img = tmp_path / "img.idx"
     lab = tmp_path / "lab.idx"
@@ -251,6 +293,15 @@ def test_idx_oversized_header_is_data_error_before_reading(tmp_path):
     huge = struct.pack(">IIII", 0x00000803, *(2 ** 32 - 1,) * 3) + bytes(8)
     with pytest.raises(DataFormatError, match="truncated pixel data at byte offset 24"):
         load_idx(*_idx_pair(tmp_path, huge, _TWO_LABELS))
+
+
+@pytest.mark.parametrize("rows", [2, 2 ** 30])
+def test_idx_pair_with_no_images_is_data_error(tmp_path, rows):
+    # zero images of 2**30 x 2**30 pixels declare no payload, but their
+    # float64 columns cannot be shaped
+    images = struct.pack(">IIII", 0x00000803, 0, rows, rows)
+    with pytest.raises(DataFormatError, match="image count at byte offset 4 is 0"):
+        load_idx(*_idx_pair(tmp_path, images, struct.pack(">II", 0x00000801, 0)))
 
 
 def test_idx_unreadable_file_is_data_error(tmp_path):

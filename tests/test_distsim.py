@@ -305,7 +305,7 @@ def test_dp_factors_come_from_each_owners_own_shard():
         shard = shards[owner]
         _, captures = forward(reference, shard)
         _, preact_grads = backward(reference, shard, captures)
-        a_cov, g_cov = kfac.compute_factors(captures[i].input, preact_grads[i])
+        a_cov, g_cov = kfac.compute_factors(captures[i], preact_grads[i])
         assert np.array_equal(cluster.factors[i].a_cov, a_cov), (owner, i)
         assert np.array_equal(cluster.factors[i].g_cov, g_cov), (owner, i)
 
@@ -398,7 +398,7 @@ def test_mpd_factor_states_match_worker_major_oracle(workers, algorithm, inv_typ
         for shard in _shards(batch, workers):
             _, captures = forward(cluster.net, shard)
             _, preact_grads = backward(cluster.net, shard, captures)
-            passes.append(([c.input for c in captures], preact_grads))
+            passes.append((captures[:-1], preact_grads))
         _worker_major_factor_stage(oracle, passes, hyper, t, owners, algorithm)
         run_step(cluster, batch, hyper, 0.05, 0.9, t)
         # under MPD-KFAC every worker holds the factors, under DP-KFAC only
@@ -746,7 +746,7 @@ def _per_worker_loop(net, shards):
     for shard in shards:
         loss, captures = forward(net, shard)
         grads, preact_grads = backward(net, shard, captures)
-        passes.append((grads, [c.input for c in captures], preact_grads))
+        passes.append((grads, captures[:-1], preact_grads))
         losses.append(loss)
     return passes, float(np.mean(losses))
 
@@ -769,7 +769,7 @@ def _block_case(spec, workers, b, order="C", policy="disjoint"):
     assert len(grads) == workers
     pairs = [(want_loss, float(np.mean(losses)))]
     for (w_grads, w_inputs, w_preact_grads), span_grads, span in zip(want, grads, spans):
-        got = (span_grads + [c.input[:, span] for c in captures]
+        got = (span_grads + [c[:, span] for c in captures[:-1]]
                + [g[:, span] for g in preact_grads])
         pairs += list(zip(w_grads + w_inputs + w_preact_grads, got))
     return pairs

@@ -116,6 +116,25 @@ def _steady_state_faults(overrides: dict) -> float:
     """)
 
 
+def test_forward_leaves_only_the_captures_alive():
+    """After ``forward`` on a 192-192-192-10 net over 256 columns, what is
+    alive is what the step reads: the three layer inputs (193 x 256 with the
+    bias row), the 10 x 256 network output and the loss.  A hidden
+    pre-activation kept past the pass is 384 KiB more."""
+    live = _fresh("""
+        import json, tracemalloc
+        import numpy as np
+        from kfaclab.model import Batch, NetworkSpec, forward, init_network
+        net = init_network(NetworkSpec((192, 192, 192, 10), bias_mode="homogeneous"), seed=0)
+        rng = np.random.default_rng(0)
+        batch = Batch(rng.standard_normal((192, 256)), rng.integers(0, 10, size=256))
+        tracemalloc.start()
+        loss, captures = forward(net, batch)
+        print(json.dumps(tracemalloc.get_traced_memory()[0]))
+    """)
+    assert live <= (3 * 193 + 10) * 256 * 8 + 64 * 1024
+
+
 # A cost report is linear in the layer count whatever the worker count.  The
 # cap makes a regression to per-worker work end in a MemoryError at once
 # instead of filling the machine's memory.

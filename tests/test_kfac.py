@@ -337,7 +337,7 @@ def _layer_pass(cluster, batch):
     """The layer's captures and gradient at the cluster's current weights."""
     _, captures = forward(cluster.net, batch)
     grads, preact_grads = backward(cluster.net, batch, captures)
-    return captures[0].input, preact_grads[0], grads[0]
+    return captures[0], preact_grads[0], grads[0]
 
 
 def _one_layer_step(cluster, batch, hyper, t):

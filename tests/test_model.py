@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kfaclab import model
 from kfaclab.errors import ArgumentError, ShapeError
 from kfaclab.model import (
     ACTIVATIONS,
@@ -116,8 +117,9 @@ def test_forward_captures_homogeneous_ones_row():
     spec = NetworkSpec((3, 4, 2), bias_mode="homogeneous")
     net = init_network(spec, seed=0)
     _, captures = forward(net, _random_batch(rng, spec, 5))
-    for capture in captures:
-        assert np.all(capture.input[-1] == 1.0)
+    assert [c.shape for c in captures] == [(4, 5), (5, 5), (2, 5)]
+    for capture in captures[:-1]:
+        assert np.all(capture[-1] == 1.0)
 
 
 def test_backward_zero_gradient_at_optimum():
@@ -150,6 +152,10 @@ def test_backward_rejects_mismatched_captures():
     _, other_batch_captures = forward(net, _random_batch(rng, spec, 5))
     with pytest.raises(ShapeError):
         backward(net, batch, other_batch_captures)
+    _, captures = forward(net, batch)
+    for wrong in (captures[:-1], captures[:-1] + captures[-2:]):  # no output, one too many
+        with pytest.raises(ShapeError):
+            backward(net, batch, wrong)
     for other_dims in ((3, 4, 4, 2), (3, 5, 2)):  # deeper, then wider
         _, other_net_captures = forward(init_network(NetworkSpec(other_dims), seed=0), batch)
         with pytest.raises(ShapeError):
@@ -263,7 +269,7 @@ def test_predict_and_mean_loss_match_forward():
     net = init_network(spec, seed=5)
     batch = _random_batch(rng, spec, 4)
     loss, captures = forward(net, batch)
-    assert np.array_equal(predict(net, batch.inputs), captures[-1].preact)
+    assert np.array_equal(predict(net, batch.inputs), captures[-1])
     assert mean_loss(net, batch) == loss
 
 
@@ -277,7 +283,7 @@ def test_predict_matches_forward_bitwise(bias_mode, activation, order):
     batch = _random_batch(rng, spec, 9)
     batch.inputs = np.asarray(batch.inputs, order=order)
     _, captures = forward(net, batch)
-    assert np.array_equal(predict(net, batch.inputs), captures[-1].preact)
+    assert np.array_equal(predict(net, batch.inputs), captures[-1])
 
 
 def test_predict_holds_at_most_two_layer_arrays_at_once():
@@ -327,7 +333,7 @@ def test_spans_report_the_passes_over_their_columns():
     losses, captures = forward(net, batch, spans)
     grads, preact_grads = backward(net, batch, captures, spans)
     assert len(losses) == len(grads) == 3
-    assert _bits(c.input for c in captures) == _bits(c.input for c in forward(net, batch)[1])
+    assert _bits(captures) == _bits(forward(net, batch)[1])
     assert losses[2] == forward(net, batch)[0]
     assert _bits(grads[2]) == _bits(backward(net, batch, captures)[0])
     for span, loss, span_grads in zip(spans, losses, grads):
@@ -409,8 +415,8 @@ def test_local_pass_matches_oracle_bit_for_bit(activation, bias, loss, B, layout
     loss_value, captures = forward(net, batch)
     grads, preact_grads = backward(net, batch, captures)
     assert loss_value == want_loss or (np.isnan(loss_value) and np.isnan(want_loss))
-    assert _bits(c.input for c in captures) == _bits(inputs)
-    assert _bits(c.preact for c in captures) == _bits(preacts)
+    assert _bits(captures[:-1]) == _bits(inputs)
+    assert captures[-1].tobytes() == preacts[-1].tobytes()
     assert _bits(grads) == _bits(want_grads)
     assert _bits(preact_grads) == _bits(want_pgs)
 
@@ -418,15 +424,20 @@ def test_local_pass_matches_oracle_bit_for_bit(activation, bias, loss, B, layout
 @pytest.mark.parametrize("activation", ACTIVATIONS)
 @pytest.mark.parametrize("bias", BIAS_MODES)
 @pytest.mark.parametrize("loss", LOSSES)
-def test_backward_never_reads_hidden_preactivations(activation, bias, loss):
+def test_backward_never_reads_hidden_preactivations(activation, bias, loss, monkeypatch):
+    # the captures hold no hidden pre-activation, and backward must not
+    # rebuild one: every activation raises once forward is done
     spec = NetworkSpec((5, 7, 6, 3), activation=activation, loss_kind=loss, bias_mode=bias)
     net = init_network(spec, seed=8)
     batch = _random_batch(np.random.default_rng(12), spec, 9)
     _, captures = forward(net, batch)
     want = backward(net, batch, captures)
-    # fresh NaN arrays: an identity layer without bias hands its
-    # pre-activation on as the next input, which must keep its values
-    poisoned = [c._replace(preact=np.full_like(c.preact, np.nan)) for c in captures[:-1]]
-    got = backward(net, batch, poisoned + captures[-1:])
+
+    def raises(*args, **kwargs):
+        raise AssertionError("backward evaluated an activation")
+
+    for name, (_, deriv) in model._ACT_FNS.items():
+        monkeypatch.setitem(model._ACT_FNS, name, (raises, deriv))
+    got = backward(net, batch, captures)
     for w, g in zip(want, got):
         assert _bits(g) == _bits(w)
