@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__, costmodel, kfac, verify
 from .config import load_config, parse_overrides
-from .datasets import gen_synthetic, quantize_for_idx, write_idx
+from .datasets import gen_synthetic, quantize_for_idx, write_all_or_nothing, write_idx
 from .errors import (
     ArgumentError,
     CapacityError,
@@ -283,7 +283,8 @@ def cmd_cost(args) -> int:
         if amortized is not None:
             payload["amortized"] = amortized
         try:
-            Path(args.json_out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            write_all_or_nothing([(args.json_out, [
+                (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])])
         except OSError as exc:
             raise _unusable_output("write", args.json_out, exc, "--json") from exc
         print(f"wrote {args.json_out}")

@@ -19,10 +19,11 @@ The two decompositions, :func:`sym_eig` and :func:`sym_inverse`, raise
 :class:`NumericError` for non-finite input, a failed factorization or a
 non-finite result, so a bad factor never turns silently into NaN weights.
 ``sym_inverse`` runs LAPACK ``potrf`` + ``potri`` on a private copy and
-mirrors one triangle, so its result is exactly symmetric.  It reaches LAPACK
-through scipy, which is imported at the first ``sym_inverse`` call: the
-import costs about 25 MiB of resident memory and 0.25 s, and eigen-damped
-and S-SGD runs never invert.
+mirrors one triangle, so its result is exactly symmetric.  Both routines
+come from scipy's f2py extension ``scipy.linalg._flapack``, which the first
+``sym_inverse`` call loads from its file alone, without the ``scipy.linalg``
+package (85 modules, about 29 MiB and 0.25 s).  Eigen-damped and S-SGD runs
+never invert and load no scipy at all.
 
 :func:`divide_in_place` is the one way the step divides an array by a count
 (batch size, worker count).  When the count ``n >= 1`` is a power of two it
@@ -37,12 +38,16 @@ subnormals, signed zeros, infinities and NaN, is the same bits.  Any other
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, NumericError, ShapeError
+from .errors import CapacityError, ConfigError, NumericError, ShapeError
 
 # kron() refuses to materialize results above this many elements unless the
 # caller raises the cap explicitly.
@@ -113,10 +118,21 @@ def _strict_upper(n: int) -> np.ndarray:
 
 @functools.cache
 def _lapack():
-    """scipy's LAPACK wrappers, imported on first use."""
-    import scipy.linalg.lapack
-
-    return scipy.linalg.lapack
+    """scipy's f2py LAPACK extension ``scipy.linalg._flapack``, loaded from its
+    file on first use without running the ``scipy`` or ``scipy.linalg``
+    package code; a later ``import scipy.linalg`` reuses this module."""
+    package = importlib.util.find_spec("scipy")  # without running its __init__
+    stem = os.path.join(package.submodule_search_locations[0] if package else "scipy",
+                        "linalg", "_flapack")
+    path = next((stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                 if package and os.path.isfile(stem + suffix)), None)
+    if path is None:
+        raise ConfigError(f"hyper.inv_type = inverse needs scipy's LAPACK extension {stem}*: "
+                          + ("no such file" if package else "scipy is not installed"))
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def sym_inverse(m: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
 import hashlib
+import importlib.machinery
+import importlib.util
 import json
 
 import numpy as np
@@ -537,6 +539,44 @@ def test_gen_data_failure_leaves_neither_file(tmp_path, capsys, unwritable):
     assert f"{flag}: cannot write" in capsys.readouterr().err
     left = sorted(p.name for p in out.iterdir())
     assert left == (["y.idx"] if unwritable == "labels-is-a-directory" else []), left
+
+
+def test_cost_json_failure_leaves_no_partial_file(tmp_path, capsys):
+    toy = tmp_path / "toy.txt"
+    toy.write_text("4 3\n3 2\n")
+    json_out = tmp_path / "cost.json"
+    json_out.mkdir()  # written in full, then cannot be moved into place
+    assert cli.main(["cost", str(toy), "--json", str(json_out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"--json: cannot write {json_out}" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cost.json", "toy.txt"]
+
+
+@pytest.fixture
+def fresh_lapack():
+    numerics._lapack.cache_clear()
+    yield
+    numerics._lapack.cache_clear()
+
+
+@pytest.mark.parametrize("scipy_dir", [None, "empty"])
+def test_inverse_run_without_the_lapack_extension_is_a_config_error(
+        config_path, tmp_path, monkeypatch, capsys, fresh_lapack, scipy_dir):
+    find_spec = importlib.util.find_spec
+    fake = None
+    if scipy_dir is not None:
+        fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        fake.submodule_search_locations = [str(tmp_path / scipy_dir)]
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *rest: fake if name == "scipy" else find_spec(name, *rest))
+    assert cli.main(["--out-dir", str(tmp_path / "out"), "train", str(config_path),
+                     "--hyper.inv_type=inverse"]) == cli.EXIT_CONFIG
+    looked_for = tmp_path / scipy_dir / "linalg" if scipy_dir else "scipy/linalg"
+    reason = "no such file" if scipy_dir else "scipy is not installed"
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: worker 0, layer 0, iteration 0: hyper.inv_type = inverse needs "
+        f"scipy's LAPACK extension {looked_for}/_flapack*: {reason}",
+        f"partial metrics kept at {tmp_path / 'out' / 'metrics.csv'}"]
 
 
 @pytest.mark.parametrize("images, labels", [("same.idx", "same.idx"),

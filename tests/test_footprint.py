@@ -69,10 +69,40 @@ def test_scipy_is_loaded_only_by_a_cholesky_refresh(algorithm, inv_type, loads_s
             "data.samples": "600", "train.epochs": "1"}})
         assert trainer.run_training(cfg).final_iteration == 4
     """, _SCIPY_LOADED)
-    if loads_scipy:
-        assert "scipy.linalg.lapack" in loaded
-    else:
-        assert loaded == []
+    # the LAPACK extension alone: not the scipy or scipy.linalg packages
+    assert loaded == (["scipy.linalg._flapack"] if loads_scipy else [])
+
+
+def test_lapack_extension_is_the_one_scipy_linalg_imports_later():
+    """After a ``sym_inverse`` call, ``import scipy.linalg`` reuses the
+    extension ``numerics`` loaded: the same routines, and the same bits as
+    a ``sym_inverse`` written on the scipy wrappers."""
+    mismatched = _fresh("""
+        import json
+        import numpy as np
+        from kfaclab import numerics
+        numerics.sym_inverse(np.eye(2))
+        import scipy.linalg.lapack as lapack
+        assert numerics._lapack().dpotrf is lapack.dpotrf
+        assert numerics._lapack().dpotri is lapack.dpotri
+
+        def wrapper_inverse(m):
+            chol, info = lapack.dpotrf(np.array(m).T, lower=0, clean=0, overwrite_a=1)
+            inv_t, info = lapack.dpotri(chol, lower=0, overwrite_c=1)
+            inv = inv_t.T
+            np.copyto(inv, inv.T, where=np.triu(np.ones(m.shape, dtype=bool), 1))
+            return inv
+
+        rng = np.random.default_rng(0)
+        mismatched = []
+        for n in (1, 10, 64, 65, 192, 193):
+            x = rng.standard_normal((n, 2 * n))
+            m = x @ x.T / (2 * n) + 0.01 * np.eye(n)
+            if numerics.sym_inverse(m).tobytes() != wrapper_inverse(m).tobytes():
+                mismatched.append(n)
+        print(json.dumps(mismatched))
+    """)
+    assert mismatched == []
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
