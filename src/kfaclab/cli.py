@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, costmodel, kfac, verify
@@ -269,6 +270,11 @@ def cmd_cost(args) -> int:
             print(f"dp vs mpd: factorcomp {comp_ratio:.2f}x lower, "
                   f"factorcomm eliminated ({mpd.factorcomm} -> 0), "
                   f"memory {dp.memory / mpd.memory:.3f}x")
+        if amortized is not None:
+            print(f"amortized over f_freq = {f}, k_freq = {k} (mean per iteration)")
+            for attr, label in _COST_FIELDS[:-1]:  # every stage; memory is not amortized
+                print(label.ljust(12) + "".join(f" {a[attr]:>13.1f}" for a in amortized
+                                                if a["workers"] == p))
     for note in costmodel.NOTES:
         print(f"note: {note}")
 
@@ -277,7 +283,7 @@ def cmd_cost(args) -> int:
             "manifest": {"layers": len(layers), "n_g": n_g, "n_f": n_f,
                          "nf_ng_ratio": n_f / n_g},
             "inv_type": args.inv_type,
-            "reports": [r.to_dict() for r in reports],
+            "reports": [asdict(r) for r in reports],
             "notes": list(costmodel.NOTES),
         }
         if amortized is not None:

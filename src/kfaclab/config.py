@@ -35,13 +35,6 @@ class DataConfig:
     labels: str = ""
     eval_fraction: float = 0.1
 
-    def synthetic_params(self) -> dict:
-        if self.kind == "gaussian_blobs":
-            return {"classes": self.classes, "dim": self.dim,
-                    "samples": self.samples, "noise": self.noise}
-        return {"dim": self.dim, "out_dim": self.out_dim,
-                "samples": self.samples, "noise": self.noise}
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -55,20 +48,13 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class HyperConfig:
+class HyperConfig(KfacHyper):
+    """KfacHyper's knobs plus the optimizer's: lr, momentum and the LR schedule."""
+
     lr: float = 0.1
     momentum: float = 0.9
-    xi: float = 0.95
-    gamma: float = 0.03
-    inv_type: str = "eigen"
-    f_freq: int = 1
-    k_freq: int = 1
     warmup_iters: int = 0
     decay_epochs: tuple[int, ...] = ()
-
-    def kfac_hyper(self) -> KfacHyper:
-        return KfacHyper(gamma=self.gamma, xi=self.xi, inv_type=self.inv_type,
-                         f_freq=self.f_freq, k_freq=self.k_freq)
 
     def lr_at(self, t: int, epoch: int, workers: int) -> float:
         """Learning rate at iteration ``t`` in epoch ``epoch`` on ``workers``
@@ -128,12 +114,22 @@ _CHOICES = {
 }
 # every other key is read by the caster of its field's type
 _CASTERS = {int: int, float: float, str: str, tuple[int, ...]: _int_list}
-
+# field type -> (the test a run manifest's JSON value must pass, what it asks
+# for); by type(), not isinstance(), because a bool is not an int here
+_JSON_TYPES = {
+    int: ((lambda v: type(v) is int), "an integer"),
+    float: ((lambda v: type(v) in (int, float)), "a number"),
+    str: ((lambda v: type(v) is str), "a string"),
+    tuple[int, ...]: ((lambda v: type(v) in (list, tuple) and all(type(e) is int for e in v)),
+                      "a list of integers"),
+}
+# section -> key -> field type, in field order
+_FIELDS = {section: get_type_hints(cls) for section, cls in _SECTIONS.items()}
 # section -> key -> caster; a field type with no caster fails here, at import
 _SCHEMA: dict[str, dict[str, object]] = {
     section: {key: _CHOICES.get(f"{section}.{key}") or _CASTERS[annotation]
-              for key, annotation in get_type_hints(cls).items()}
-    for section, cls in _SECTIONS.items()
+              for key, annotation in fields.items()}
+    for section, fields in _FIELDS.items()
 }
 
 
@@ -161,21 +157,34 @@ def _build(values: Mapping[str, Mapping[str, object]], cast) -> RunConfig:
                 raise ConfigError(f"unknown config key {section}.{key}")
     if "layer_dims" not in values.get("network", {}):
         raise ConfigError("missing required key network.layer_dims")
-    kwargs = {section: {key: cast(section, key, raw) for key, raw in values.get(section, {}).items()}
-              for section in _SECTIONS}
-    try:
-        cfg = RunConfig(**{section: cls(**kwargs[section]) for section, cls in _SECTIONS.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    built = {}
+    for section, cls in _SECTIONS.items():
+        kwargs = {key: cast(section, key, raw) for key, raw in values.get(section, {}).items()}
+        try:
+            built[section] = cls(**kwargs)
+        except ArgumentError as exc:  # its message starts with the field's name
+            raise ConfigError(f"{section}.{exc}") from exc
+    cfg = RunConfig(**built)
     validate_config(cfg)
     return cfg
 
 
-def _cast_text(section: str, key: str, raw: str):
+def _cast(section: str, key: str, raw):
     try:
         return _SCHEMA[section][key](raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
+
+
+def _cast_json(section: str, key: str, value):
+    """A run manifest's value, checked against its field's type and then
+    cast as text is: an int field takes an int that is not a bool, a float
+    field an int or a float, a choice key one of its choices."""
+    annotation = _FIELDS[section][key]
+    test, wanted = _JSON_TYPES[annotation]
+    if not test(value):
+        raise ConfigError(f"{section}.{key} must be {wanted}, got {value!r}")
+    return tuple(value) if annotation == tuple[int, ...] else _cast(section, key, value)
 
 
 def load_config(path, overrides: Optional[Mapping[str, str]] = None) -> RunConfig:
@@ -197,7 +206,7 @@ def load_config(path, overrides: Optional[Mapping[str, str]] = None) -> RunConfi
     for dotted, value in (overrides or {}).items():
         section, _, key = dotted.partition(".")
         values.setdefault(section, {})[key] = value
-    return _build(values, _cast_text)
+    return _build(values, _cast)
 
 
 def config_from_dict(d: Mapping) -> RunConfig:
@@ -207,8 +216,7 @@ def config_from_dict(d: Mapping) -> RunConfig:
         values = {section: dict(d[section]) for section in _SECTIONS}
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"run manifest config block is incomplete: {exc}") from exc
-    return _build(values, lambda section, key, value:
-                  tuple(value) if isinstance(value, list) else value)
+    return _build(values, _cast_json)
 
 
 def _at_least(low):
@@ -230,10 +238,6 @@ _RANGES = {
     "train.seed": _at_least(0),
     "hyper.lr": ((lambda v: 0.0 < v < math.inf), "finite and > 0"),
     "hyper.momentum": ((lambda v: 0.0 <= v < 1.0), "in [0, 1)"),
-    "hyper.xi": ((lambda v: 0.0 < v <= 1.0), "in (0, 1]"),
-    "hyper.gamma": ((lambda v: 0.0 <= v < math.inf), "finite and >= 0"),
-    "hyper.f_freq": _at_least(1),
-    "hyper.k_freq": _at_least(1),
     "hyper.warmup_iters": _at_least(0),
     "hyper.decay_epochs": ((lambda v: all(e >= 0 for e in v)), "a list of epochs >= 0"),
 }
@@ -243,11 +247,7 @@ def validate_config(cfg: RunConfig):
     for dotted, (test, requirement) in _RANGES.items():
         section, _, key = dotted.partition(".")
         value = getattr(getattr(cfg, section), key)
-        try:
-            ok = test(value)
-        except TypeError:  # a manifest value of the wrong type
-            ok = False
-        if not ok:
+        if not test(value):
             raise ConfigError(f"{dotted} must be {requirement}, got {value!r}")
     t, d = cfg.train, cfg.data
     try:

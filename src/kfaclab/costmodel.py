@@ -20,7 +20,7 @@ factor dimension, not linear in its element count.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -109,9 +109,6 @@ class CostReport(StepCounters):
     inversecomp_ideal: float
     memory: float
     memory_realized: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def algorithm_cost(

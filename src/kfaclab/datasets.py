@@ -82,6 +82,8 @@ def gen_synthetic(kind: str, params: Mapping, seed: int) -> Dataset:
     overflow float64 is an ArgumentError naming it."""
     if kind not in SYNTHETIC_KINDS:
         raise ArgumentError(f"unknown synthetic dataset kind {kind!r}")
+    if seed < 0:
+        raise ArgumentError(f"synthetic dataset seed must be >= 0, got {seed}")
     try:
         with np.errstate(over="raise"):
             return _generate(kind, params, np.random.default_rng(seed))

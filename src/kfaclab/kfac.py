@@ -33,10 +33,10 @@ import numpy as np
 from .errors import ArgumentError, NumericError, OrderingError, ShapeError
 from .numerics import EigenPair, divide_in_place, kron, sym_eig, sym_inverse, unvec, vec
 
-INV_TYPES = ("inverse", "eigen")
 # the arrays each damping scheme's refresh leaves, named as in decomposition_arrays
 DECOMPOSITION_NAMES = {"inverse": ("a_damped_inv", "g_damped_inv"),
                        "eigen": ("a_eig_q", "a_eig_v", "g_eig_q", "g_eig_v")}
+INV_TYPES = tuple(DECOMPOSITION_NAMES)
 
 
 @dataclass
@@ -71,14 +71,16 @@ class KfacHyper:
     k_freq: int = 1
 
     def __post_init__(self):
+        # each message starts with its field's name, as the run config's keys do
         if not 0.0 <= self.gamma < np.inf:
-            raise ArgumentError("damping gamma must be finite and >= 0")
+            raise ArgumentError(f"gamma must be finite and >= 0, got {self.gamma!r}")
         if not (0.0 < self.xi <= 1.0):
-            raise ArgumentError("running-average weight xi must lie in (0, 1]")
+            raise ArgumentError(f"xi must be in (0, 1], got {self.xi!r}")
         if self.inv_type not in INV_TYPES:
-            raise ArgumentError(f"inv_type must be one of {INV_TYPES}")
-        if self.f_freq < 1 or self.k_freq < 1:
-            raise ArgumentError("f_freq and k_freq must be >= 1")
+            raise ArgumentError(f"inv_type must be one of {INV_TYPES}, got {self.inv_type!r}")
+        for name in ("f_freq", "k_freq"):
+            if (value := getattr(self, name)) < 1:
+                raise ArgumentError(f"{name} must be >= 1, got {value!r}")
 
 
 def is_factor_update(t: int, hyper: KfacHyper) -> bool:

@@ -53,7 +53,6 @@ import numpy as np
 from .errors import ArgumentError, ShapeError
 from .numerics import divide_in_place
 
-ACTIVATIONS = ("relu", "tanh", "identity")
 LOSSES = ("softmax_cross_entropy", "mean_squared_error")
 BIAS_MODES = ("none", "homogeneous")
 
@@ -79,6 +78,7 @@ _ACT_FNS: dict[str, tuple[Callable, Callable]] = {
     "tanh": (np.tanh, _tanh_deriv),
     "identity": (_identity, lambda a: 1.0),
 }
+ACTIVATIONS = tuple(_ACT_FNS)
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,11 @@ class NetworkSpec:
         if len(self.layer_dims) < 2:
             raise ArgumentError("layer_dims needs at least [d_0, d_1]")
         if any(d < 1 for d in self.layer_dims):
-            raise ArgumentError(f"layer dimensions must be >= 1, got {self.layer_dims}")
-        if self.activation not in ACTIVATIONS:
-            raise ArgumentError(f"unknown activation {self.activation!r}")
-        if self.loss_kind not in LOSSES:
-            raise ArgumentError(f"unknown loss {self.loss_kind!r}")
-        if self.bias_mode not in BIAS_MODES:
-            raise ArgumentError(f"unknown bias_mode {self.bias_mode!r}")
+            raise ArgumentError(f"layer_dims must all be >= 1, got {self.layer_dims}")
+        for name, options in (("activation", ACTIVATIONS), ("loss_kind", LOSSES),
+                              ("bias_mode", BIAS_MODES)):
+            if (value := getattr(self, name)) not in options:
+                raise ArgumentError(f"{name} must be one of {options}, got {value!r}")
 
     @property
     def depth(self) -> int:
@@ -206,12 +204,6 @@ def _check_mse_targets(targets: np.ndarray, out_shape) -> np.ndarray:
 def predict(net: Network, inputs: np.ndarray) -> np.ndarray:
     """Pure forward pass: returns the final pre-activation outputs (d_L x B)."""
     return _layers(net, _first_input(net, inputs))
-
-
-def mean_loss(net: Network, batch: Batch) -> float:
-    """Mean batch loss, without captures."""
-    outputs = predict(net, batch.inputs)
-    return float(np.mean(_per_sample_losses(outputs, batch.targets, net.spec.loss_kind)))
 
 
 def _first_input(net: Network, inputs: np.ndarray) -> np.ndarray:
@@ -328,9 +320,9 @@ def finite_diff_grad(net: Network, batch: Batch, h: float = 1e-5) -> list[np.nda
             for c in range(w.shape[1]):
                 orig = w[r, c]
                 w[r, c] = orig + h
-                up = mean_loss(net, batch)
+                up = forward(net, batch)[0]
                 w[r, c] = orig - h
-                down = mean_loss(net, batch)
+                down = forward(net, batch)[0]
                 w[r, c] = orig
                 g[r, c] = (up - down) / (2.0 * h)
         grads.append(g)

@@ -77,7 +77,7 @@ def provision_dataset(cfg: RunConfig) -> Dataset:
     seeds = _child_seeds(cfg.train.seed)
     if cfg.data.kind == "idx":
         return load_idx(cfg.data.images, cfg.data.labels)
-    return gen_synthetic(cfg.data.kind, cfg.data.synthetic_params(), seeds["data"])
+    return gen_synthetic(cfg.data.kind, vars(cfg.data), seeds["data"])
 
 
 def split_dataset(dataset: Dataset, eval_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +168,6 @@ def run_prepared(
     B = cfg.train.batch_size
     iters_per_epoch = run.iters_per_epoch
     t = run.start_iteration
-    hyper = cfg.hyper.kfac_hyper()
     eval_batch = run.eval_batch
 
     rows: list[MetricsRow] = []
@@ -177,7 +176,7 @@ def run_prepared(
         for b in range(iters_per_epoch):
             batch = _take(dataset, train_idx[order[b * B: (b + 1) * B]])
             lr = cfg.hyper.lr_at(t, epoch, cfg.train.workers)
-            result = run_step(cluster, batch, hyper, lr, cfg.hyper.momentum, t)
+            result = run_step(cluster, batch, cfg.hyper, lr, cfg.hyper.momentum, t)
             eval_loss = eval_acc = None
             if b == iters_per_epoch - 1 and eval_batch is not None:
                 eval_loss, eval_acc = evaluate(cluster, eval_batch)

@@ -472,8 +472,7 @@ def test_restored_clusters_own_their_factor_arrays(tmp_path):
         restore_cluster(cluster, ckpt, cfg)
     rng = np.random.default_rng(0)
     batch = Batch(rng.standard_normal((3, 8)), rng.integers(0, 2, size=8))
-    run_step(stepped, batch, cfg.hyper.kfac_hyper(), 0.1, 0.9,
-             ckpt.iteration)
+    run_step(stepped, batch, cfg.hyper, 0.1, 0.9, ckpt.iteration)
 
     from_file = load_checkpoint(path)
     fresh = build_cluster(SPEC, "mpd_kfac_co", 2, seed=1)

@@ -430,6 +430,24 @@ def test_cost_command_amortized_json(tmp_path):
     assert amortized["inversecomp"] == report["inversecomp"] / 50
 
 
+def test_cost_text_prints_the_amortized_rows(tmp_path, capsys):
+    # under each P's table, every stage at the --json amortized value
+    json_out = tmp_path / "cost.json"
+    assert cli.main(["cost", "resnet50", "--p", "1,64", "--f-freq", "5", "--k-freq", "10",
+                     "--json", str(json_out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    amortized = json.loads(json_out.read_text())["amortized"]
+    heads = [i for i, line in enumerate(lines)
+             if line == "amortized over f_freq = 5, k_freq = 10 (mean per iteration)"]
+    assert len(heads) == 2
+    for head, p in zip(heads, (1, 64)):
+        assert lines[head - 1].startswith("dp vs mpd:")
+        rows = [a for a in amortized if a["workers"] == p]
+        for line, (attr, label) in zip(lines[head + 1:], cli._COST_FIELDS[:-1]):
+            assert line.split() == [label] + [f"{a[attr]:.1f}" for a in rows]
+    assert lines[heads[0] + 8] == ""
+
+
 def test_cost_json_is_pinned(tmp_path):
     # every report and amortized value of the bundled ResNet-50 manifest, byte for byte
     json_out = tmp_path / "cost.json"
@@ -507,6 +525,7 @@ _BAD_GEN_DATA = {
     "noise-nan": (["--noise", "nan"], cli.EXIT_DATA, "noise must be finite"),
     "noise-inf": (["--noise", "inf"], cli.EXIT_DATA, "noise must be finite"),
     "noise-negative": (["--noise", "-0.5"], cli.EXIT_DATA, "noise must be finite"),
+    "seed-negative": (["--seed", "-1"], cli.EXIT_DATA, "seed must be >= 0, got -1"),
     "images-unwritable": (["--images", "{missing}"], cli.EXIT_CONFIG, "--images: cannot write"),
     "labels-unwritable": (["--labels", "{missing}"], cli.EXIT_CONFIG, "--labels: cannot write"),
 }
@@ -518,7 +537,10 @@ def test_gen_data_bad_input_is_a_typed_one_line_error(tmp_path, capsys, case):
     missing = tmp_path / "no" / "such" / "file.idx"
     argv = ["gen-data", "gaussian_blobs", "--dim", "16", "--rows", "4", "--samples", "20",
             "--images", str(tmp_path / "x.idx"), "--labels", str(tmp_path / "y.idx")]
-    assert cli.main(argv + [f.format(missing=missing) for f in flags]) == code
+    flags = [f.format(missing=missing) for f in flags]
+    # --seed is kfaclab's own flag, given before the subcommand
+    argv = flags + argv if flags[0] == "--seed" else argv + flags
+    assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and names in err, err
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from kfaclab.config import (
 )
 from kfaclab.costmodel import ALGORITHMS, STAGES, CostReport, StepCounters
 from kfaclab.errors import ArgumentError, ConfigError, DataFormatError
+from kfaclab.kfac import KfacHyper
 from kfaclab.model import NetworkSpec
 from kfaclab.trainer import (
     MetricsRow,
@@ -153,6 +155,20 @@ def test_out_of_range_value_is_config_error(tmp_path, override):
         load_config(path, parse_overrides([override]))
 
 
+@pytest.mark.parametrize("override, message", [
+    ("hyper.xi=0", "hyper.xi must be in (0, 1], got 0.0"),
+    ("hyper.gamma=nan", "hyper.gamma must be finite and >= 0, got nan"),
+    ("hyper.f_freq=0", "hyper.f_freq must be >= 1, got 0"),
+    ("hyper.k_freq=0", "hyper.k_freq must be >= 1, got 0"),
+    ("network.layer_dims=64,0,10", "network.layer_dims must all be >= 1, got (64, 0, 10)"),
+    ("network.layer_dims=64", "network.layer_dims needs at least [d_0, d_1]"),
+])
+def test_out_of_range_messages_are_pinned(tmp_path, override, message):
+    with pytest.raises(ConfigError) as info:
+        load_config(_write(tmp_path, GOOD_CONFIG), parse_overrides([override]))
+    assert str(info.value) == message
+
+
 def test_int_list_separators(tmp_path):
     path = _write(tmp_path, GOOD_CONFIG)
     for raw in ("8,8,3", "8 8 3", " 8, 8 ,3 "):
@@ -181,7 +197,7 @@ def test_fuzzed_overrides_load_or_raise_config_error(tmp_path, overrides):
     # whatever loads is a run the trainer accepts as configured
     assert all(np.isfinite([cfg.hyper.lr, cfg.hyper.momentum, cfg.hyper.xi,
                             cfg.hyper.gamma, cfg.data.noise]))
-    assert cfg.hyper.kfac_hyper() is not None
+    assert isinstance(cfg.hyper, KfacHyper)
 
 
 _LINES = (st.sampled_from(["[network]", "[data]", "[train]", "[hyper]", "[DEFAULT]", "[cluster]",
@@ -234,9 +250,9 @@ _PINNED_SCHEMA = {
     "train": {"algorithm": ("ssgd", "mpd_kfac_co", "mpd_kfac_mo", "dp_kfac"), "workers": int,
               "shard_policy": ("disjoint", "replicate"), "epochs": int, "batch_size": int,
               "seed": int, "out_dir": str},
-    "hyper": {"lr": float, "momentum": float, "xi": float, "gamma": float,
-              "inv_type": ("inverse", "eigen"), "f_freq": int, "k_freq": int,
-              "warmup_iters": int, "decay_epochs": "int list"},
+    "hyper": {"gamma": float, "xi": float, "inv_type": ("inverse", "eigen"), "f_freq": int,
+              "k_freq": int, "lr": float, "momentum": float, "warmup_iters": int,
+              "decay_epochs": "int list"},
 }
 
 
@@ -427,7 +443,9 @@ def test_run_manifest_config_block_reproduces_run(tmp_path):
 
 @pytest.mark.parametrize("section, key, value", [
     ("hyper", "lr", "fast"), ("hyper", "gamma", float("nan")), ("train", "seed", -1),
-    ("train", "shard_policy", "strided"),
+    ("train", "shard_policy", "strided"), ("hyper", "f_freq", 1.5), ("hyper", "k_freq", True),
+    ("train", "workers", 2.0), ("train", "epochs", 1.0), ("hyper", "gamma", "fast"),
+    ("network", "layer_dims", [8, 8.0, 3]), ("train", "algorithm", "adam"),
 ])
 def test_run_manifest_config_block_values_are_checked(section, key, value):
     from kfaclab.config import config_from_dict
@@ -435,6 +453,16 @@ def test_run_manifest_config_block_values_are_checked(section, key, value):
     d[section][key] = value
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
         config_from_dict(d)
+
+
+def test_run_manifest_json_config_block_rebuilds_the_config():
+    from kfaclab.config import config_from_dict
+    cfg = _small_cfg(decay_epochs=(1, 2))
+    d = json.loads(json.dumps(cfg.to_dict()))
+    assert config_from_dict(d) == cfg
+    d["hyper"]["lr"] = 1  # a float key takes an integer, as a number
+    rebuilt = config_from_dict(d).hyper.lr
+    assert rebuilt == 1.0 and type(rebuilt) is float
 
 
 def test_resume_past_end_rejected(tmp_path):

@@ -175,10 +175,10 @@ def test_cost_model_at_a_huge_worker_count_is_the_formula():
     # every one of ResNet-50's 54 layers on a worker of its own
     P = 10**20
     reports = _fresh(f"""
-        import json
+        import dataclasses, json
         from kfaclab import costmodel
         layers = costmodel.resolve_manifest("resnet50")
-        print(json.dumps([costmodel.algorithm_cost(layers, {P}, alg).to_dict()
+        print(json.dumps([dataclasses.asdict(costmodel.algorithm_cost(layers, {P}, alg))
                           for alg in costmodel.ALGORITHMS]))
     """, address_space=_ONE_GIB)
     layers = resolve_manifest("resnet50")
