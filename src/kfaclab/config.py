@@ -17,10 +17,10 @@ from typing import Mapping, Optional, get_type_hints
 
 from .costmodel import ALGORITHMS
 from .distsim import SHARD_POLICIES, worker_spans
-from .errors import ArgumentError, ConfigError
-from .kfac import INV_TYPES, KfacHyper
-from .model import ACTIVATIONS, BIAS_MODES, LOSSES, NetworkSpec
-from .datasets import SYNTHETIC_KINDS
+from .errors import ArgumentError, ConfigError, at_least, check_fields, one_of
+from .kfac import KfacHyper
+from .model import NetworkSpec
+from .datasets import SYNTHETIC_KINDS, SYNTHETIC_RULES
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,10 @@ class DataConfig:
     labels: str = ""
     eval_fraction: float = 0.1
 
+    def __post_init__(self):
+        check_fields(vars(self), {"kind": one_of(SYNTHETIC_KINDS + ("idx",)), **SYNTHETIC_RULES,
+                                  "eval_fraction": ((lambda v: 0.0 <= v < 1.0), "in [0, 1)")})
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -46,6 +50,11 @@ class TrainConfig:
     seed: int = 0
     out_dir: str = "runs/latest"
 
+    def __post_init__(self):
+        check_fields(vars(self), {"algorithm": one_of(ALGORITHMS), "workers": at_least(1),
+                                  "shard_policy": one_of(SHARD_POLICIES), "epochs": at_least(1),
+                                  "batch_size": at_least(1), "seed": at_least(0)})
+
 
 @dataclass(frozen=True)
 class HyperConfig(KfacHyper):
@@ -55,6 +64,13 @@ class HyperConfig(KfacHyper):
     momentum: float = 0.9
     warmup_iters: int = 0
     decay_epochs: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_fields(vars(self), {
+            "lr": ((lambda v: 0.0 < v < math.inf), "finite and > 0"),
+            "momentum": ((lambda v: 0.0 <= v < 1.0), "in [0, 1)"), "warmup_iters": at_least(0),
+            "decay_epochs": ((lambda v: all(e >= 0 for e in v)), "a list of epochs >= 0")})
 
     def lr_at(self, t: int, epoch: int, workers: int) -> float:
         """Learning rate at iteration ``t`` in epoch ``epoch`` on ``workers``
@@ -91,28 +107,9 @@ def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(x) for item in items for x in item.split())
 
 
-def _enum(options):
-    def cast(raw: str) -> str:
-        if raw not in options:
-            raise ValueError(f"must be one of {', '.join(options)}")
-        return raw
-    return cast
-
-
 # section -> the dataclass whose fields are its keys
 _SECTIONS = {"network": NetworkSpec, "data": DataConfig, "train": TrainConfig, "hyper": HyperConfig}
-
-# the keys whose value must come from a fixed set
-_CHOICES = {
-    "network.activation": _enum(ACTIVATIONS),
-    "network.loss_kind": _enum(LOSSES),
-    "network.bias_mode": _enum(BIAS_MODES),
-    "data.kind": _enum(SYNTHETIC_KINDS + ("idx",)),
-    "train.algorithm": _enum(ALGORITHMS),
-    "train.shard_policy": _enum(SHARD_POLICIES),
-    "hyper.inv_type": _enum(INV_TYPES),
-}
-# every other key is read by the caster of its field's type
+# each key is read by the caster of its field's type; its record checks the value
 _CASTERS = {int: int, float: float, str: str, tuple[int, ...]: _int_list}
 # field type -> (the test a run manifest's JSON value must pass, what it asks
 # for); by type(), not isinstance(), because a bool is not an int here
@@ -127,8 +124,7 @@ _JSON_TYPES = {
 _FIELDS = {section: get_type_hints(cls) for section, cls in _SECTIONS.items()}
 # section -> key -> caster; a field type with no caster fails here, at import
 _SCHEMA: dict[str, dict[str, object]] = {
-    section: {key: _CHOICES.get(f"{section}.{key}") or _CASTERS[annotation]
-              for key, annotation in fields.items()}
+    section: {key: _CASTERS[annotation] for key, annotation in fields.items()}
     for section, fields in _FIELDS.items()
 }
 
@@ -179,7 +175,7 @@ def _cast(section: str, key: str, raw):
 def _cast_json(section: str, key: str, value):
     """A run manifest's value, checked against its field's type and then
     cast as text is: an int field takes an int that is not a bool, a float
-    field an int or a float, a choice key one of its choices."""
+    field an int or a float; the record checks choices and ranges."""
     annotation = _FIELDS[section][key]
     test, wanted = _JSON_TYPES[annotation]
     if not test(value):
@@ -219,36 +215,8 @@ def config_from_dict(d: Mapping) -> RunConfig:
     return _build(values, _cast_json)
 
 
-def _at_least(low):
-    return (lambda v: v >= low), f">= {low}"
-
-
-# dotted key -> (test, requirement); comparisons are False for NaN, so the
-# float ranges also reject non-finite values
-_RANGES = {
-    "data.classes": _at_least(2),
-    "data.dim": _at_least(1),
-    "data.samples": _at_least(1),
-    "data.noise": ((lambda v: 0.0 <= v < math.inf), "finite and >= 0"),
-    "data.out_dim": _at_least(1),
-    "data.eval_fraction": ((lambda v: 0.0 <= v < 1.0), "in [0, 1)"),
-    "train.workers": _at_least(1),
-    "train.epochs": _at_least(1),
-    "train.batch_size": _at_least(1),
-    "train.seed": _at_least(0),
-    "hyper.lr": ((lambda v: 0.0 < v < math.inf), "finite and > 0"),
-    "hyper.momentum": ((lambda v: 0.0 <= v < 1.0), "in [0, 1)"),
-    "hyper.warmup_iters": _at_least(0),
-    "hyper.decay_epochs": ((lambda v: all(e >= 0 for e in v)), "a list of epochs >= 0"),
-}
-
-
 def validate_config(cfg: RunConfig):
-    for dotted, (test, requirement) in _RANGES.items():
-        section, _, key = dotted.partition(".")
-        value = getattr(getattr(cfg, section), key)
-        if not test(value):
-            raise ConfigError(f"{dotted} must be {requirement}, got {value!r}")
+    """The rules that span sections; each record has checked its own keys."""
     t, d = cfg.train, cfg.data
     try:
         worker_spans(t.batch_size, t.workers, t.shard_policy)

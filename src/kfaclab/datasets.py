@@ -24,9 +24,17 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, DataFormatError
+from .errors import ArgumentError, DataFormatError, at_least, check_fields
 
 SYNTHETIC_KINDS = ("gaussian_blobs", "deep_linear_regression")
+# the synthetic parameters' ranges, which the run config's [data] keys share
+SYNTHETIC_RULES = {
+    "classes": at_least(2),
+    "dim": at_least(1),
+    "samples": at_least(1),
+    "noise": ((lambda v: 0.0 <= v < math.inf), "finite and >= 0"),
+    "out_dim": at_least(1),
+}
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -58,16 +66,11 @@ def _param(params: Mapping, key: str, cast, default=None):
             raise ArgumentError(f"synthetic dataset params missing {key!r}")
         return default
     try:
-        return cast(params[key])
+        value = cast(params[key])
     except (TypeError, ValueError) as exc:
         raise ArgumentError(f"bad synthetic dataset param {key}={params[key]!r}") from exc
-
-
-def _noise(params: Mapping) -> float:
-    noise = _param(params, "noise", float, 0.1)
-    if not (math.isfinite(noise) and noise >= 0):
-        raise ArgumentError(f"synthetic dataset noise must be finite and >= 0, got {noise}")
-    return noise
+    check_fields({key: value}, {key: SYNTHETIC_RULES[key]})
+    return value
 
 
 def _sample_blocks(dim: int, samples: int):
@@ -97,9 +100,9 @@ def _generate(kind: str, params: Mapping, rng: np.random.Generator) -> Dataset:
         classes = _param(params, "classes", int)
         dim = _param(params, "dim", int)
         samples = _param(params, "samples", int)
-        noise = _noise(params)
-        if classes < 2 or dim < 1 or samples < classes:
-            raise ArgumentError("gaussian_blobs needs classes >= 2, dim >= 1, samples >= classes")
+        noise = _param(params, "noise", float, 0.1)
+        if samples < classes:
+            raise ArgumentError(f"samples must be >= classes ({classes}), got {samples}")
         centers = rng.standard_normal((dim, classes))
         centers /= np.linalg.norm(centers, axis=0, keepdims=True)
         labels = np.arange(samples, dtype=np.int64) % classes
@@ -113,9 +116,7 @@ def _generate(kind: str, params: Mapping, rng: np.random.Generator) -> Dataset:
     dim = _param(params, "dim", int)
     out_dim = _param(params, "out_dim", int)
     samples = _param(params, "samples", int)
-    noise = _noise(params)
-    if dim < 1 or out_dim < 1 or samples < 1:
-        raise ArgumentError("deep_linear_regression needs dim, out_dim, samples >= 1")
+    noise = _param(params, "noise", float, 0.1)
     hidden_map = rng.standard_normal((out_dim, dim)) / np.sqrt(dim)
     inputs = rng.standard_normal((dim, samples))
     targets = hidden_map @ inputs + noise * rng.standard_normal((out_dim, samples))

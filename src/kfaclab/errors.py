@@ -36,3 +36,23 @@ class DataFormatError(KfacLabError, ValueError):
 
 class ConfigError(KfacLabError, ValueError):
     """A run configuration is missing, malformed, or inconsistent."""
+
+
+def at_least(n):
+    """The rule that a value is at least ``n``."""
+    return (lambda v: v >= n), f">= {n}"
+
+
+def one_of(options: tuple):
+    """The rule that a value is one of ``options``."""
+    return (lambda v: v in options), f"one of {options}"
+
+
+def check_fields(values, rules):
+    """Raise ArgumentError for the first key of ``rules`` whose value in
+    ``values`` fails its test.  ``rules`` maps a key to ``(test,
+    requirement)``; comparisons are False for NaN, so a float range also
+    rejects non-finite values."""
+    for key, (test, requirement) in rules.items():
+        if not test(value := values[key]):
+            raise ArgumentError(f"{key} must be {requirement}, got {value!r}")

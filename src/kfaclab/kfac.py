@@ -30,7 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ArgumentError, NumericError, OrderingError, ShapeError
+from .errors import (ArgumentError, NumericError, OrderingError, ShapeError, at_least,
+                     check_fields, one_of)
 from .numerics import EigenPair, divide_in_place, kron, sym_eig, sym_inverse, unvec, vec
 
 # the arrays each damping scheme's refresh leaves, named as in decomposition_arrays
@@ -72,15 +73,10 @@ class KfacHyper:
 
     def __post_init__(self):
         # each message starts with its field's name, as the run config's keys do
-        if not 0.0 <= self.gamma < np.inf:
-            raise ArgumentError(f"gamma must be finite and >= 0, got {self.gamma!r}")
-        if not (0.0 < self.xi <= 1.0):
-            raise ArgumentError(f"xi must be in (0, 1], got {self.xi!r}")
-        if self.inv_type not in INV_TYPES:
-            raise ArgumentError(f"inv_type must be one of {INV_TYPES}, got {self.inv_type!r}")
-        for name in ("f_freq", "k_freq"):
-            if (value := getattr(self, name)) < 1:
-                raise ArgumentError(f"{name} must be >= 1, got {value!r}")
+        check_fields(vars(self), {
+            "gamma": ((lambda v: 0.0 <= v < np.inf), "finite and >= 0"),
+            "xi": ((lambda v: 0.0 < v <= 1.0), "in (0, 1]"),
+            "inv_type": one_of(INV_TYPES), "f_freq": at_least(1), "k_freq": at_least(1)})
 
 
 def is_factor_update(t: int, hyper: KfacHyper) -> bool:

@@ -45,12 +45,13 @@ appended to every layer input and the weight gains one column.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError
+from .errors import ArgumentError, ShapeError, check_fields, one_of
 from .numerics import divide_in_place
 
 LOSSES = ("softmax_cross_entropy", "mean_squared_error")
@@ -91,15 +92,18 @@ class NetworkSpec:
     bias_mode: str = "none"
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
-        if len(self.layer_dims) < 2:
+        try:  # operator.index takes ints and numpy integers, not 8.7 or "9"
+            dims = tuple(operator.index(d) for d in self.layer_dims)
+        except TypeError:
+            raise ArgumentError(
+                f"layer_dims must be a sequence of integers, got {self.layer_dims!r}") from None
+        object.__setattr__(self, "layer_dims", dims)
+        if len(dims) < 2:
             raise ArgumentError("layer_dims needs at least [d_0, d_1]")
-        if any(d < 1 for d in self.layer_dims):
-            raise ArgumentError(f"layer_dims must all be >= 1, got {self.layer_dims}")
-        for name, options in (("activation", ACTIVATIONS), ("loss_kind", LOSSES),
-                              ("bias_mode", BIAS_MODES)):
-            if (value := getattr(self, name)) not in options:
-                raise ArgumentError(f"{name} must be one of {options}, got {value!r}")
+        if any(d < 1 for d in dims):
+            raise ArgumentError(f"layer_dims must all be >= 1, got {dims}")
+        check_fields(vars(self), {"activation": one_of(ACTIVATIONS), "loss_kind": one_of(LOSSES),
+                                  "bias_mode": one_of(BIAS_MODES)})
 
     @property
     def depth(self) -> int:

@@ -239,7 +239,7 @@ def test_percent_in_a_file_value_means_what_it_means_in_an_override(tmp_path):
 
 
 # the config schema, written out independently of the dataclasses: every
-# key's caster, and for the keys read from a fixed set, that set
+# key's caster, and for the keys read from a fixed set, that set in order
 _PINNED_SCHEMA = {
     "network": {"layer_dims": "int list", "activation": ("relu", "tanh", "identity"),
                 "loss_kind": ("softmax_cross_entropy", "mean_squared_error"),
@@ -254,26 +254,87 @@ _PINNED_SCHEMA = {
               "k_freq": int, "lr": float, "momentum": float, "warmup_iters": int,
               "decay_epochs": "int list"},
 }
+_CHOICE_KEYS = [(f"{section}.{key}", options) for section, keys in _PINNED_SCHEMA.items()
+                for key, options in keys.items() if isinstance(options, tuple)]
+_EVERY_OPTION = {o for _, options in _CHOICE_KEYS for o in options} | {"bogus", ""}
 
 
 def test_schema_is_the_pinned_keys_and_casters():
     assert {s: list(keys) for s, keys in _SCHEMA.items()} == \
            {s: list(keys) for s, keys in _PINNED_SCHEMA.items()}
-    every_option = {o for keys in _PINNED_SCHEMA.values() for c in keys.values()
-                    if isinstance(c, tuple) for o in c} | {"bogus", ""}
     for section, keys in _PINNED_SCHEMA.items():
         for key, expected in keys.items():
             cast = _SCHEMA[section][key]
             if expected == "int list":
                 assert cast is config._int_list, (section, key)
-            elif isinstance(expected, tuple):
-                assert [cast(o) for o in expected] == list(expected), (section, key)
-                for other in every_option - set(expected):
-                    with pytest.raises(ValueError, match="must be one of"):
-                        cast(other)
-            else:
-                assert cast is expected, (section, key)
+            else:  # a choice key is read as text, and its record checks the choice
+                assert cast is (str if isinstance(expected, tuple) else expected), (section, key)
     assert len(_KEYS) == 29
+    assert len(_CHOICE_KEYS) == 7
+
+
+@pytest.mark.parametrize("dotted, options", _CHOICE_KEYS)
+def test_choice_keys_load_their_options_and_name_the_rest(tmp_path, dotted, options):
+    path = _write(tmp_path, GOOD_CONFIG)
+    # the overrides that make the rest of the config fit each option
+    companions = {
+        "mean_squared_error": {"data.kind": "deep_linear_regression", "data.out_dim": "3"},
+        "deep_linear_regression": {"network.loss_kind": "mean_squared_error",
+                                   "data.out_dim": "3"},
+        "idx": {"data.images": str(path), "data.labels": str(path)},
+    }
+    section, _, key = dotted.partition(".")
+    for option in options:
+        cfg = load_config(path, {dotted: option, **companions.get(option, {})})
+        assert getattr(getattr(cfg, section), key) == option
+    for other in sorted(_EVERY_OPTION - set(options)):
+        with pytest.raises(ConfigError) as info:
+            load_config(path, {dotted: other})
+        assert str(info.value) == f"{dotted} must be one of {options!r}, got {other!r}"
+
+
+# one bad value for every key that has a rule; images, labels and out_dir have none
+_BAD_VALUES = {
+    "network": {"layer_dims": (8, 0, 3), "activation": "sigmoid", "loss_kind": "hinge",
+                "bias_mode": "full"},
+    "data": {"kind": "spiral", "classes": 1, "dim": 0, "samples": 0, "noise": -0.5,
+             "out_dim": 0, "eval_fraction": 1.0},
+    "train": {"algorithm": "adam", "workers": 0, "shard_policy": "random", "epochs": 0,
+              "batch_size": 0, "seed": -1},
+    "hyper": {"gamma": float("inf"), "xi": 0.0, "inv_type": "cholesky", "f_freq": 0,
+              "k_freq": 0, "lr": float("nan"), "momentum": 1.0, "warmup_iters": -1,
+              "decay_epochs": (2, -1)},
+}
+_RECORDS = {"network": lambda **kw: NetworkSpec(**{"layer_dims": (8, 8, 3), **kw}),
+            "data": DataConfig, "train": TrainConfig, "hyper": HyperConfig}
+
+
+def test_bad_values_cover_every_ruled_key():
+    unruled = {"data.images", "data.labels", "train.out_dir"}
+    assert {f"{s}.{k}" for s, keys in _BAD_VALUES.items() for k in keys} == set(_KEYS) - unruled
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (section, key, value) for section, keys in _BAD_VALUES.items() for key, value in keys.items()])
+def test_config_message_is_the_records_own_with_the_section(tmp_path, section, key, value):
+    # config.py adds the section and no rule of its own
+    with pytest.raises(ArgumentError) as from_record:
+        _RECORDS[section](**{key: value})
+    assert str(from_record.value).startswith(f"{key} ")
+    raw = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    with pytest.raises(ConfigError) as from_config:
+        load_config(_write(tmp_path, GOOD_CONFIG), {f"{section}.{key}": raw})
+    assert str(from_config.value) == f"{section}.{from_record.value}"
+
+
+@pytest.mark.parametrize("record, field, value", [
+    (TrainConfig, "batch_size", 0), (TrainConfig, "seed", -1), (TrainConfig, "epochs", 0),
+    (HyperConfig, "lr", -1.0), (HyperConfig, "momentum", 5.0),
+    (DataConfig, "eval_fraction", 1.5), (DataConfig, "kind", "spiral"),
+])
+def test_a_record_built_directly_rejects_a_bad_field_by_name(record, field, value):
+    with pytest.raises(ArgumentError, match=f"^{field} must be .*, got {re.escape(repr(value))}$"):
+        record(**{field: value})
 
 
 def test_manifest_config_block_holds_every_schema_key():

@@ -129,6 +129,27 @@ def test_gen_unknown_kind_and_missing_params():
         gen_synthetic("gaussian_blobs", {"classes": 3}, 0)
 
 
+_BLOBS = {"classes": 3, "dim": 5, "samples": 30}
+_REGRESSION = {"dim": 5, "out_dim": 2, "samples": 25}
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("gaussian_blobs", {**_BLOBS, "classes": 1}, "classes must be >= 2, got 1"),
+    ("gaussian_blobs", {**_BLOBS, "dim": 0}, "dim must be >= 1, got 0"),
+    ("gaussian_blobs", {**_BLOBS, "samples": 0}, "samples must be >= 1, got 0"),
+    ("gaussian_blobs", {**_BLOBS, "samples": 2}, "samples must be >= classes (3), got 2"),
+    ("deep_linear_regression", {**_REGRESSION, "dim": 0}, "dim must be >= 1, got 0"),
+    ("deep_linear_regression", {**_REGRESSION, "out_dim": 0}, "out_dim must be >= 1, got 0"),
+    ("deep_linear_regression", {**_REGRESSION, "samples": -1}, "samples must be >= 1, got -1"),
+    ("deep_linear_regression", {**_REGRESSION, "noise": -1.0},
+     "noise must be finite and >= 0, got -1.0"),
+])
+def test_gen_synthetic_names_the_parameter_out_of_range(kind, params, message):
+    with pytest.raises(ArgumentError) as info:
+        gen_synthetic(kind, params, 0)
+    assert str(info.value) == message
+
+
 def test_noiseless_blobs_are_separable_by_small_net():
     data = gen_synthetic("gaussian_blobs",
                          {"classes": 3, "dim": 8, "samples": 60, "noise": 0.0}, seed=2)

@@ -67,6 +67,18 @@ def test_spec_validation():
         NetworkSpec((4, 2), activation="sigmoid")
 
 
+@pytest.mark.parametrize("dims", [(8, 8.7, 3), (8, "9", 3), 8])
+def test_spec_rejects_layer_dims_that_are_not_integers(dims):
+    with pytest.raises(ArgumentError, match="^layer_dims must be a sequence of integers"):
+        NetworkSpec(dims)
+
+
+def test_spec_takes_numpy_integer_layer_dims_as_ints():
+    spec = NetworkSpec((8, np.int64(9), np.int32(3)))
+    assert spec.layer_dims == (8, 9, 3)
+    assert all(type(d) is int for d in spec.layer_dims)
+
+
 def test_forward_identity_net_zero_mse():
     spec = NetworkSpec((3, 3, 3), activation="identity", loss_kind="mean_squared_error")
     net = init_network(spec, seed=0)
