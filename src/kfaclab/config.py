@@ -38,6 +38,9 @@ class DataConfig:
     def __post_init__(self):
         check_fields(vars(self), {"kind": one_of(SYNTHETIC_KINDS + ("idx",)), **SYNTHETIC_RULES,
                                   "eval_fraction": ((lambda v: 0.0 <= v < 1.0), "in [0, 1)")})
+        if self.kind == "gaussian_blobs":  # every class gets a sample
+            check_fields(vars(self), {"samples": ((lambda v: v >= self.classes),
+                                                  f">= classes ({self.classes})")})
 
 
 @dataclass(frozen=True)

@@ -52,10 +52,30 @@ copies; its element count is still counted as (P-1) * N.
 Every step returns a fresh :class:`~kfaclab.costmodel.StepCounters` of
 element counts per stage (the cluster keeps no history); the analytic model
 in :mod:`kfaclab.costmodel` must reproduce them exactly.
+
+**Owner lanes.**  A refresh step's eigendecompositions run at the same time,
+as on P machines.  Of ``n_lanes = min(P, usable CPUs)`` lanes, lane 0 is the
+calling thread and each other one a daemon thread pinned to a CPU of its own
+(the process's lanes serve every cluster in it); layer i refreshes on lane
+``owners[i] % n_lanes``.  The step folds the side-lane layers first, handing
+each refresh to its lane, then runs the lane-0 layers, then settles the
+side-lane layers in layer order.  Lanes make the same single-threaded LAPACK
+calls on the same arrays, so no bit or count changes, and a failing step
+raises the lowest layer's first failure once every lane is idle.  Pinning is
+what pays: an unpinned woken thread stays on the caller's CPU (six 193x193
+``eigh`` calls: 1.02x their serial time, pinned 0.63x).  A lane found on the
+caller's current CPU is moved; the caller's affinity is never touched.
+Lanes are made at the first refresh that can use them, under ``inv_type =
+eigen`` only (scipy's Cholesky wrappers hold the GIL) and only when numpy's
+BLAS is known to run one thread (OpenBLAS's own threads fight pinned lanes:
+a 2.5 ms step took 24-28 ms).
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -264,6 +284,80 @@ def _check_finite(update: Sequence[np.ndarray], t: int, what: str,
             raise NumericError(f"{_where(worker, i, t)}: {what} is not finite")
 
 
+# ---------------------------------------------------------------------------
+# owner lanes (see the module docstring)
+
+_LANES: list[_Lane] = []  # every side lane made so far
+if hasattr(os, "register_at_fork"):  # a forked child has none of these threads
+    os.register_at_fork(after_in_child=_LANES.clear)
+
+
+class _Lane(threading.Thread):
+    """A daemon thread pinned to one CPU.  It runs its jobs in order and
+    answers each with the exception it raised, or None."""
+
+    def __init__(self, cpu: int):
+        import queue
+        super().__init__(name="kfaclab-lane", daemon=True)
+        self.jobs, self.answers = queue.SimpleQueue(), queue.SimpleQueue()
+        self.start()
+        self.pin(cpu)
+
+    def pin(self, cpu: int):
+        os.sched_setaffinity(self.native_id, {cpu})
+        self.cpu = cpu
+
+    def run(self):
+        while True:
+            errstate, fn, args = self.jobs.get()
+            try:
+                with np.errstate(**errstate):  # numpy keeps one per thread
+                    fn(*args)
+                self.answers.put(None)
+            except BaseException as exc:  # the step raises it in layer order
+                self.answers.put(exc)
+
+
+@functools.lru_cache(maxsize=None)
+def _native() -> tuple:
+    """libc's ``sched_getcpu`` and the thread-count getter of numpy's own
+    OpenBLAS, or None for the latter when numpy's BLAS is another one."""
+    import ctypes
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        name = next(n for n in os.listdir(libs) if n.startswith("libscipy_openblas64_"))
+        blas = ctypes.CDLL(os.path.join(libs, name), mode=os.RTLD_NOLOAD)
+        threads = blas.scipy_openblas_get_num_threads64_
+    except (OSError, StopIteration, AttributeError):
+        threads = None
+    getcpu = ctypes.CDLL(None).sched_getcpu
+    for fn in filter(None, (getcpu, threads)):
+        fn.argtypes, fn.restype = [], ctypes.c_int
+    return getcpu, threads
+
+
+def _side_lanes(n_owners: int) -> list[_Lane]:
+    """Lanes 1 .. n_lanes - 1 for a refresh step of ``n_owners`` owners,
+    none of them on the caller's current CPU; no lane at all unless numpy's
+    BLAS is known to run one thread."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()  # Linux
+    n = min(n_owners, len(cpus)) - 1
+    if n < 1:
+        return []
+    getcpu, blas_threads = _native()
+    if blas_threads is None or blas_threads() != 1:
+        return []
+    here, lanes = getcpu(), _LANES[:n]
+    free = sorted(cpus - {here} - {lane.cpu for lane in lanes})
+    for lane in lanes:
+        if lane.cpu == here:
+            lane.pin(free.pop())
+    while len(lanes) < n:
+        lanes.append(_Lane(free.pop()))
+    _LANES[:n] = lanes
+    return lanes
+
+
 def _precondition(
     cluster: Cluster,
     captures: list[np.ndarray],
@@ -276,52 +370,86 @@ def _precondition(
 ) -> list[np.ndarray]:
     """K-FAC preconditioning of the aggregated gradients, one layer at a
     time: build factors, fold them into the layer's one state, refresh at
-    the owner, precondition, broadcast.  The module docstring gives the two
-    decisions the algorithm makes and the compute ledger.  Builder p reads
-    its span of the one pass's captures.  Only one layer's P raw factor
-    pairs are alive at a time.  A factor-build failure names
-    the worker that built the factors; everything after it names the
+    the owner (on its lane), precondition, broadcast.  The module docstring
+    gives the two decisions the algorithm makes, the compute ledger and the
+    lanes.  Builder p reads its span of the one pass's captures.  Only one
+    layer's P raw factor pairs are alive at a time.  A factor-build failure
+    names the worker that built the factors; everything after it names the
     owner."""
     dp = cluster.algorithm == "dp_kfac"
     comm_opt = cluster.algorithm == "mpd_kfac_co"
     P = cluster.n_workers
     f_up = kfac.is_factor_update(t, hyper)
     k_up = kfac.is_inverse_update(t, hyper)
+    lanes = _side_lanes(P) if k_up and hyper.inv_type == "eigen" else []
+    lane = [owner % (len(lanes) + 1) for owner in cluster.owners]
+    n_fs = [layer_counts(dims)[1] for dims in cluster.layer_dims()]
     factor_work, inverse_work = [0] * P, [0] * P
-    update: list[np.ndarray] = []
-    for i, (owner, dims) in enumerate(zip(cluster.owners, cluster.layer_dims())):
-        state = cluster.factors[i]
-        n_f = layer_counts(dims)[1]
-        if f_up:
-            raw = []
-            for p in (owner,) if dp else range(P):
-                try:
-                    raw.append(kfac.compute_factors(captures[i][:, spans[p]],
-                                                    preact_grads[i][:, spans[p]]))
-                except KfacLabError as exc:
-                    _rethrow(exc, p, i, t)
-                factor_work[p] += n_f
-            if dp:
-                a_new, g_new = raw[0]
-            else:
-                a_new = all_reduce_avg([a for a, _ in raw], counters, "factorcomm")
-                g_new = all_reduce_avg([g for _, g in raw], counters, "factorcomm")
-        try:
-            if f_up:
-                kfac.update_running_average(state, a_new, g_new, hyper.xi, t)
-            if k_up:
-                kfac.refresh_inverses(state, hyper, t)
-            pg = kfac.apply_preconditioner(state, agg[i], hyper)
-        except KfacLabError as exc:
-            _rethrow(exc, owner, i, t)
+    update: list = [None] * cluster.n_layers
+    pending: list[int] = []  # side-lane layers whose answer is out, in layer order
+    failed: dict[int, tuple[Exception, int]] = {}  # a layer's first failure and its worker
+
+    def settle(i: int):
+        owner, state = cluster.owners[i], cluster.factors[i]
+        pg = kfac.apply_preconditioner(state, agg[i], hyper)
         if k_up:
-            inverse_work[owner] += n_f
+            inverse_work[owner] += n_fs[i]
         if not comm_opt:
             pg = broadcast(owner, pg, P, counters, "predcomm")
         elif k_up:
             for arr in kfac.decomposition_arrays(state).values():
                 broadcast(owner, arr, P, counters, "inversecomm")
-        update.append(pg)
+        update[i] = pg
+
+    try:
+        # side-lane layers first; with no side lane this is the layer order
+        for i in sorted(range(cluster.n_layers), key=lambda i: lane[i] == 0):
+            if failed and i > min(failed):
+                continue
+            owner, state = cluster.owners[i], cluster.factors[i]
+            worker = owner  # whom a failure names
+            try:
+                if f_up:
+                    raw = []
+                    for worker in (owner,) if dp else range(P):
+                        raw.append(kfac.compute_factors(captures[i][:, spans[worker]],
+                                                        preact_grads[i][:, spans[worker]]))
+                        factor_work[worker] += n_fs[i]
+                    worker = owner
+                    if dp:
+                        a_new, g_new = raw[0]
+                    else:
+                        a_new = all_reduce_avg([a for a, _ in raw], counters, "factorcomm")
+                        g_new = all_reduce_avg([g for _, g in raw], counters, "factorcomm")
+                    kfac.update_running_average(state, a_new, g_new, hyper.xi, t)
+                if lane[i]:
+                    lanes[lane[i] - 1].jobs.put((np.geterr(), kfac.refresh_inverses,
+                                                 (state, hyper, t)))
+                    pending.append(i)
+                    continue
+                if k_up:
+                    kfac.refresh_inverses(state, hyper, t)
+                settle(i)
+            except Exception as exc:
+                failed[i] = exc, worker
+        while pending:
+            error = lanes[lane[pending[0]] - 1].answers.get()
+            i = pending.pop(0)
+            try:
+                if error is not None:
+                    raise error
+                if not failed or i < min(failed):
+                    settle(i)
+            except Exception as exc:
+                failed[i] = exc, cluster.owners[i]
+    finally:
+        for i in pending:  # the step ends with every lane idle
+            lanes[lane[i] - 1].answers.get()
+    if failed:
+        exc, worker = failed[i := min(failed)]
+        if isinstance(exc, KfacLabError):
+            _rethrow(exc, worker, i, t)
+        raise exc
     counters.factorcomp = max(factor_work)
     counters.inversecomp = max(inverse_work)
     return update

@@ -92,7 +92,11 @@ class NetworkSpec:
     bias_mode: str = "none"
 
     def __post_init__(self):
-        try:  # operator.index takes ints and numpy integers, not 8.7 or "9"
+        # operator.index takes ints and numpy integers, not 8.7 or "9"; it
+        # would take True as 1
+        try:
+            if any(isinstance(d, (bool, np.bool_)) for d in self.layer_dims):
+                raise TypeError
             dims = tuple(operator.index(d) for d in self.layer_dims)
         except TypeError:
             raise ArgumentError(

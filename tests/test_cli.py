@@ -631,6 +631,15 @@ def test_noise_that_overflows_float64_is_a_data_error(config_path, tmp_path, cap
                      "the data would not be finite"] * 2, lines
 
 
+def test_fewer_blob_samples_than_classes_is_a_config_error(config_path, tmp_path, capsys):
+    # exit 2 naming the key, as for every other bad [data] value, not a data error
+    assert cli.main(["--out-dir", str(tmp_path / "out"), "train", str(config_path),
+                     "--data.samples=2"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: data.samples must be >= classes (3), got 2"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_data_round_trip(tmp_path):
     img, lab = tmp_path / "x.idx", tmp_path / "y.idx"
     code = cli.main(["--seed", "4", "gen-data", "gaussian_blobs", "--classes", "4",

@@ -162,6 +162,7 @@ def test_out_of_range_value_is_config_error(tmp_path, override):
     ("hyper.k_freq=0", "hyper.k_freq must be >= 1, got 0"),
     ("network.layer_dims=64,0,10", "network.layer_dims must all be >= 1, got (64, 0, 10)"),
     ("network.layer_dims=64", "network.layer_dims needs at least [d_0, d_1]"),
+    ("data.samples=2", "data.samples must be >= classes (3), got 2"),
 ])
 def test_out_of_range_messages_are_pinned(tmp_path, override, message):
     with pytest.raises(ConfigError) as info:

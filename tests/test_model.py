@@ -73,6 +73,13 @@ def test_spec_rejects_layer_dims_that_are_not_integers(dims):
         NetworkSpec(dims)
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_spec_rejects_boolean_layer_dims(flag):
+    # operator.index(True) is 1: (8, True, 3) would build an 8-1-3 net
+    with pytest.raises(ArgumentError, match="^layer_dims must be a sequence of integers"):
+        NetworkSpec((8, flag, 3))
+
+
 def test_spec_takes_numpy_integer_layer_dims_as_ints():
     spec = NetworkSpec((8, np.int64(9), np.int32(3)))
     assert spec.layer_dims == (8, 9, 3)
