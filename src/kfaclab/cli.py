@@ -232,11 +232,9 @@ def cmd_train(args, overrides) -> int:
     return EXIT_OK
 
 
-_COST_FIELDS = (
-    ("gradcomp", "GradComp"), ("factorcomp", "FactorComp"), ("inversecomp", "InverseComp"),
-    ("gradcomm", "GradComm"), ("factorcomm", "FactorComm"), ("predcomm", "PredComm"),
-    ("inversecomm", "InverseComm"), ("memory", "Memory"),
-)
+# (field, row label): the stages, gradcomp labelled GradComp, then memory
+_COST_FIELDS = tuple((s, s[:-4].capitalize() + s[-4:].capitalize())
+                     for s in costmodel.STAGES) + (("memory", "Memory"),)
 
 
 def cmd_cost(args) -> int:
@@ -316,10 +314,7 @@ def cmd_gen_data(args) -> int:
     if Path(args.images).resolve() == Path(args.labels).resolve():
         raise ConfigError(f"--images {args.images} and --labels {args.labels} name the same file")
     seed = args.seed if args.seed is not None else 0
-    dataset = gen_synthetic(args.kind, {
-        "classes": args.classes, "dim": args.dim,
-        "samples": args.samples, "noise": args.noise,
-    }, seed)
+    dataset = gen_synthetic(args.kind, vars(args), seed)
     images, labels = quantize_for_idx(dataset, args.rows, args.dim // args.rows)
     try:
         write_idx(args.images, args.labels, images, labels)

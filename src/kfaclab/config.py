@@ -16,31 +16,11 @@ from pathlib import Path
 from typing import Mapping, Optional, get_type_hints
 
 from .costmodel import ALGORITHMS
+from .datasets import DataConfig
 from .distsim import SHARD_POLICIES, worker_spans
 from .errors import ArgumentError, ConfigError, at_least, check_fields, one_of
 from .kfac import KfacHyper
 from .model import NetworkSpec
-from .datasets import SYNTHETIC_KINDS, SYNTHETIC_RULES
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    kind: str = "gaussian_blobs"
-    classes: int = 10
-    dim: int = 64
-    samples: int = 10000
-    noise: float = 0.1
-    out_dim: int = 1
-    images: str = ""
-    labels: str = ""
-    eval_fraction: float = 0.1
-
-    def __post_init__(self):
-        check_fields(vars(self), {"kind": one_of(SYNTHETIC_KINDS + ("idx",)), **SYNTHETIC_RULES,
-                                  "eval_fraction": ((lambda v: 0.0 <= v < 1.0), "in [0, 1)")})
-        if self.kind == "gaussian_blobs":  # every class gets a sample
-            check_fields(vars(self), {"samples": ((lambda v: v >= self.classes),
-                                                  f">= classes ({self.classes})")})
 
 
 @dataclass(frozen=True)
@@ -112,22 +92,21 @@ def _int_list(raw: str) -> tuple[int, ...]:
 
 # section -> the dataclass whose fields are its keys
 _SECTIONS = {"network": NetworkSpec, "data": DataConfig, "train": TrainConfig, "hyper": HyperConfig}
-# each key is read by the caster of its field's type; its record checks the value
-_CASTERS = {int: int, float: float, str: str, tuple[int, ...]: _int_list}
-# field type -> (the test a run manifest's JSON value must pass, what it asks
-# for); by type(), not isinstance(), because a bool is not an int here
-_JSON_TYPES = {
-    int: ((lambda v: type(v) is int), "an integer"),
-    float: ((lambda v: type(v) in (int, float)), "a number"),
-    str: ((lambda v: type(v) is str), "a string"),
-    tuple[int, ...]: ((lambda v: type(v) in (list, tuple) and all(type(e) is int for e in v)),
-                      "a list of integers"),
+# field type -> (the caster of a key's text, the test a run manifest's JSON
+# value must pass, what that test asks for); the record checks the value.  By
+# type(), not isinstance(), because a bool is not an int here
+_TYPES = {
+    int: (int, (lambda v: type(v) is int), "an integer"),
+    float: (float, (lambda v: type(v) in (int, float)), "a number"),
+    str: (str, (lambda v: type(v) is str), "a string"),
+    tuple[int, ...]: (_int_list, (lambda v: type(v) in (list, tuple)
+                                  and all(type(e) is int for e in v)), "a list of integers"),
 }
 # section -> key -> field type, in field order
 _FIELDS = {section: get_type_hints(cls) for section, cls in _SECTIONS.items()}
 # section -> key -> caster; a field type with no caster fails here, at import
 _SCHEMA: dict[str, dict[str, object]] = {
-    section: {key: _CASTERS[annotation] for key, annotation in fields.items()}
+    section: {key: _TYPES[annotation][0] for key, annotation in fields.items()}
     for section, fields in _FIELDS.items()
 }
 
@@ -180,7 +159,7 @@ def _cast_json(section: str, key: str, value):
     cast as text is: an int field takes an int that is not a bool, a float
     field an int or a float; the record checks choices and ranges."""
     annotation = _FIELDS[section][key]
-    test, wanted = _JSON_TYPES[annotation]
+    _, test, wanted = _TYPES[annotation]
     if not test(value):
         raise ConfigError(f"{section}.{key} must be {wanted}, got {value!r}")
     return tuple(value) if annotation == tuple[int, ...] else _cast(section, key, value)
@@ -236,8 +215,7 @@ def validate_config(cfg: RunConfig):
     if d.kind == "deep_linear_regression" and cfg.network.loss_kind != "mean_squared_error":
         raise ConfigError("deep_linear_regression needs loss_kind=mean_squared_error")
     # the network must fit the data
-    expected_in = {"gaussian_blobs": d.dim, "deep_linear_regression": d.dim}.get(d.kind)
-    if expected_in is not None and cfg.network.layer_dims[0] != expected_in:
+    if d.kind != "idx" and cfg.network.layer_dims[0] != d.dim:
         raise ConfigError(
             f"network.layer_dims[0]={cfg.network.layer_dims[0]} does not match data.dim={d.dim}"
         )

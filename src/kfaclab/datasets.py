@@ -24,22 +24,42 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, DataFormatError, at_least, check_fields
+from .errors import ArgumentError, DataFormatError, at_least, check_fields, one_of
 
-SYNTHETIC_KINDS = ("gaussian_blobs", "deep_linear_regression")
-# the synthetic parameters' ranges, which the run config's [data] keys share
-SYNTHETIC_RULES = {
-    "classes": at_least(2),
-    "dim": at_least(1),
-    "samples": at_least(1),
-    "noise": ((lambda v: 0.0 <= v < math.inf), "finite and >= 0"),
-    "out_dim": at_least(1),
-}
+# each synthetic kind -> the parameters it reads that have no default
+SYNTHETIC_KINDS = {"gaussian_blobs": ("classes", "dim", "samples"),
+                   "deep_linear_regression": ("dim", "out_dim", "samples")}
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 _BLOCK_ELEMENTS = 1 << 16  # 512 KiB of float64, an in-place build's one temporary
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    """The run config's ``[data]``: a synthetic kind and its parameters, or an
+    ``idx`` file pair, and the share held out for evaluation."""
+
+    kind: str = "gaussian_blobs"
+    classes: int = 10
+    dim: int = 64
+    samples: int = 10000
+    noise: float = 0.1
+    out_dim: int = 1
+    images: str = ""
+    labels: str = ""
+    eval_fraction: float = 0.1
+
+    def __post_init__(self):
+        check_fields(vars(self), {
+            "kind": one_of((*SYNTHETIC_KINDS, "idx")), "classes": at_least(2),
+            "dim": at_least(1), "samples": at_least(1),
+            "noise": ((lambda v: 0.0 <= v < math.inf), "finite and >= 0"),
+            "out_dim": at_least(1), "eval_fraction": ((lambda v: 0.0 <= v < 1.0), "in [0, 1)")})
+        if self.kind == "gaussian_blobs":  # every class gets a sample
+            check_fields(vars(self), {"samples": ((lambda v: v >= self.classes),
+                                                  f">= classes ({self.classes})")})
 
 
 @dataclass
@@ -60,19 +80,6 @@ class Dataset:
         return self.inputs.shape[0]
 
 
-def _param(params: Mapping, key: str, cast, default=None):
-    if key not in params:
-        if default is None:
-            raise ArgumentError(f"synthetic dataset params missing {key!r}")
-        return default
-    try:
-        value = cast(params[key])
-    except (TypeError, ValueError) as exc:
-        raise ArgumentError(f"bad synthetic dataset param {key}={params[key]!r}") from exc
-    check_fields({key: value}, {key: SYNTHETIC_RULES[key]})
-    return value
-
-
 def _sample_blocks(dim: int, samples: int):
     """Slices of whole samples, about ``_BLOCK_ELEMENTS`` elements each."""
     step = max(1, _BLOCK_ELEMENTS // dim)
@@ -81,31 +88,32 @@ def _sample_blocks(dim: int, samples: int):
 
 def gen_synthetic(kind: str, params: Mapping, seed: int) -> Dataset:
     """Deterministic synthetic dataset; same (kind, params, seed) gives
-    bit-identical tensors.  A finite ``noise`` so large that the data
-    overflow float64 is an ArgumentError naming it."""
+    bit-identical tensors.  :class:`DataConfig` checks the kind's ``params``;
+    it ignores the rest.  A finite ``noise`` so large that the data overflow
+    float64 is an ArgumentError naming it."""
     if kind not in SYNTHETIC_KINDS:
         raise ArgumentError(f"unknown synthetic dataset kind {kind!r}")
     if seed < 0:
         raise ArgumentError(f"synthetic dataset seed must be >= 0, got {seed}")
+    keys = SYNTHETIC_KINDS[kind]
+    for key in keys:
+        if key not in params:
+            raise ArgumentError(f"synthetic dataset params missing {key!r}")
+    data = DataConfig(kind=kind, **{key: params[key] for key in (*keys, "noise") if key in params})
     try:
         with np.errstate(over="raise"):
-            return _generate(kind, params, np.random.default_rng(seed))
+            return _generate(data, np.random.default_rng(seed))
     except FloatingPointError:
-        raise ArgumentError(f"synthetic dataset noise={params.get('noise')} overflows float64: "
+        raise ArgumentError(f"synthetic dataset noise={data.noise} overflows float64: "
                             "the data would not be finite") from None
 
 
-def _generate(kind: str, params: Mapping, rng: np.random.Generator) -> Dataset:
-    if kind == "gaussian_blobs":
-        classes = _param(params, "classes", int)
-        dim = _param(params, "dim", int)
-        samples = _param(params, "samples", int)
-        noise = _param(params, "noise", float, 0.1)
-        if samples < classes:
-            raise ArgumentError(f"samples must be >= classes ({classes}), got {samples}")
-        centers = rng.standard_normal((dim, classes))
+def _generate(data: DataConfig, rng: np.random.Generator) -> Dataset:
+    dim, samples, noise = data.dim, data.samples, data.noise
+    if data.kind == "gaussian_blobs":
+        centers = rng.standard_normal((dim, data.classes))
         centers /= np.linalg.norm(centers, axis=0, keepdims=True)
-        labels = np.arange(samples, dtype=np.int64) % classes
+        labels = np.arange(samples, dtype=np.int64) % data.classes
         # built in place, the centres added in column blocks: noise*n + c is
         # the same IEEE sum as c + noise*n, and no full-size temporary exists
         inputs = rng.standard_normal((dim, samples))
@@ -113,13 +121,9 @@ def _generate(kind: str, params: Mapping, rng: np.random.Generator) -> Dataset:
         for block in _sample_blocks(dim, samples):
             inputs[:, block] += centers[:, labels[block]]
         return Dataset(inputs, labels, task="classification")
-    dim = _param(params, "dim", int)
-    out_dim = _param(params, "out_dim", int)
-    samples = _param(params, "samples", int)
-    noise = _param(params, "noise", float, 0.1)
-    hidden_map = rng.standard_normal((out_dim, dim)) / np.sqrt(dim)
+    hidden_map = rng.standard_normal((data.out_dim, dim)) / np.sqrt(dim)
     inputs = rng.standard_normal((dim, samples))
-    targets = hidden_map @ inputs + noise * rng.standard_normal((out_dim, samples))
+    targets = hidden_map @ inputs + noise * rng.standard_normal((data.out_dim, samples))
     return Dataset(inputs, targets, task="regression")
 
 

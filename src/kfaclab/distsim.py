@@ -67,8 +67,8 @@ what pays: an unpinned woken thread stays on the caller's CPU (six 193x193
 caller's current CPU is moved; the caller's affinity is never touched.
 Lanes are made at the first refresh that can use them, under ``inv_type =
 eigen`` only (scipy's Cholesky wrappers hold the GIL) and only when numpy's
-BLAS is known to run one thread (OpenBLAS's own threads fight pinned lanes:
-a 2.5 ms step took 24-28 ms).
+BLAS is known to run one thread, as a training run sets it (OpenBLAS's own
+threads fight pinned lanes: a 2.5 ms step took 24-28 ms).
 """
 
 from __future__ import annotations
@@ -320,20 +320,22 @@ class _Lane(threading.Thread):
 
 @functools.lru_cache(maxsize=None)
 def _native() -> tuple:
-    """libc's ``sched_getcpu`` and the thread-count getter of numpy's own
-    OpenBLAS, or None for the latter when numpy's BLAS is another one."""
+    """libc's ``sched_getcpu``, and the thread-count getter and setter and the
+    build string of numpy's own OpenBLAS, None when numpy's BLAS is another."""
     import ctypes
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     try:
         name = next(n for n in os.listdir(libs) if n.startswith("libscipy_openblas64_"))
         blas = ctypes.CDLL(os.path.join(libs, name), mode=os.RTLD_NOLOAD)
-        threads = blas.scipy_openblas_get_num_threads64_
+        threads, set_threads, config = (getattr(blas, f"scipy_openblas_{f}64_") for f in
+                                        ("get_num_threads", "set_num_threads", "get_config"))
+        config.restype = ctypes.c_char_p
     except (OSError, StopIteration, AttributeError):
-        threads = None
-    getcpu = ctypes.CDLL(None).sched_getcpu
+        threads = set_threads = config = None
+    getcpu = getattr(ctypes.CDLL(None), "sched_getcpu", None)  # Linux
     for fn in filter(None, (getcpu, threads)):
         fn.argtypes, fn.restype = [], ctypes.c_int
-    return getcpu, threads
+    return getcpu, threads, set_threads, config
 
 
 def _side_lanes(n_owners: int) -> list[_Lane]:
@@ -344,7 +346,7 @@ def _side_lanes(n_owners: int) -> list[_Lane]:
     n = min(n_owners, len(cpus)) - 1
     if n < 1:
         return []
-    getcpu, blas_threads = _native()
+    getcpu, blas_threads, _, _ = _native()
     if blas_threads is None or blas_threads() != 1:
         return []
     here, lanes = getcpu(), _LANES[:n]

@@ -5,6 +5,8 @@ Every error raised intentionally by this package derives from
 to exit codes without string matching.
 """
 
+import operator
+
 
 class KfacLabError(Exception):
     """Base class for all package-specific errors."""
@@ -39,8 +41,8 @@ class ConfigError(KfacLabError, ValueError):
 
 
 def at_least(n):
-    """The rule that a value is at least ``n``."""
-    return (lambda v: v >= n), f">= {n}"
+    """The rule that an integer value is at least ``n``."""
+    return (lambda v: operator.index(v) >= n), f">= {n}"
 
 
 def one_of(options: tuple):
@@ -54,5 +56,9 @@ def check_fields(values, rules):
     requirement)``; comparisons are False for NaN, so a float range also
     rejects non-finite values."""
     for key, (test, requirement) in rules.items():
-        if not test(value := values[key]):
+        try:
+            passed = test(value := values[key])
+        except TypeError:  # a value of the wrong type
+            passed = False
+        if not passed:
             raise ArgumentError(f"{key} must be {requirement}, got {value!r}")

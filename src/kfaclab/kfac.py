@@ -241,7 +241,10 @@ def factored_precondition_oracle(
 
 def refresh_inverses(state: FactorState, hyper: KfacHyper, t: int) -> FactorState:
     """Recompute the damping-scheme state (eigendecompositions or damped
-    inverses) from the current averaged factors."""
+    inverses) from the current averaged factors.  The guard is this
+    operation's precondition, which :func:`state_problems` cannot state (a
+    fresh state is legal).  That rule costs 14-16 us a call on a 65-wide eigen
+    state: four calls are about 3% of a 1.9-2.4 ms blobs_p4 dp_kfac step."""
     if not state.initialized:
         raise OrderingError("cannot build a preconditioner before any factor update")
     if hyper.inv_type == "eigen":
@@ -310,7 +313,7 @@ def state_problems(state: FactorState, inv_type: str, d_in: int, d_out: int) -> 
 
 def apply_preconditioner(state: FactorState, grad: np.ndarray, hyper: KfacHyper) -> np.ndarray:
     """Precondition with whatever decomposition the state currently holds
-    (stale results are reused verbatim)."""
+    (stale results are reused verbatim).  Guarded as :func:`refresh_inverses` is."""
     if hyper.inv_type == "eigen":
         if state.a_eig is None or state.g_eig is None:
             raise OrderingError("preconditioning requested before any eigendecomposition exists")

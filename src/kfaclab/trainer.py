@@ -14,23 +14,19 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import __version__, kfac
+from . import __version__, distsim, kfac
 from .config import RunConfig
 from .costmodel import STAGES, StepCounters
 from .datasets import Dataset, gen_synthetic, load_idx, write_all_or_nothing
 from .distsim import Cluster, build_cluster, run_step
 from .errors import ArgumentError, DataFormatError
 from .model import Batch, predict, _per_sample_losses
-
-CSV_COLUMNS = (
-    "iteration", "epoch", "lr", "train_loss", "eval_loss", "eval_accuracy",
-) + STAGES
 
 CHECKPOINT_MAGIC = b"KFACLAB\0"
 CHECKPOINT_VERSION = 2
@@ -49,13 +45,12 @@ class MetricsRow(StepCounters):
     eval_accuracy: Optional[float]
 
     def as_csv_fields(self) -> list[str]:
-        def fmt(v):
-            if v is None:
-                return ""
-            if isinstance(v, float):
-                return repr(v)
-            return str(v)
-        return [fmt(getattr(self, c)) for c in CSV_COLUMNS]
+        # str of a float is its shortest round-trip repr
+        return ["" if (v := getattr(self, c)) is None else str(v) for c in CSV_COLUMNS]
+
+
+# the row's own fields, then the stages
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow))[len(STAGES):] + STAGES
 
 
 @dataclass
@@ -74,10 +69,9 @@ def _child_seeds(seed: int) -> dict[str, int]:
 
 
 def provision_dataset(cfg: RunConfig) -> Dataset:
-    seeds = _child_seeds(cfg.train.seed)
     if cfg.data.kind == "idx":
         return load_idx(cfg.data.images, cfg.data.labels)
-    return gen_synthetic(cfg.data.kind, vars(cfg.data), seeds["data"])
+    return gen_synthetic(cfg.data.kind, vars(cfg.data), _child_seeds(cfg.train.seed)["data"])
 
 
 def split_dataset(dataset: Dataset, eval_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -171,26 +165,35 @@ def run_prepared(
     eval_batch = run.eval_batch
 
     rows: list[MetricsRow] = []
-    for epoch in range(run.start_epoch, cfg.train.epochs):
-        order = np.random.default_rng([shuffle_seed, epoch]).permutation(len(train_idx))
-        for b in range(iters_per_epoch):
-            batch = _take(dataset, train_idx[order[b * B: (b + 1) * B]])
-            lr = cfg.hyper.lr_at(t, epoch, cfg.train.workers)
-            result = run_step(cluster, batch, cfg.hyper, lr, cfg.hyper.momentum, t)
-            eval_loss = eval_acc = None
-            if b == iters_per_epoch - 1 and eval_batch is not None:
-                eval_loss, eval_acc = evaluate(cluster, eval_batch)
-            row = MetricsRow(
-                iteration=t, epoch=epoch, lr=lr, train_loss=result.loss,
-                eval_loss=eval_loss, eval_accuracy=eval_acc,
-                # vars, not dataclasses.asdict: asdict deep-copies every
-                # field, about 10 us a row on CPython 3.11
-                **vars(result.counters),
-            )
-            rows.append(row)
-            if row_sink is not None:
-                row_sink(row)
-            t += 1
+    # one BLAS thread: the bytes do not depend on the caller's, and lanes can run
+    _, blas_threads, set_blas_threads, _ = distsim._native()
+    caller_threads = blas_threads and blas_threads()
+    if set_blas_threads:
+        set_blas_threads(1)
+    try:
+        for epoch in range(run.start_epoch, cfg.train.epochs):
+            order = np.random.default_rng([shuffle_seed, epoch]).permutation(len(train_idx))
+            for b in range(iters_per_epoch):
+                batch = _take(dataset, train_idx[order[b * B: (b + 1) * B]])
+                lr = cfg.hyper.lr_at(t, epoch, cfg.train.workers)
+                result = run_step(cluster, batch, cfg.hyper, lr, cfg.hyper.momentum, t)
+                eval_loss = eval_acc = None
+                if b == iters_per_epoch - 1 and eval_batch is not None:
+                    eval_loss, eval_acc = evaluate(cluster, eval_batch)
+                row = MetricsRow(
+                    iteration=t, epoch=epoch, lr=lr, train_loss=result.loss,
+                    eval_loss=eval_loss, eval_accuracy=eval_acc,
+                    # vars, not dataclasses.asdict: asdict deep-copies every
+                    # field, about 10 us a row on CPython 3.11
+                    **vars(result.counters),
+                )
+                rows.append(row)
+                if row_sink is not None:
+                    row_sink(row)
+                t += 1
+    finally:
+        if set_blas_threads:
+            set_blas_threads(caller_threads)
     return TrainResult(rows=rows, cluster=cluster, iters_per_epoch=iters_per_epoch,
                        final_iteration=t)
 
@@ -214,11 +217,18 @@ def run_training(
 
 
 def write_run_manifest(path: Path, cfg: RunConfig, extra: Optional[dict] = None):
+    _, _, set_blas_threads, blas = distsim._native()
     manifest = {
         "kfaclab_version": __version__,
         "seed": cfg.train.seed,
         "config": cfg.to_dict(),
         "csv_columns": list(CSV_COLUMNS),
+        # what the bytes depend on besides the config: the steps' BLAS threads
+        # are run_prepared's one, unknown when numpy's BLAS is not OpenBLAS
+        "numeric_env": {"numpy": np.__version__, "blas": blas and blas().decode(),
+                        "blas_threads": 1 if set_blas_threads else None,
+                        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                        else os.cpu_count()},
         **(extra or {}),
     }
     write_all_or_nothing([(path, [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()])])

@@ -332,10 +332,34 @@ def test_config_message_is_the_records_own_with_the_section(tmp_path, section, k
     (TrainConfig, "batch_size", 0), (TrainConfig, "seed", -1), (TrainConfig, "epochs", 0),
     (HyperConfig, "lr", -1.0), (HyperConfig, "momentum", 5.0),
     (DataConfig, "eval_fraction", 1.5), (DataConfig, "kind", "spiral"),
+    # values of the wrong type
+    (KfacHyper, "gamma", "x"), (TrainConfig, "workers", "4"), (DataConfig, "samples", None),
+    (HyperConfig, "decay_epochs", (1, "a")), (TrainConfig, "epochs", 2.5),
 ])
 def test_a_record_built_directly_rejects_a_bad_field_by_name(record, field, value):
     with pytest.raises(ArgumentError, match=f"^{field} must be .*, got {re.escape(repr(value))}$"):
         record(**{field: value})
+
+
+_RECORD_FIELDS = [(record, f.name) for record in (KfacHyper, TrainConfig, DataConfig, HyperConfig)
+                  for f in dataclasses.fields(record)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_field=st.sampled_from(_RECORD_FIELDS),
+       value=st.text(max_size=4) | st.none() | st.floats() | st.booleans()
+       | st.lists(st.integers(-2, 3) | st.text(max_size=2) | st.none(), max_size=3))
+def test_a_field_of_any_type_builds_or_is_named(record_field, value):
+    record, field = record_field
+    try:
+        record(**{field: value})
+    except ArgumentError as exc:
+        assert str(exc).startswith(f"{field} must be "), str(exc)
+
+
+def test_the_data_section_is_the_datasets_record():
+    from kfaclab import datasets
+    assert config.DataConfig is datasets.DataConfig
 
 
 def test_manifest_config_block_holds_every_schema_key():

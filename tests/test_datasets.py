@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kfaclab.datasets import (
+    DataConfig,
     Dataset,
     gen_synthetic,
     load_idx,
@@ -143,11 +144,28 @@ _REGRESSION = {"dim": 5, "out_dim": 2, "samples": 25}
     ("deep_linear_regression", {**_REGRESSION, "samples": -1}, "samples must be >= 1, got -1"),
     ("deep_linear_regression", {**_REGRESSION, "noise": -1.0},
      "noise must be finite and >= 0, got -1.0"),
+    # a count must be an integer: neither cast nor truncated
+    ("gaussian_blobs", {**_BLOBS, "samples": "30"}, "samples must be >= 1, got '30'"),
+    ("gaussian_blobs", {**_BLOBS, "samples": 30.5}, "samples must be >= 1, got 30.5"),
+    ("deep_linear_regression", {**_REGRESSION, "noise": "0.1"},
+     "noise must be finite and >= 0, got '0.1'"),
 ])
 def test_gen_synthetic_names_the_parameter_out_of_range(kind, params, message):
     with pytest.raises(ArgumentError) as info:
         gen_synthetic(kind, params, 0)
     assert str(info.value) == message
+    # the run config's [data] record states the rule, so its message is the same
+    with pytest.raises(ArgumentError) as from_record:
+        DataConfig(kind=kind, **params)
+    assert str(from_record.value) == message
+
+
+def test_gen_synthetic_names_a_missing_parameter_and_ignores_the_rest():
+    with pytest.raises(ArgumentError, match=r"^synthetic dataset params missing 'out_dim'$"):
+        gen_synthetic("deep_linear_regression", {"dim": 5, "samples": 25}, 0)
+    # classes is not a regression parameter, so its range does not apply
+    data = gen_synthetic("deep_linear_regression", {**_REGRESSION, "classes": 1}, 0)
+    assert data.targets.shape == (2, 25)
 
 
 def test_noiseless_blobs_are_separable_by_small_net():

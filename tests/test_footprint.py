@@ -20,14 +20,14 @@ SRC = Path(kfaclab.__file__).resolve().parent.parent
 BUNDLED = SRC.parent / "configs" / "blobs_dp_kfac.ini"
 
 
-def _fresh(*code: str, address_space: int | None = None, default_blas: bool = False):
-    """Run the ``code`` blocks in order in a new interpreter with one BLAS
-    thread (with the BLAS's own default if ``default_blas``), its address
-    space capped at ``address_space`` bytes if given; returns the JSON value
-    of its last output line."""
+def _fresh(*code: str, address_space: int | None = None, blas_threads: str | None = "1"):
+    """Run the ``code`` blocks in order in a new interpreter with
+    ``blas_threads`` BLAS threads (the BLAS's own default if None), its
+    address space capped at ``address_space`` bytes if given; returns the
+    JSON value of its last output line."""
     threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    env = {k: v for k, v in os.environ.items() if not (default_blas and k in threads)}
-    env.update({} if default_blas else dict.fromkeys(threads, "1"))
+    env = {k: v for k, v in os.environ.items() if k not in threads}
+    env.update({} if blas_threads is None else dict.fromkeys(threads, blas_threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
     def cap():

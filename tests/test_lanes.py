@@ -1,8 +1,9 @@
 """Owner lanes (``distsim``'s module docstring): a refresh step's
 eigendecompositions on pinned threads.  Each check runs in a fresh process
-with one BLAS thread, the only kind that starts lanes.  ``lanes_at(n)`` makes
-the step see n usable CPUs and folds the pins onto the real ones, so any lane
-count runs on any host."""
+with one BLAS thread, the only kind that starts lanes, except the last ones,
+which check that a training run sets that one thread itself.  ``lanes_at(n)``
+makes the step see n usable CPUs and folds the pins onto the real ones, so
+any lane count runs on any host."""
 
 import os
 
@@ -189,8 +190,73 @@ def test_runs_that_cannot_use_lanes_start_no_thread(overrides):
     assert _fresh(_PRELUDE, _TRAIN.format(config=_BUNDLED, overrides=overrides)) == [0, 1]
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: OpenBLAS runs one thread")
+_MULTITHREADED = pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                                    reason="one CPU: OpenBLAS runs one thread")
+
+
+@_MULTITHREADED
 def test_a_multithreaded_blas_starts_no_lane():
-    overrides = {"data.samples": "600", "train.epochs": "1", "train.workers": "4"}
-    code = _TRAIN.format(config=_BUNDLED, overrides=overrides)
-    assert _fresh(_PRELUDE, code, default_blas=True) == [0, 1]
+    # a library caller of run_step keeps its own BLAS threads, and no lane
+    got = _fresh(_PRELUDE, _THREE, """
+        lanes_at(8)
+        cluster = build_cluster(SPEC, "dp_kfac", 4, seed=0)
+        for t in range(3):
+            run_step(cluster, batch(t, 3), KfacHyper(), 0.05, 0.9, t)
+        print(json.dumps([distsim._native()[1](), len(distsim._LANES), threading.active_count()]))
+    """, blas_threads=None)
+    assert got[0] > 1 and got[1:] == [0, 1]
+
+
+@_MULTITHREADED
+def test_a_run_steps_on_one_blas_thread_and_restores_the_callers_count():
+    got = _fresh(_PRELUDE, """
+        from kfaclab import config, trainer
+        lanes_at(8)
+        _, threads, set_threads, _ = distsim._native()
+        cfg = config.load_config({config!r}, {overrides!r})
+        seen = [threads()]
+
+        def failing(row):
+            seen.append(threads())
+            raise KeyboardInterrupt
+
+        trainer.run_training(cfg, row_sink=lambda row: seen.append(threads()))
+        seen.append(threads())
+        set_threads(2)
+        try:
+            trainer.run_training(cfg, row_sink=failing)
+        except KeyboardInterrupt:
+            seen.append(threads())
+        print(json.dumps([seen[0], sorted(set(seen[1:-3])), seen[-3:], len(distsim._LANES)]))
+    """.format(config=_BUNDLED, overrides={"data.samples": "600", "train.epochs": "1",
+                                             "train.workers": "4"}), blas_threads=None)
+    caller, during, after, lanes = got
+    # the steps ran on one thread and started the lanes; each exit restored
+    # the caller's count, also after a run the row sink interrupted
+    assert caller > 1 and during == [1] and after == [caller, 1, 2] and lanes == 3
+
+
+_WIDE_RUN = """
+    import hashlib
+    from kfaclab import cli
+    digests = []
+    for algorithm in ("ssgd", "dp_kfac"):
+        out = os.path.join({tmp!r}, "{threads}", algorithm)
+        assert cli.main(["train", {config!r}, "--out-dir", out, "--train.workers=4",
+                         "--train.algorithm=" + algorithm, "--network.layer_dims=64,192,192,10",
+                         "--data.samples=1200", "--train.epochs=1"]) == 0
+        digests += [hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
+                    for name in ("metrics.csv", "final.ckpt")]
+    print(json.dumps(digests))
+"""
+
+
+@_MULTITHREADED
+def test_a_wide_run_gives_the_same_bytes_under_any_blas_thread_setting(tmp_path):
+    # 8 steps of a 192-wide net: wide enough that OpenBLAS splits its
+    # products over threads, and so sums them in another order
+    digests = {threads: _fresh(_PRELUDE, _WIDE_RUN.format(tmp=str(tmp_path), threads=threads,
+                                                          config=_BUNDLED),
+                               blas_threads=threads)
+               for threads in (None, "1", "2")}
+    assert digests[None] == digests["1"] == digests["2"]
