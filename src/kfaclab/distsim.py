@@ -53,8 +53,8 @@ Every step returns a fresh :class:`~kfaclab.costmodel.StepCounters` of
 element counts per stage (the cluster keeps no history); the analytic model
 in :mod:`kfaclab.costmodel` must reproduce them exactly.
 
-**Owner lanes.**  A refresh step's eigendecompositions run at the same time,
-as on P machines.  Of ``n_lanes = min(P, usable CPUs)`` lanes, lane 0 is the
+**Owner lanes.**  A refresh step's decompositions run at the same time, as
+on P machines.  Of ``n_lanes = min(P, usable CPUs)`` lanes, lane 0 is the
 calling thread and each other one a daemon thread pinned to a CPU of its own
 (the process's lanes serve every cluster in it); layer i refreshes on lane
 ``owners[i] % n_lanes``.  The step folds the side-lane layers first, handing
@@ -65,8 +65,7 @@ raises the lowest layer's first failure once every lane is idle.  Pinning is
 what pays: an unpinned woken thread stays on the caller's CPU (six 193x193
 ``eigh`` calls: 1.02x their serial time, pinned 0.63x).  A lane found on the
 caller's current CPU is moved; the caller's affinity is never touched.
-Lanes are made at the first refresh that can use them, under ``inv_type =
-eigen`` only (scipy's Cholesky wrappers hold the GIL) and only when numpy's
+Lanes are made at the first refresh that can use them, and only when numpy's
 BLAS is known to run one thread, as a training run sets it (OpenBLAS's own
 threads fight pinned lanes: a 2.5 ms step took 24-28 ms).
 """
@@ -87,7 +86,7 @@ from .errors import ArgumentError, KfacLabError, NumericError, ShapeError
 from .kfac import FactorState, KfacHyper
 from .model import (Batch, Network, NetworkSpec, backward, forward, init_momentum, init_network,
                     sgd_step)
-from .numerics import divide_in_place
+from .numerics import divide_in_place, openblas
 
 SHARD_POLICIES = ("disjoint", "replicate")
 
@@ -318,24 +317,11 @@ class _Lane(threading.Thread):
                 self.answers.put(exc)
 
 
-@functools.lru_cache(maxsize=None)
-def _native() -> tuple:
-    """libc's ``sched_getcpu``, and the thread-count getter and setter and the
-    build string of numpy's own OpenBLAS, None when numpy's BLAS is another."""
+@functools.cache
+def _getcpu():
+    """libc's ``sched_getcpu`` (Linux): the CPU the calling thread is on."""
     import ctypes
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    try:
-        name = next(n for n in os.listdir(libs) if n.startswith("libscipy_openblas64_"))
-        blas = ctypes.CDLL(os.path.join(libs, name), mode=os.RTLD_NOLOAD)
-        threads, set_threads, config = (getattr(blas, f"scipy_openblas_{f}64_") for f in
-                                        ("get_num_threads", "set_num_threads", "get_config"))
-        config.restype = ctypes.c_char_p
-    except (OSError, StopIteration, AttributeError):
-        threads = set_threads = config = None
-    getcpu = getattr(ctypes.CDLL(None), "sched_getcpu", None)  # Linux
-    for fn in filter(None, (getcpu, threads)):
-        fn.argtypes, fn.restype = [], ctypes.c_int
-    return getcpu, threads, set_threads, config
+    return ctypes.CFUNCTYPE(ctypes.c_int)(("sched_getcpu", ctypes.CDLL(None)))
 
 
 def _side_lanes(n_owners: int) -> list[_Lane]:
@@ -346,10 +332,10 @@ def _side_lanes(n_owners: int) -> list[_Lane]:
     n = min(n_owners, len(cpus)) - 1
     if n < 1:
         return []
-    getcpu, blas_threads, _, _ = _native()
+    blas_threads = openblas("numpy")[0]
     if blas_threads is None or blas_threads() != 1:
         return []
-    here, lanes = getcpu(), _LANES[:n]
+    here, lanes = _getcpu()(), _LANES[:n]
     free = sorted(cpus - {here} - {lane.cpu for lane in lanes})
     for lane in lanes:
         if lane.cpu == here:
@@ -383,7 +369,7 @@ def _precondition(
     P = cluster.n_workers
     f_up = kfac.is_factor_update(t, hyper)
     k_up = kfac.is_inverse_update(t, hyper)
-    lanes = _side_lanes(P) if k_up and hyper.inv_type == "eigen" else []
+    lanes = _side_lanes(P) if k_up else []
     lane = [owner % (len(lanes) + 1) for owner in cluster.owners]
     n_fs = [layer_counts(dims)[1] for dims in cluster.layer_dims()]
     factor_work, inverse_work = [0] * P, [0] * P

@@ -20,10 +20,10 @@ The two decompositions, :func:`sym_eig` and :func:`sym_inverse`, raise
 non-finite result, so a bad factor never turns silently into NaN weights.
 ``sym_inverse`` runs LAPACK ``potrf`` + ``potri`` on a private copy and
 mirrors one triangle, so its result is exactly symmetric.  Both routines
-come from scipy's f2py extension ``scipy.linalg._flapack``, which the first
-``sym_inverse`` call loads from its file alone, without the ``scipy.linalg``
-package (85 modules, about 29 MiB and 0.25 s).  Eigen-damped and S-SGD runs
-never invert and load no scipy at all.
+come from scipy's own OpenBLAS through ctypes, which imports no scipy module
+and releases the GIL, so Cholesky refreshes run on the owner lanes.  It runs
+one thread (so the bits ignore ``OPENBLAS_NUM_THREADS``) from the moment
+:func:`openblas` opens it, also for a later ``import scipy.linalg``.
 
 :func:`divide_in_place` is the one way the step divides an array by a count
 (batch size, worker count).  When the count ``n >= 1`` is a power of two it
@@ -37,12 +37,11 @@ subnormals, signed zeros, infinities and NaN, is the same bits.  Any other
 
 from __future__ import annotations
 
+import ctypes
 import functools
-import importlib.machinery
 import importlib.util
 import math
 import os
-import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -117,22 +116,30 @@ def _strict_upper(n: int) -> np.ndarray:
 
 
 @functools.cache
-def _lapack():
-    """scipy's f2py LAPACK extension ``scipy.linalg._flapack``, loaded from its
-    file on first use without running the ``scipy`` or ``scipy.linalg``
-    package code; a later ``import scipy.linalg`` reuses this module."""
-    package = importlib.util.find_spec("scipy")  # without running its __init__
-    stem = os.path.join(package.submodule_search_locations[0] if package else "scipy",
-                        "linalg", "_flapack")
-    path = next((stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
-                 if package and os.path.isfile(stem + suffix)), None)
-    if path is None:
-        raise ConfigError(f"hyper.inv_type = inverse needs scipy's LAPACK extension {stem}*: "
-                          + ("no such file" if package else "scipy is not installed"))
-    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def openblas(package: str) -> tuple:
+    """The thread count getter and setter, the build string and the library
+    of the OpenBLAS that ``package`` ("numpy" or "scipy") bundles, found
+    without importing the package; all None when it bundles none.  scipy's
+    is set to one thread, and its ``potrf`` and ``potri`` are declared."""
+    suffix = "64_" if package == "numpy" else ""  # numpy's takes 64-bit integers
+    spec = importlib.util.find_spec(package)  # without running its __init__
+    try:
+        libs = os.path.join(os.path.dirname(spec.submodule_search_locations[0]), package + ".libs")
+        lib = ctypes.CDLL(os.path.join(libs, next(n for n in os.listdir(libs)
+                                                  if n.startswith("libscipy_openblas" + suffix))))
+        threads, set_threads, config = (getattr(lib, f"scipy_openblas_{f}{suffix}") for f in
+                                        ("get_num_threads", "set_num_threads", "get_config"))
+    except (AttributeError, OSError, StopIteration):  # AttributeError: no spec or symbol
+        return None, None, None, None
+    threads.argtypes, threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    config.argtypes, config.restype = [], ctypes.c_char_p
+    if not suffix:  # scipy's: potrf and potri take (uplo, n, a, lda, info)
+        int_p = ctypes.POINTER(ctypes.c_int)
+        for fn in (lib.scipy_dpotrf_, lib.scipy_dpotri_):
+            fn.argtypes, fn.restype = [ctypes.c_char_p, int_p, ctypes.c_void_p, int_p, int_p], None
+        set_threads(1)  # whatever the caller's setting
+    return threads, set_threads, config, lib
 
 
 def sym_inverse(m: np.ndarray) -> np.ndarray:
@@ -149,15 +156,17 @@ def sym_inverse(m: np.ndarray) -> np.ndarray:
     # potrf does not report a NaN pivot, so non-finite input is caught here
     if not np.isfinite(m).all():
         raise NumericError(f"cannot invert a {n}x{n} matrix with non-finite entries")
-    if n == 0:  # potri rejects the leading dimension of an empty array
-        return np.empty((0, 0))
-    lapack = _lapack()
+    lib = openblas("scipy")[3]
+    if lib is None:
+        raise ConfigError("hyper.inv_type = inverse needs scipy.libs/libscipy_openblas-*.so")
     # the transposed copy is Fortran-ordered, as LAPACK wants, and its upper
     # triangle is the lower triangle of m; both calls work on it in place
-    chol, info = lapack.dpotrf(np.array(m, dtype=np.float64).T, lower=0, clean=0, overwrite_a=1)
-    if info == 0:
-        inv_t, info = lapack.dpotri(chol, lower=0, overwrite_c=1)
-    if info != 0:
+    inv_t = np.array(m, dtype=np.float64).T
+    size, lda, info = ctypes.c_int(n), ctypes.c_int(max(n, 1)), ctypes.c_int(0)  # lda >= 1
+    lib.scipy_dpotrf_(b"U", size, inv_t.ctypes.data, lda, info)
+    if info.value == 0:
+        lib.scipy_dpotri_(b"U", size, inv_t.ctypes.data, lda, info)
+    if info.value != 0:
         raise NumericError(
             f"Cholesky inversion failed for a {n}x{n} matrix (not positive definite?)"
         )

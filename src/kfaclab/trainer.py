@@ -20,13 +20,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import __version__, distsim, kfac
+from . import __version__, kfac
 from .config import RunConfig
 from .costmodel import STAGES, StepCounters
 from .datasets import Dataset, gen_synthetic, load_idx, write_all_or_nothing
 from .distsim import Cluster, build_cluster, run_step
 from .errors import ArgumentError, DataFormatError
 from .model import Batch, predict, _per_sample_losses
+from .numerics import openblas
 
 CHECKPOINT_MAGIC = b"KFACLAB\0"
 CHECKPOINT_VERSION = 2
@@ -166,7 +167,7 @@ def run_prepared(
 
     rows: list[MetricsRow] = []
     # one BLAS thread: the bytes do not depend on the caller's, and lanes can run
-    _, blas_threads, set_blas_threads, _ = distsim._native()
+    blas_threads, set_blas_threads, _, _ = openblas("numpy")
     caller_threads = blas_threads and blas_threads()
     if set_blas_threads:
         set_blas_threads(1)
@@ -217,16 +218,19 @@ def run_training(
 
 
 def write_run_manifest(path: Path, cfg: RunConfig, extra: Optional[dict] = None):
-    _, _, set_blas_threads, blas = distsim._native()
+    _, set_blas_threads, blas, _ = openblas("numpy")
+    inverts = cfg.train.algorithm != "ssgd" and cfg.hyper.inv_type == "inverse"
+    cholesky = openblas("scipy")[2] if inverts else None
     manifest = {
         "kfaclab_version": __version__,
         "seed": cfg.train.seed,
         "config": cfg.to_dict(),
         "csv_columns": list(CSV_COLUMNS),
-        # what the bytes depend on besides the config: the steps' BLAS threads
-        # are run_prepared's one, unknown when numpy's BLAS is not OpenBLAS
+        # what the bytes depend on besides the config: run_prepared's one BLAS
+        # thread (unknown unless OpenBLAS) and the OpenBLAS build that inverts
         "numeric_env": {"numpy": np.__version__, "blas": blas and blas().decode(),
                         "blas_threads": 1 if set_blas_threads else None,
+                        "cholesky_blas": cholesky and cholesky().decode(),
                         "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                         else os.cpu_count()},
         **(extra or {}),

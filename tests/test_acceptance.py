@@ -13,6 +13,7 @@ from kfaclab import cli, verify
 from kfaclab.config import DataConfig, HyperConfig, RunConfig, TrainConfig
 from kfaclab.model import NetworkSpec
 from kfaclab.trainer import run_training
+from test_footprint import _fresh
 
 SEEDS = (101, 202, 303, 404, 505)
 TARGET_TRAIN_LOSS = 0.2
@@ -35,6 +36,18 @@ def test_criterion_1_eigen_damping_exactness():
 
 def test_criterion_2_inverse_damping_factored_exactness():
     _report_verified(2)
+
+
+def test_criterion_2_reads_the_same_under_any_blas_thread_setting():
+    # its Cholesky inverses run on scipy's OpenBLAS, whatever threads the
+    # caller gives OpenBLAS; the check must print the same deviations
+    lines = {threads: _fresh("""
+        import json
+        from kfaclab import verify
+        result = verify.CRITERIA[2]()
+        print(json.dumps([result.name, result.passed, result.detail]))
+    """, blas_threads=threads) for threads in (None, "1", "2")}
+    assert lines[None] == lines["1"] == lines["2"], lines
 
 
 def test_criterion_3_gradient_correctness():

@@ -124,13 +124,18 @@ def test_rejected_resume_keeps_the_directory_outputs(config_path, tmp_path):
 
 
 def test_finished_run_manifest_records_its_outcome(config_path, tmp_path):
-    out = tmp_path / "out"
-    assert cli.main(["--out-dir", str(out), "train", str(config_path)]) == 0
-    manifest = json.loads((out / "run.json").read_text())
-    assert manifest["status"] == "finished"
-    assert manifest["exit_code"] == 0
-    assert manifest["error"] is None
-    assert manifest["last_iteration"] == manifest["iterations"] - 1
+    for inv_type in ("eigen", "inverse"):
+        out = tmp_path / inv_type
+        assert cli.main(["--out-dir", str(out), "train", str(config_path),
+                         f"--hyper.inv_type={inv_type}"]) == 0
+        manifest = json.loads((out / "run.json").read_text())
+        assert manifest["status"] == "finished"
+        assert manifest["exit_code"] == 0
+        assert manifest["error"] is None
+        assert manifest["last_iteration"] == manifest["iterations"] - 1
+        # the build of the library that inverts, for a run that does
+        cholesky = manifest["numeric_env"]["cholesky_blas"]
+        assert cholesky is None if inv_type == "eigen" else cholesky.startswith("OpenBLAS ")
 
 
 def test_dp_and_mpd_loss_columns_identical_single_worker(config_path, tmp_path):
@@ -576,9 +581,9 @@ def test_cost_json_failure_leaves_no_partial_file(tmp_path, capsys):
 
 @pytest.fixture
 def fresh_lapack():
-    numerics._lapack.cache_clear()
+    numerics.openblas.cache_clear()
     yield
-    numerics._lapack.cache_clear()
+    numerics.openblas.cache_clear()
 
 
 @pytest.mark.parametrize("scipy_dir", [None, "empty"])
@@ -593,12 +598,13 @@ def test_inverse_run_without_the_lapack_extension_is_a_config_error(
                         lambda name, *rest: fake if name == "scipy" else find_spec(name, *rest))
     assert cli.main(["--out-dir", str(tmp_path / "out"), "train", str(config_path),
                      "--hyper.inv_type=inverse"]) == cli.EXIT_CONFIG
-    looked_for = tmp_path / scipy_dir / "linalg" if scipy_dir else "scipy/linalg"
-    reason = "no such file" if scipy_dir else "scipy is not installed"
     assert capsys.readouterr().err.splitlines() == [
         "config error: worker 0, layer 0, iteration 0: hyper.inv_type = inverse needs "
-        f"scipy's LAPACK extension {looked_for}/_flapack*: {reason}",
+        "scipy.libs/libscipy_openblas-*.so",
         f"partial metrics kept at {tmp_path / 'out' / 'metrics.csv'}"]
+    manifest = json.loads((tmp_path / "out" / "run.json").read_text())
+    assert manifest["exit_code"] == cli.EXIT_CONFIG
+    assert manifest["numeric_env"]["cholesky_blas"] is None
 
 
 @pytest.mark.parametrize("images, labels", [("same.idx", "same.idx"),

@@ -40,10 +40,15 @@ def _fresh(*code: str, address_space: int | None = None, blas_threads: str | Non
     return json.loads(done.stdout.splitlines()[-1])
 
 
+# the scipy modules imported, and whether scipy's own OpenBLAS is mapped
 _SCIPY_LOADED = """
-    import json, sys
-    print(json.dumps(sorted(n for n in sys.modules if n.split(".")[0] == "scipy")))
+    import json, pathlib, sys
+    maps = pathlib.Path("/proc/self/maps")
+    print(json.dumps([sorted(n for n in sys.modules if n.split(".")[0] == "scipy"),
+                      maps.exists() and "/libscipy_openblas-" in maps.read_text()]))
 """
+_PROC_MAPS = pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                                reason="reads the process's mapped files")
 
 
 def test_importing_every_module_loads_no_scipy():
@@ -54,9 +59,10 @@ def test_importing_every_module_loads_no_scipy():
             importlib.import_module(f"kfaclab.{m.name}")
         assert "kfaclab.cli" in sys.modules and "kfaclab.verify" in sys.modules
     """, _SCIPY_LOADED)
-    assert loaded == []
+    assert loaded == [[], False]
 
 
+@_PROC_MAPS
 @pytest.mark.parametrize("algorithm, inv_type, loads_scipy", [
     ("dp_kfac", "eigen", False),
     ("ssgd", "eigen", False),
@@ -71,22 +77,21 @@ def test_scipy_is_loaded_only_by_a_cholesky_refresh(algorithm, inv_type, loads_s
             "data.samples": "600", "train.epochs": "1"}})
         assert trainer.run_training(cfg).final_iteration == 4
     """, _SCIPY_LOADED)
-    # the LAPACK extension alone: not the scipy or scipy.linalg packages
-    assert loaded == (["scipy.linalg._flapack"] if loads_scipy else [])
+    # scipy's own OpenBLAS alone: no scipy module, not even an extension
+    assert loaded == [[], loads_scipy]
 
 
+@_PROC_MAPS
 def test_lapack_extension_is_the_one_scipy_linalg_imports_later():
-    """After a ``sym_inverse`` call, ``import scipy.linalg`` reuses the
-    extension ``numerics`` loaded: the same routines, and the same bits as
-    a ``sym_inverse`` written on the scipy wrappers."""
-    mismatched = _fresh("""
+    """After a ``sym_inverse`` call, ``import scipy.linalg`` links the
+    OpenBLAS ``numerics`` opened, still on one thread, and its
+    ``dpotrf``/``dpotri`` give ``sym_inverse``'s bits."""
+    got = _fresh("""
         import json
         import numpy as np
         from kfaclab import numerics
         numerics.sym_inverse(np.eye(2))
         import scipy.linalg.lapack as lapack
-        assert numerics._lapack().dpotrf is lapack.dpotrf
-        assert numerics._lapack().dpotri is lapack.dpotri
 
         def wrapper_inverse(m):
             chol, info = lapack.dpotrf(np.array(m).T, lower=0, clean=0, overwrite_a=1)
@@ -102,9 +107,11 @@ def test_lapack_extension_is_the_one_scipy_linalg_imports_later():
             m = x @ x.T / (2 * n) + 0.01 * np.eye(n)
             if numerics.sym_inverse(m).tobytes() != wrapper_inverse(m).tobytes():
                 mismatched.append(n)
-        print(json.dumps(mismatched))
-    """)
-    assert mismatched == []
+        with open("/proc/self/maps") as maps:
+            opened = {line.split()[-1] for line in maps if "/libscipy_openblas-" in line}
+        print(json.dumps([mismatched, len(opened), numerics.openblas("scipy")[0]()]))
+    """, blas_threads=None)
+    assert got == [[], 1, 1]
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",

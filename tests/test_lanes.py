@@ -1,5 +1,5 @@
 """Owner lanes (``distsim``'s module docstring): a refresh step's
-eigendecompositions on pinned threads.  Each check runs in a fresh process
+decompositions on pinned threads.  Each check runs in a fresh process
 with one BLAS thread, the only kind that starts lanes, except the last ones,
 which check that a training run sets that one thread itself.  ``lanes_at(n)``
 makes the step see n usable CPUs and folds the pins onto the real ones, so
@@ -9,17 +9,17 @@ import os
 
 import pytest
 
-from kfaclab import distsim
+from kfaclab import numerics
 from test_footprint import _fresh
 
 pytestmark = pytest.mark.skipif(
-    not hasattr(os, "sched_setaffinity") or distsim._native()[1] is None,
+    not hasattr(os, "sched_setaffinity") or numerics.openblas("numpy")[0] is None,
     reason="lanes run only on Linux, over numpy's own OpenBLAS")
 
 _PRELUDE = """
     import json, os, threading, time
     import numpy as np
-    from kfaclab import distsim, kfac
+    from kfaclab import distsim, kfac, numerics
     from kfaclab.distsim import build_cluster, run_step
     from kfaclab.errors import NumericError
     from kfaclab.kfac import KfacHyper
@@ -51,9 +51,9 @@ _THREE = """
             return real_eig(m)
         kfac.sym_eig = eig
 
-    def raised(cluster, t=0):
+    def raised(cluster, t=0, inv_type="eigen"):
         try:
-            run_step(cluster, batch(t, 3), KfacHyper(), 0.05, 0.9, t)
+            run_step(cluster, batch(t, 3), KfacHyper(inv_type=inv_type), 0.05, 0.9, t)
         except NumericError as exc:
             return str(exc)
 """
@@ -66,10 +66,10 @@ def test_lanes_change_no_bit_and_no_count():
         sys.setswitchinterval(1e-5)  # lanes and the caller interleave often
         spec = NetworkSpec((6, 7, 5, 8, 4, 9, 3, 6, 5, 3), bias_mode="homogeneous")
 
-        def digest(alg, P, k_freq, n_cpus):
+        def digest(alg, P, k_freq, inv_type, n_cpus):
             lanes_at(n_cpus)
             cluster = build_cluster(spec, alg, P, seed=1)
-            hyper = KfacHyper(k_freq=k_freq)
+            hyper = KfacHyper(k_freq=k_freq, inv_type=inv_type)
             out = [repr(run_step(cluster, batch(t, 6), hyper, 0.05, 0.9, t).counters)
                    for t in range(4)]
             out += [l.weight.tobytes().hex() for l in cluster.net.layers]
@@ -79,9 +79,9 @@ def test_lanes_change_no_bit_and_no_count():
                 out += [(k, a.tobytes().hex()) for k, a in sorted(state_arrays(s).items())]
             return out
 
-        mismatched = [(alg, P, k) for alg in ("mpd_kfac_co", "mpd_kfac_mo", "dp_kfac")
-                      for P in (2, 3, 4, 8) for k in (1, 2)
-                      if digest(alg, P, k, 8) != digest(alg, P, k, 1)]
+        mismatched = [(alg, P, k, inv) for alg in ("mpd_kfac_co", "mpd_kfac_mo", "dp_kfac")
+                      for P in (2, 3, 4, 8) for k in (1, 2) for inv in ("eigen", "inverse")
+                      if digest(alg, P, k, inv, 8) != digest(alg, P, k, inv, 1)]
         print(json.dumps([mismatched, len(distsim._LANES), threading.active_count()]))
     """)
     # P = 8 on 8 CPUs: seven side lanes, each a thread of its own, more
@@ -106,11 +106,24 @@ def test_lowest_layer_failure_wins_over_a_side_lane_refresh():
             kfac.compute_factors = build if build_fails else real_build
             failing_eig(sides)
             out.append(raised(build_cluster(SPEC, "dp_kfac", 2, seed=0)))
-        print(json.dumps([out, len(distsim._LANES)]))
+        kfac.compute_factors, real_inverse = real_build, kfac.sym_inverse
+        on_main = []  # where layer 1's Cholesky refresh ran
+        for sides in ((5, 7), (7,)):  # LAPACK finds these sides not positive definite
+            def inverse(m, sides=sides):
+                if m.shape[0] == 7:
+                    on_main.append(threading.current_thread() is threading.main_thread())
+                return real_inverse(-m if m.shape[0] in sides else m)
+            kfac.sym_inverse = inverse
+            out.append(raised(build_cluster(SPEC, "dp_kfac", 2, seed=0), inv_type="inverse"))
+        print(json.dumps([out, on_main, len(distsim._LANES)]))
     """)
+    not_pd = ("damped gradient factor G is not invertible: "
+              "Cholesky inversion failed for a {0}x{0} matrix (not positive definite?)")
     assert got == [["worker 1, layer 1, iteration 0: eig of side 7 failed",
                     "worker 0, layer 0, iteration 0: eig of side 5 failed",
-                    "worker 1, layer 1, iteration 0: eig of side 7 failed"], 1]
+                    "worker 1, layer 1, iteration 0: eig of side 7 failed",
+                    "worker 0, layer 0, iteration 0: " + not_pd.format(5),
+                    "worker 1, layer 1, iteration 0: " + not_pd.format(7)], [False, False], 1]
 
 
 def test_a_raising_step_returns_with_every_lane_idle():
@@ -183,7 +196,7 @@ _BUNDLED = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "blobs_
 
 @pytest.mark.parametrize("overrides", [
     {"train.algorithm": "ssgd"},
-    {"hyper.inv_type": "inverse"},
+    {"train.workers": "1"},  # one owner: no side lane
 ])
 def test_runs_that_cannot_use_lanes_start_no_thread(overrides):
     overrides = {"data.samples": "600", "train.epochs": "1", "train.workers": "4", **overrides}
@@ -202,7 +215,8 @@ def test_a_multithreaded_blas_starts_no_lane():
         cluster = build_cluster(SPEC, "dp_kfac", 4, seed=0)
         for t in range(3):
             run_step(cluster, batch(t, 3), KfacHyper(), 0.05, 0.9, t)
-        print(json.dumps([distsim._native()[1](), len(distsim._LANES), threading.active_count()]))
+        print(json.dumps([numerics.openblas("numpy")[0](), len(distsim._LANES),
+                          threading.active_count()]))
     """, blas_threads=None)
     assert got[0] > 1 and got[1:] == [0, 1]
 
@@ -212,7 +226,7 @@ def test_a_run_steps_on_one_blas_thread_and_restores_the_callers_count():
     got = _fresh(_PRELUDE, """
         from kfaclab import config, trainer
         lanes_at(8)
-        _, threads, set_threads, _ = distsim._native()
+        threads, set_threads = numerics.openblas("numpy")[:2]
         cfg = config.load_config({config!r}, {overrides!r})
         seen = [threads()]
 
@@ -240,11 +254,12 @@ _WIDE_RUN = """
     import hashlib
     from kfaclab import cli
     digests = []
-    for algorithm in ("ssgd", "dp_kfac"):
-        out = os.path.join({tmp!r}, "{threads}", algorithm)
+    for algorithm, inv_type in (("ssgd", "eigen"), ("dp_kfac", "eigen"), ("dp_kfac", "inverse")):
+        out = os.path.join({tmp!r}, "{threads}", algorithm + inv_type)
         assert cli.main(["train", {config!r}, "--out-dir", out, "--train.workers=4",
                          "--train.algorithm=" + algorithm, "--network.layer_dims=64,192,192,10",
-                         "--data.samples=1200", "--train.epochs=1"]) == 0
+                         "--hyper.inv_type=" + inv_type, "--data.samples=1200",
+                         "--train.epochs=1"]) == 0
         digests += [hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
                     for name in ("metrics.csv", "final.ckpt")]
     print(json.dumps(digests))
