@@ -28,8 +28,10 @@ those fresh partial sums.
 :func:`run_step` is the one step skeleton.  It does the work every
 algorithm shares once: the local forward/backward pass, the averaging
 all-reduce of the gradients, and the GradComp count.  ``ssgd`` applies the
-aggregated gradient as it is; the K-FAC algorithms precondition it in one
-layer-major loop, which takes two decisions from the algorithm:
+aggregated gradient as it is; the K-FAC algorithms precondition it in three
+passes over the layers in order, the paper's three stages: build and fold
+the factors, refresh the decompositions at their owners, precondition and
+broadcast.  The passes take two decisions from the algorithm:
 
 * **Who builds the factors.**  Under ``dp_kfac`` the layer's owner builds
   them from its LOCAL shard and factors are never communicated; under
@@ -57,17 +59,18 @@ in :mod:`kfaclab.costmodel` must reproduce them exactly.
 on P machines.  Of ``n_lanes = min(P, usable CPUs)`` lanes, lane 0 is the
 calling thread and each other one a daemon thread pinned to a CPU of its own
 (the process's lanes serve every cluster in it); layer i refreshes on lane
-``owners[i] % n_lanes``.  The step folds the side-lane layers first, handing
-each refresh to its lane, then runs the lane-0 layers, then settles the
-side-lane layers in layer order.  Lanes make the same single-threaded LAPACK
-calls on the same arrays, so no bit or count changes, and a failing step
-raises the lowest layer's first failure once every lane is idle.  Pinning is
-what pays: an unpinned woken thread stays on the caller's CPU (six 193x193
-``eigh`` calls: 1.02x their serial time, pinned 0.63x).  A lane found on the
-caller's current CPU is moved; the caller's affinity is never touched.
-Lanes are made at the first refresh that can use them, and only when numpy's
-BLAS is known to run one thread, as a training run sets it (OpenBLAS's own
-threads fight pinned lanes: a 2.5 ms step took 24-28 ms).
+``owners[i] % n_lanes``.  Only the refresh pass touches a lane: it hands the
+side-lane layers to their lanes, runs the lane-0 layers itself and waits for
+every answer, so a side lane starts after the whole build pass
+(:func:`_precondition` gives the cost) and ends with the pass.  Lanes make
+the same single-threaded LAPACK calls on the same arrays, so no bit or count
+changes.  Pinning is what pays: an unpinned woken thread stays on the
+caller's CPU (six 193x193 ``eigh`` calls: 1.02x their serial time, pinned
+0.63x).  A lane found on the caller's current CPU is moved; the caller's
+affinity is never touched.  Lanes are made at the first refresh that can use
+them, and only when numpy's BLAS is known to run one thread, as a training
+run sets it (OpenBLAS's own threads fight pinned lanes: a 2.5 ms step took
+24-28 ms).
 """
 
 from __future__ import annotations
@@ -123,7 +126,8 @@ class Cluster:
     def workers(self) -> tuple[WorkerView, ...]:
         """Per-worker views derived from the one state per layer: under
         MPD-KFAC every worker holds every layer's state, under DP-KFAC only
-        the layers it owns, under S-SGD none.  The step never reads them."""
+        the layers it owns, under S-SGD none.  No package module reads them;
+        perfbench's checkpoint gate does, until it reads the state per layer."""
         dp = self.algorithm == "dp_kfac"
         return tuple(
             WorkerView(p, self.net, self.momentum,
@@ -193,8 +197,8 @@ def _tree_sum(tensors: Sequence[np.ndarray]) -> np.ndarray:
 
 def all_reduce_avg(
     tensors: Sequence[np.ndarray],
-    counters: Optional[StepCounters] = None,
-    stage: str = "gradcomm",
+    counters: StepCounters,
+    stage: str,
 ) -> np.ndarray:
     """Elementwise mean over workers via a fixed index-ordered pairwise tree.
 
@@ -208,8 +212,7 @@ def all_reduce_avg(
         if t.shape != shape:
             raise ShapeError(f"all-reduce shape mismatch at worker {p}: {t.shape} != {shape}")
     n_workers = len(tensors)
-    if counters is not None:
-        setattr(counters, stage, getattr(counters, stage) + 2 * (n_workers - 1) * tensors[0].size)
+    setattr(counters, stage, getattr(counters, stage) + 2 * (n_workers - 1) * tensors[0].size)
     if n_workers == 1:
         return tensors[0].copy()
     # _tree_sum's result is a fresh array when P > 1
@@ -220,8 +223,8 @@ def broadcast(
     root: int,
     tensor: np.ndarray,
     n_workers: int,
-    counters: Optional[StepCounters] = None,
-    stage: str = "predcomm",
+    counters: StepCounters,
+    stage: str,
 ) -> np.ndarray:
     """Send the root's tensor to every worker; logs (P-1) * N elements.
 
@@ -230,8 +233,7 @@ def broadcast(
     """
     if not (0 <= root < n_workers):
         raise ArgumentError(f"broadcast root {root} outside 0..{n_workers - 1}")
-    if counters is not None:
-        setattr(counters, stage, getattr(counters, stage) + (n_workers - 1) * tensor.size)
+    setattr(counters, stage, getattr(counters, stage) + (n_workers - 1) * tensor.size)
     received = tensor.view()
     received.flags.writeable = False
     return received
@@ -269,10 +271,6 @@ class StepResult:
 def _where(worker: Optional[int], layer: int, t: int) -> str:
     """Where in a step something failed: ``worker p, layer i, iteration t``."""
     return f"{'' if worker is None else f'worker {worker}, '}layer {layer}, iteration {t}"
-
-
-def _rethrow(exc: KfacLabError, worker: int, layer: int, t: int):
-    raise type(exc)(f"{_where(worker, layer, t)}: {exc}") from exc
 
 
 def _check_finite(update: Sequence[np.ndarray], t: int, what: str,
@@ -356,87 +354,84 @@ def _precondition(
     counters: StepCounters,
     t: int,
 ) -> list[np.ndarray]:
-    """K-FAC preconditioning of the aggregated gradients, one layer at a
-    time: build factors, fold them into the layer's one state, refresh at
-    the owner (on its lane), precondition, broadcast.  The module docstring
-    gives the two decisions the algorithm makes, the compute ledger and the
-    lanes.  Builder p reads its span of the one pass's captures.  Only one
-    layer's P raw factor pairs are alive at a time.  A factor-build failure
-    names the worker that built the factors; everything after it names the
-    owner."""
+    """K-FAC preconditioning of the aggregated gradients in the three passes
+    the module docstring gives, with the algorithm's two decisions, the
+    compute ledger and the lanes.  Builder p reads its span of the one
+    pass's captures.  Only one layer's P raw factor pairs are alive at a
+    time.  Each pass stops below the lowest failed layer, and the step
+    raises that layer's first failure, as a layer-by-layer step would: a
+    factor-build failure names the worker that built the factors, any later
+    one the owner.
+
+    A side lane gets its refreshes after the whole build pass, not right
+    after its own layer's build.  Where lane 0 carries the longer refresh
+    chain, as on every benchmark workload on two CPUs (layer 0, and layer 2
+    where there is one, against layer 1), that costs nothing; a net whose
+    side-lane refreshes outweigh lane 0's could lose up to the build time of
+    the layers after them."""
     dp = cluster.algorithm == "dp_kfac"
     comm_opt = cluster.algorithm == "mpd_kfac_co"
-    P = cluster.n_workers
-    f_up = kfac.is_factor_update(t, hyper)
+    P, owners, n_layers = cluster.n_workers, cluster.owners, cluster.n_layers
     k_up = kfac.is_inverse_update(t, hyper)
-    lanes = _side_lanes(P) if k_up else []
-    lane = [owner % (len(lanes) + 1) for owner in cluster.owners]
     n_fs = [layer_counts(dims)[1] for dims in cluster.layer_dims()]
     factor_work, inverse_work = [0] * P, [0] * P
-    update: list = [None] * cluster.n_layers
-    pending: list[int] = []  # side-lane layers whose answer is out, in layer order
-    failed: dict[int, tuple[Exception, int]] = {}  # a layer's first failure and its worker
+    failed: dict[int, tuple[BaseException, int]] = {}  # a layer's first failure and its worker
 
-    def settle(i: int):
-        owner, state = cluster.owners[i], cluster.factors[i]
-        pg = kfac.apply_preconditioner(state, agg[i], hyper)
-        if k_up:
-            inverse_work[owner] += n_fs[i]
-        if not comm_opt:
-            pg = broadcast(owner, pg, P, counters, "predcomm")
-        elif k_up:
-            for arr in kfac.decomposition_arrays(state).values():
-                broadcast(owner, arr, P, counters, "inversecomm")
-        update[i] = pg
+    if kfac.is_factor_update(t, hyper):
+        try:
+            for i in range(n_layers):
+                raw = []
+                for worker in (owners[i],) if dp else range(P):
+                    raw.append(kfac.compute_factors(captures[i][:, spans[worker]],
+                                                    preact_grads[i][:, spans[worker]]))
+                    factor_work[worker] += n_fs[i]
+                worker = owners[i]
+                if dp:
+                    a_new, g_new = raw[0]
+                else:
+                    a_new = all_reduce_avg([a for a, _ in raw], counters, "factorcomm")
+                    g_new = all_reduce_avg([g for _, g in raw], counters, "factorcomm")
+                kfac.update_running_average(cluster.factors[i], a_new, g_new, hyper.xi, t)
+        except Exception as exc:
+            failed[i] = exc, worker
 
+    if k_up:
+        lanes = _side_lanes(P)
+        lane = [owner % (len(lanes) + 1) for owner in owners]
+        limit = min(failed, default=n_layers)
+        handed = [i for i in range(limit) if lane[i]]
+        for i in handed:
+            lanes[lane[i] - 1].jobs.put((np.geterr(), kfac.refresh_inverses,
+                                         (cluster.factors[i], hyper, t)))
+        try:
+            for i in range(limit):
+                inverse_work[owners[i]] += n_fs[i]
+                if not lane[i]:
+                    kfac.refresh_inverses(cluster.factors[i], hyper, t)
+        except Exception as exc:
+            failed[i] = exc, owners[i]
+        finally:  # the step ends with every lane idle
+            for i in handed:
+                if (error := lanes[lane[i] - 1].answers.get()) is not None:
+                    failed[i] = error, owners[i]
+
+    update = []
     try:
-        # side-lane layers first; with no side lane this is the layer order
-        for i in sorted(range(cluster.n_layers), key=lambda i: lane[i] == 0):
-            if failed and i > min(failed):
-                continue
-            owner, state = cluster.owners[i], cluster.factors[i]
-            worker = owner  # whom a failure names
-            try:
-                if f_up:
-                    raw = []
-                    for worker in (owner,) if dp else range(P):
-                        raw.append(kfac.compute_factors(captures[i][:, spans[worker]],
-                                                        preact_grads[i][:, spans[worker]]))
-                        factor_work[worker] += n_fs[i]
-                    worker = owner
-                    if dp:
-                        a_new, g_new = raw[0]
-                    else:
-                        a_new = all_reduce_avg([a for a, _ in raw], counters, "factorcomm")
-                        g_new = all_reduce_avg([g for _, g in raw], counters, "factorcomm")
-                    kfac.update_running_average(state, a_new, g_new, hyper.xi, t)
-                if lane[i]:
-                    lanes[lane[i] - 1].jobs.put((np.geterr(), kfac.refresh_inverses,
-                                                 (state, hyper, t)))
-                    pending.append(i)
-                    continue
-                if k_up:
-                    kfac.refresh_inverses(state, hyper, t)
-                settle(i)
-            except Exception as exc:
-                failed[i] = exc, worker
-        while pending:
-            error = lanes[lane[pending[0]] - 1].answers.get()
-            i = pending.pop(0)
-            try:
-                if error is not None:
-                    raise error
-                if not failed or i < min(failed):
-                    settle(i)
-            except Exception as exc:
-                failed[i] = exc, cluster.owners[i]
-    finally:
-        for i in pending:  # the step ends with every lane idle
-            lanes[lane[i] - 1].answers.get()
+        for i in range(min(failed, default=n_layers)):
+            state = cluster.factors[i]
+            pg = kfac.apply_preconditioner(state, agg[i], hyper)
+            if not comm_opt:
+                pg = broadcast(owners[i], pg, P, counters, "predcomm")
+            elif k_up:
+                for arr in kfac.decomposition_arrays(state).values():
+                    broadcast(owners[i], arr, P, counters, "inversecomm")
+            update.append(pg)
+    except Exception as exc:
+        failed[i] = exc, owners[i]
     if failed:
         exc, worker = failed[i := min(failed)]
         if isinstance(exc, KfacLabError):
-            _rethrow(exc, worker, i, t)
+            raise type(exc)(f"{_where(worker, i, t)}: {exc}") from exc
         raise exc
     counters.factorcomp = max(factor_work)
     counters.inversecomp = max(inverse_work)

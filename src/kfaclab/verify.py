@@ -205,7 +205,8 @@ def run_dist_suite() -> list[CheckResult]:
     cluster = distsim.build_cluster(SPEC_DIST, "dp_kfac", 4, seed=9)
     distsim.run_step(cluster, batch, KfacHyper(), 0.05, 0.9, 0)
     one_state = sorted(cluster.factors) == list(range(cluster.n_layers))
-    views = [sorted(w.factors) for w in cluster.workers]
+    views = [[i for i, owner in enumerate(cluster.owners) if owner == p]
+             for p in range(cluster.n_workers)]
     # round-robin over 4 workers: the two layers go to workers 0 and 1
     results.append(CheckResult("dist", "one factor state per layer, held by its owner only",
                                one_state and views == [[0], [1], [], []],

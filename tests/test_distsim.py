@@ -87,14 +87,14 @@ def test_build_cluster_checks_its_arguments_first(monkeypatch, algorithm, worker
 
 
 def test_all_reduce_mean():
-    out = all_reduce_avg([np.array([1.0, 3.0]), np.array([3.0, 5.0])])
+    out = all_reduce_avg([np.array([1.0, 3.0]), np.array([3.0, 5.0])], StepCounters(), "gradcomm")
     assert np.array_equal(out, np.array([2.0, 4.0]))
 
 
 def test_all_reduce_identical_inputs_idempotent():
     x = np.random.default_rng(0).standard_normal((3, 5))
     for workers in (1, 2, 4, 8):
-        assert np.array_equal(all_reduce_avg([x] * workers), x)
+        assert np.array_equal(all_reduce_avg([x] * workers, StepCounters(), "gradcomm"), x)
 
 
 def test_all_reduce_counter_volume():
@@ -105,7 +105,7 @@ def test_all_reduce_counter_volume():
 
 def test_all_reduce_shape_mismatch_names_worker():
     with pytest.raises(ShapeError, match="worker 1"):
-        all_reduce_avg([np.zeros(3), np.zeros(4)])
+        all_reduce_avg([np.zeros(3), np.zeros(4)], StepCounters(), "gradcomm")
 
 
 def _allocating_tree_avg(tensors):
@@ -128,7 +128,7 @@ def test_all_reduce_leaves_inputs_and_matches_allocating_tree():
                    for _ in range(workers)]
         for inputs in (tensors, [tensors[0]] * workers):
             kept = [x.copy() for x in inputs]
-            out = all_reduce_avg(inputs)
+            out = all_reduce_avg(inputs, StepCounters(), "gradcomm")
             assert out.tobytes() == _allocating_tree_avg(kept).tobytes(), workers
             assert all(np.array_equal(x, k) for x, k in zip(inputs, kept)), workers
             assert not any(np.shares_memory(out, x) for x in inputs), workers
@@ -152,7 +152,7 @@ def test_broadcast_counter_volume_and_copies():
 
 def test_broadcast_invalid_root():
     with pytest.raises(ArgumentError):
-        broadcast(4, np.zeros(2), 4)
+        broadcast(4, np.zeros(2), 4, StepCounters(), "predcomm")
 
 
 def test_shard_disjoint_contiguous_slices():

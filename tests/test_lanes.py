@@ -66,10 +66,10 @@ def test_lanes_change_no_bit_and_no_count():
         sys.setswitchinterval(1e-5)  # lanes and the caller interleave often
         spec = NetworkSpec((6, 7, 5, 8, 4, 9, 3, 6, 5, 3), bias_mode="homogeneous")
 
-        def digest(alg, P, k_freq, inv_type, n_cpus):
+        def digest(alg, P, freqs, inv_type, n_cpus):
             lanes_at(n_cpus)
             cluster = build_cluster(spec, alg, P, seed=1)
-            hyper = KfacHyper(k_freq=k_freq, inv_type=inv_type)
+            hyper = KfacHyper(f_freq=freqs[0], k_freq=freqs[1], inv_type=inv_type)
             out = [repr(run_step(cluster, batch(t, 6), hyper, 0.05, 0.9, t).counters)
                    for t in range(4)]
             out += [l.weight.tobytes().hex() for l in cluster.net.layers]
@@ -79,9 +79,11 @@ def test_lanes_change_no_bit_and_no_count():
                 out += [(k, a.tobytes().hex()) for k, a in sorted(state_arrays(s).items())]
             return out
 
-        mismatched = [(alg, P, k, inv) for alg in ("mpd_kfac_co", "mpd_kfac_mo", "dp_kfac")
-                      for P in (2, 3, 4, 8) for k in (1, 2) for inv in ("eigen", "inverse")
-                      if digest(alg, P, k, inv, 8) != digest(alg, P, k, inv, 1)]
+        # (f_freq, k_freq) = (2, 1): steps 1 and 3 refresh without building
+        mismatched = [(alg, P, freqs, inv)
+                      for alg in ("mpd_kfac_co", "mpd_kfac_mo", "dp_kfac") for P in (2, 3, 4, 8)
+                      for freqs in ((1, 1), (1, 2), (2, 1)) for inv in ("eigen", "inverse")
+                      if digest(alg, P, freqs, inv, 8) != digest(alg, P, freqs, inv, 1)]
         print(json.dumps([mismatched, len(distsim._LANES), threading.active_count()]))
     """)
     # P = 8 on 8 CPUs: seven side lanes, each a thread of its own, more
@@ -106,7 +108,27 @@ def test_lowest_layer_failure_wins_over_a_side_lane_refresh():
             kfac.compute_factors = build if build_fails else real_build
             failing_eig(sides)
             out.append(raised(build_cluster(SPEC, "dp_kfac", 2, seed=0)))
-        kfac.compute_factors, real_inverse = real_build, kfac.sym_inverse
+        layer_0_builds = []
+
+        def second_builder_fails(a, g):  # MPD builds each layer at worker 0, then 1
+            if a.shape[0] == 4:
+                layer_0_builds.append(a)
+                if len(layer_0_builds) == 2:
+                    raise NumericError("worker 1's layer-0 factors failed")
+            return real_build(a, g)
+
+        kfac.compute_factors = second_builder_fails  # layer 1's refresh still fails
+        out.append(raised(build_cluster(SPEC, "mpd_kfac_mo", 2, seed=0)))
+        kfac.compute_factors, real_precondition = real_build, kfac.apply_preconditioner
+
+        def precondition(state, grad, hyper):
+            if state.a_cov.shape[0] == 4:
+                raise NumericError("layer 0's preconditioning failed")
+            return real_precondition(state, grad, hyper)
+
+        kfac.apply_preconditioner = precondition
+        out.append(raised(build_cluster(SPEC, "dp_kfac", 2, seed=0)))
+        kfac.apply_preconditioner, real_inverse = real_precondition, kfac.sym_inverse
         on_main = []  # where layer 1's Cholesky refresh ran
         for sides in ((5, 7), (7,)):  # LAPACK finds these sides not positive definite
             def inverse(m, sides=sides):
@@ -122,6 +144,8 @@ def test_lowest_layer_failure_wins_over_a_side_lane_refresh():
     assert got == [["worker 1, layer 1, iteration 0: eig of side 7 failed",
                     "worker 0, layer 0, iteration 0: eig of side 5 failed",
                     "worker 1, layer 1, iteration 0: eig of side 7 failed",
+                    "worker 1, layer 0, iteration 0: worker 1's layer-0 factors failed",
+                    "worker 0, layer 0, iteration 0: layer 0's preconditioning failed",
                     "worker 0, layer 0, iteration 0: " + not_pd.format(5),
                     "worker 1, layer 1, iteration 0: " + not_pd.format(7)], [False, False], 1]
 

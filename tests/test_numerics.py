@@ -166,12 +166,14 @@ def test_divide_in_place_equals_true_division_bit_for_bit():
 
 def test_all_reduce_avg_equals_tree_sum_divided_by_p():
     from kfaclab import distsim
+    from kfaclab.costmodel import StepCounters
 
     rng = np.random.default_rng(10)
     for P in range(1, 10):
         tensors = [_wide_values(rng, (6, 7), max_exp=1000) for _ in range(P)]
         want = distsim._tree_sum([t.copy() for t in tensors]) / P
-        assert distsim.all_reduce_avg(tensors).tobytes() == want.tobytes(), P
+        got = distsim.all_reduce_avg(tensors, StepCounters(), "gradcomm")
+        assert got.tobytes() == want.tobytes(), P
 
 
 def test_kron_scalars():
