@@ -56,21 +56,20 @@ element counts per stage (the cluster keeps no history); the analytic model
 in :mod:`kfaclab.costmodel` must reproduce them exactly.
 
 **Owner lanes.**  A refresh step's decompositions run at the same time, as
-on P machines.  Of ``n_lanes = min(P, usable CPUs)`` lanes, lane 0 is the
-calling thread and each other one a daemon thread pinned to a CPU of its own
-(the process's lanes serve every cluster in it); layer i refreshes on lane
-``owners[i] % n_lanes``.  Only the refresh pass touches a lane: it hands the
-side-lane layers to their lanes, runs the lane-0 layers itself and waits for
-every answer, so a side lane starts after the whole build pass
-(:func:`_precondition` gives the cost) and ends with the pass.  Lanes make
-the same single-threaded LAPACK calls on the same arrays, so no bit or count
-changes.  Pinning is what pays: an unpinned woken thread stays on the
-caller's CPU (six 193x193 ``eigh`` calls: 1.02x their serial time, pinned
-0.63x).  A lane found on the caller's current CPU is moved; the caller's
-affinity is never touched.  Lanes are made at the first refresh that can use
-them, and only when numpy's BLAS is known to run one thread, as a training
-run sets it (OpenBLAS's own threads fight pinned lanes: a 2.5 ms step took
-24-28 ms).
+on P machines.  Once a training run has numpy's BLAS on one thread
+(OpenBLAS's own threads fight pinned lanes: a 2.5 ms step took 24-28 ms), it
+starts side lanes 1 .. ``min(P, usable CPUs) - 1``, threads pinned to a CPU
+each (:func:`start_lanes`), hands them to every :func:`run_step` and stops
+them when it ends.  Lane 0 is the calling thread; layer i refreshes on lane
+``owners[i] % n_lanes``, or on lane 0 in a step handed no lanes.  Only the
+refresh pass touches a lane: it hands the side-lane layers to their lanes,
+runs the lane-0 layers itself and waits for every answer, so a side lane
+starts after the whole build pass (:func:`_precondition` gives the cost) and
+ends with the pass.  Lanes make the same single-threaded LAPACK calls on the
+same arrays, so no bit or count changes.  Pinning is what pays: an unpinned
+woken thread stays on the caller's CPU (six 193x193 ``eigh`` calls: 1.02x
+their serial time, pinned 0.63x).  A lane found on the caller's current CPU
+is moved; the caller's affinity is never touched.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ from .errors import ArgumentError, KfacLabError, NumericError, ShapeError
 from .kfac import FactorState, KfacHyper
 from .model import (Batch, Network, NetworkSpec, backward, forward, init_momentum, init_network,
                     sgd_step)
-from .numerics import divide_in_place, openblas
+from .numerics import divide_in_place
 
 SHARD_POLICIES = ("disjoint", "replicate")
 
@@ -284,14 +283,9 @@ def _check_finite(update: Sequence[np.ndarray], t: int, what: str,
 # ---------------------------------------------------------------------------
 # owner lanes (see the module docstring)
 
-_LANES: list[_Lane] = []  # every side lane made so far
-if hasattr(os, "register_at_fork"):  # a forked child has none of these threads
-    os.register_at_fork(after_in_child=_LANES.clear)
-
-
 class _Lane(threading.Thread):
     """A daemon thread pinned to one CPU.  It runs its jobs in order and
-    answers each with the exception it raised, or None."""
+    answers each with the exception it raised, or None, until :meth:`stop`."""
 
     def __init__(self, cpu: int):
         import queue
@@ -304,9 +298,12 @@ class _Lane(threading.Thread):
         os.sched_setaffinity(self.native_id, {cpu})
         self.cpu = cpu
 
+    def stop(self):
+        self.jobs.put(None)
+        self.join()
+
     def run(self):
-        while True:
-            errstate, fn, args = self.jobs.get()
+        for errstate, fn, args in iter(self.jobs.get, None):
             try:
                 with np.errstate(**errstate):  # numpy keeps one per thread
                     fn(*args)
@@ -322,25 +319,22 @@ def _getcpu():
     return ctypes.CFUNCTYPE(ctypes.c_int)(("sched_getcpu", ctypes.CDLL(None)))
 
 
-def _side_lanes(n_owners: int) -> list[_Lane]:
-    """Lanes 1 .. n_lanes - 1 for a refresh step of ``n_owners`` owners,
-    none of them on the caller's current CPU; no lane at all unless numpy's
-    BLAS is known to run one thread."""
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()  # Linux
-    n = min(n_owners, len(cpus)) - 1
-    if n < 1:
-        return []
-    blas_threads = openblas("numpy")[0]
-    if blas_threads is None or blas_threads() != 1:
-        return []
-    here, lanes = _getcpu()(), _LANES[:n]
-    free = sorted(cpus - {here} - {lane.cpu for lane in lanes})
+def start_lanes(n_workers: int) -> tuple[_Lane, ...]:
+    """A run's ``min(n_workers, usable CPUs) - 1`` side lanes, on the usable
+    CPUs after the first; the caller stops each (:meth:`_Lane.stop`)."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []  # Linux
+    return tuple(_Lane(cpu) for cpu in cpus[1:n_workers])
+
+
+def _side_lanes(lanes: Sequence[_Lane]) -> Sequence[_Lane]:
+    """``lanes``, none left on the caller's current CPU; none in a forked child."""
+    if not lanes or not lanes[0].is_alive():
+        return ()
+    here = _getcpu()()
+    free = sorted(os.sched_getaffinity(0) - {here} - {lane.cpu for lane in lanes})
     for lane in lanes:
         if lane.cpu == here:
             lane.pin(free.pop())
-    while len(lanes) < n:
-        lanes.append(_Lane(free.pop()))
-    _LANES[:n] = lanes
     return lanes
 
 
@@ -353,6 +347,7 @@ def _precondition(
     hyper: KfacHyper,
     counters: StepCounters,
     t: int,
+    lanes: Sequence[_Lane],
 ) -> list[np.ndarray]:
     """K-FAC preconditioning of the aggregated gradients in the three passes
     the module docstring gives, with the algorithm's two decisions, the
@@ -396,7 +391,7 @@ def _precondition(
             failed[i] = exc, worker
 
     if k_up:
-        lanes = _side_lanes(P)
+        lanes = _side_lanes(lanes)
         lane = [owner % (len(lanes) + 1) for owner in owners]
         limit = min(failed, default=n_layers)
         handed = [i for i in range(limit) if lane[i]]
@@ -445,12 +440,13 @@ def run_step(
     lr: float,
     momentum: float,
     t: int,
+    lanes: Sequence[_Lane] = (),
 ) -> StepResult:
     """One synchronous step over the global ``batch``: one forward and one
     backward over it that give each worker's span its local loss and
     gradients, the gradient all-reduce, the algorithm's preconditioning (none
-    for ``ssgd``), then one momentum-SGD update of the shared weights.
-    Returns the mean local loss and the step's own counters."""
+    for ``ssgd``; refreshes run on ``lanes``), then one momentum-SGD update of
+    the shared weights.  Returns the mean local loss and the step's own counters."""
     counters = StepCounters()
     # a diverging run overflows here; the finiteness checks report it as a
     # NumericError instead of numpy warnings followed by inf/nan weights
@@ -468,7 +464,7 @@ def run_step(
         counters.gradcomp = sum(g.size for g in update)
         if cluster.algorithm != "ssgd":
             update = _precondition(cluster, captures, preact_grads, spans, update, hyper,
-                                   counters, t)
+                                   counters, t, lanes)
             _check_finite(update, t, "preconditioned gradient", cluster.owners)
         sgd_step(cluster.net, update, lr, cluster.momentum, momentum)
     return StepResult(float(np.mean(losses)), counters)

@@ -24,7 +24,7 @@ from . import __version__, kfac
 from .config import RunConfig
 from .costmodel import STAGES, StepCounters
 from .datasets import Dataset, gen_synthetic, load_idx, write_all_or_nothing
-from .distsim import Cluster, build_cluster, run_step
+from .distsim import Cluster, build_cluster, run_step, start_lanes
 from .errors import ArgumentError, DataFormatError
 from .model import Batch, predict, _per_sample_losses
 from .numerics import openblas
@@ -171,13 +171,14 @@ def run_prepared(
     caller_threads = blas_threads and blas_threads()
     if set_blas_threads:
         set_blas_threads(1)
+    lanes = start_lanes(cluster.n_workers) if set_blas_threads and cluster.factors else ()
     try:
         for epoch in range(run.start_epoch, cfg.train.epochs):
             order = np.random.default_rng([shuffle_seed, epoch]).permutation(len(train_idx))
             for b in range(iters_per_epoch):
                 batch = _take(dataset, train_idx[order[b * B: (b + 1) * B]])
                 lr = cfg.hyper.lr_at(t, epoch, cfg.train.workers)
-                result = run_step(cluster, batch, cfg.hyper, lr, cfg.hyper.momentum, t)
+                result = run_step(cluster, batch, cfg.hyper, lr, cfg.hyper.momentum, t, lanes)
                 eval_loss = eval_acc = None
                 if b == iters_per_epoch - 1 and eval_batch is not None:
                     eval_loss, eval_acc = evaluate(cluster, eval_batch)
@@ -193,6 +194,8 @@ def run_prepared(
                     row_sink(row)
                 t += 1
     finally:
+        for lane in lanes:
+            lane.stop()
         if set_blas_threads:
             set_blas_threads(caller_threads)
     return TrainResult(rows=rows, cluster=cluster, iters_per_epoch=iters_per_epoch,

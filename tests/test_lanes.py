@@ -1,9 +1,10 @@
 """Owner lanes (``distsim``'s module docstring): a refresh step's
-decompositions on pinned threads.  Each check runs in a fresh process
-with one BLAS thread, the only kind that starts lanes, except the last ones,
-which check that a training run sets that one thread itself.  ``lanes_at(n)``
-makes the step see n usable CPUs and folds the pins onto the real ones, so
-any lane count runs on any host."""
+decompositions on pinned threads.  Each check runs in a fresh process with
+one BLAS thread, except the last ones, which check that a training run sets
+that one thread itself.  A check of the step starts its lanes with
+``started(P)``, which stops them on leaving; a training run starts and stops
+its own.  ``lanes_at(n)`` makes the lanes see n usable CPUs and folds the
+pins onto the real ones, so any lane count runs on any host."""
 
 import os
 
@@ -17,7 +18,7 @@ pytestmark = pytest.mark.skipif(
     reason="lanes run only on Linux, over numpy's own OpenBLAS")
 
 _PRELUDE = """
-    import json, os, threading, time
+    import contextlib, json, os, threading, time
     import numpy as np
     from kfaclab import distsim, kfac, numerics
     from kfaclab.distsim import build_cluster, run_step
@@ -31,6 +32,18 @@ _PRELUDE = """
 
     def lanes_at(n_cpus):
         os.sched_getaffinity = lambda pid: set(range(n_cpus))
+
+    @contextlib.contextmanager
+    def started(P):
+        lanes = distsim.start_lanes(P)
+        try:
+            yield lanes
+        finally:
+            for lane in lanes:
+                lane.stop()
+
+    def lane_threads():
+        return sum(thread.name == "kfaclab-lane" for thread in threading.enumerate())
 
     def batch(seed, d, B=48, classes=3):
         rng = np.random.default_rng(seed)
@@ -51,9 +64,9 @@ _THREE = """
             return real_eig(m)
         kfac.sym_eig = eig
 
-    def raised(cluster, t=0, inv_type="eigen"):
+    def raised(cluster, lanes, t=0, inv_type="eigen"):
         try:
-            run_step(cluster, batch(t, 3), KfacHyper(inv_type=inv_type), 0.05, 0.9, t)
+            run_step(cluster, batch(t, 3), KfacHyper(inv_type=inv_type), 0.05, 0.9, t, lanes)
         except NumericError as exc:
             return str(exc)
 """
@@ -66,12 +79,16 @@ def test_lanes_change_no_bit_and_no_count():
         sys.setswitchinterval(1e-5)  # lanes and the caller interleave often
         spec = NetworkSpec((6, 7, 5, 8, 4, 9, 3, 6, 5, 3), bias_mode="homogeneous")
 
+        made = set()  # (usable CPUs, P, lanes made, threads beside the caller)
+
         def digest(alg, P, freqs, inv_type, n_cpus):
             lanes_at(n_cpus)
             cluster = build_cluster(spec, alg, P, seed=1)
             hyper = KfacHyper(f_freq=freqs[0], k_freq=freqs[1], inv_type=inv_type)
-            out = [repr(run_step(cluster, batch(t, 6), hyper, 0.05, 0.9, t).counters)
-                   for t in range(4)]
+            with started(P) as lanes:
+                out = [repr(run_step(cluster, batch(t, 6), hyper, 0.05, 0.9, t, lanes).counters)
+                       for t in range(4)]
+                made.add((n_cpus, P, len(lanes), threading.active_count() - 1))
             out += [l.weight.tobytes().hex() for l in cluster.net.layers]
             out += [m.tobytes().hex() for m in cluster.momentum]
             for s in cluster.factors.values():
@@ -84,11 +101,14 @@ def test_lanes_change_no_bit_and_no_count():
                       for alg in ("mpd_kfac_co", "mpd_kfac_mo", "dp_kfac") for P in (2, 3, 4, 8)
                       for freqs in ((1, 1), (1, 2), (2, 1)) for inv in ("eigen", "inverse")
                       if digest(alg, P, freqs, inv, 8) != digest(alg, P, freqs, inv, 1)]
-        print(json.dumps([mismatched, len(distsim._LANES), threading.active_count()]))
+        print(json.dumps([mismatched, sorted(made), threading.active_count()]))
     """)
     # P = 8 on 8 CPUs: seven side lanes, each a thread of its own, more
-    # threads than the host has CPUs
-    assert got == [[], 7, 8]
+    # threads than the host has CPUs; one CPU: none.  Every lane stopped.
+    mismatched, made, threads = got
+    assert mismatched == [] and threads == 1
+    Ps = (2, 3, 4, 8)
+    assert made == [[1, P, 0, 0] for P in Ps] + [[8, P, P - 1, P - 1] for P in Ps]
 
 
 def test_lowest_layer_failure_wins_over_a_side_lane_refresh():
@@ -96,6 +116,7 @@ def test_lowest_layer_failure_wins_over_a_side_lane_refresh():
     # 2 (owner 0) on the calling thread
     got = _fresh(_PRELUDE, _THREE, """
         lanes_at(2)
+        lanes = distsim.start_lanes(2)
         real_build = kfac.compute_factors
 
         def build(a, g):
@@ -107,7 +128,7 @@ def test_lowest_layer_failure_wins_over_a_side_lane_refresh():
         for sides, build_fails in (((7,), True), ((5, 7), False), ((7,), False)):
             kfac.compute_factors = build if build_fails else real_build
             failing_eig(sides)
-            out.append(raised(build_cluster(SPEC, "dp_kfac", 2, seed=0)))
+            out.append(raised(build_cluster(SPEC, "dp_kfac", 2, seed=0), lanes))
         layer_0_builds = []
 
         def second_builder_fails(a, g):  # MPD builds each layer at worker 0, then 1
@@ -118,7 +139,7 @@ def test_lowest_layer_failure_wins_over_a_side_lane_refresh():
             return real_build(a, g)
 
         kfac.compute_factors = second_builder_fails  # layer 1's refresh still fails
-        out.append(raised(build_cluster(SPEC, "mpd_kfac_mo", 2, seed=0)))
+        out.append(raised(build_cluster(SPEC, "mpd_kfac_mo", 2, seed=0), lanes))
         kfac.compute_factors, real_precondition = real_build, kfac.apply_preconditioner
 
         def precondition(state, grad, hyper):
@@ -127,7 +148,7 @@ def test_lowest_layer_failure_wins_over_a_side_lane_refresh():
             return real_precondition(state, grad, hyper)
 
         kfac.apply_preconditioner = precondition
-        out.append(raised(build_cluster(SPEC, "dp_kfac", 2, seed=0)))
+        out.append(raised(build_cluster(SPEC, "dp_kfac", 2, seed=0), lanes))
         kfac.apply_preconditioner, real_inverse = real_precondition, kfac.sym_inverse
         on_main = []  # where layer 1's Cholesky refresh ran
         for sides in ((5, 7), (7,)):  # LAPACK finds these sides not positive definite
@@ -136,8 +157,11 @@ def test_lowest_layer_failure_wins_over_a_side_lane_refresh():
                     on_main.append(threading.current_thread() is threading.main_thread())
                 return real_inverse(-m if m.shape[0] in sides else m)
             kfac.sym_inverse = inverse
-            out.append(raised(build_cluster(SPEC, "dp_kfac", 2, seed=0), inv_type="inverse"))
-        print(json.dumps([out, on_main, len(distsim._LANES)]))
+            out.append(raised(build_cluster(SPEC, "dp_kfac", 2, seed=0), lanes,
+                              inv_type="inverse"))
+        for lane in lanes:
+            lane.stop()
+        print(json.dumps([out, on_main, len(lanes), lane_threads()]))
     """)
     not_pd = ("damped gradient factor G is not invertible: "
               "Cholesky inversion failed for a {0}x{0} matrix (not positive definite?)")
@@ -147,7 +171,7 @@ def test_lowest_layer_failure_wins_over_a_side_lane_refresh():
                     "worker 1, layer 0, iteration 0: worker 1's layer-0 factors failed",
                     "worker 0, layer 0, iteration 0: layer 0's preconditioning failed",
                     "worker 0, layer 0, iteration 0: " + not_pd.format(5),
-                    "worker 1, layer 1, iteration 0: " + not_pd.format(7)], [False, False], 1]
+                    "worker 1, layer 1, iteration 0: " + not_pd.format(7)], [False, False], 1, 0]
 
 
 def test_a_raising_step_returns_with_every_lane_idle():
@@ -161,8 +185,9 @@ def test_a_raising_step_returns_with_every_lane_idle():
                 finished.append(m.shape[0])
 
         failing_eig((5,), before=slow_side)
-        message = raised(build_cluster(SPEC, "mpd_kfac_mo", 2, seed=0))
-        print(json.dumps([message, finished, len(distsim._LANES)]))
+        with started(2) as lanes:  # read before stop() waits for the lane
+            message = raised(build_cluster(SPEC, "mpd_kfac_mo", 2, seed=0), lanes)
+            print(json.dumps([message, finished, len(lanes)]))
     """)
     assert got == ["worker 0, layer 0, iteration 0: eig of side 5 failed", [6, 7], 1]
 
@@ -181,7 +206,8 @@ def test_a_side_lane_overflow_warns_of_nothing():
                 where.append(threading.current_thread() is threading.main_thread())
                 np.float64(1e308) * 10
         failing_eig((), before=overflowing)
-        print(json.dumps([raised(build_cluster(SPEC, "dp_kfac", 2, seed=0)), where]))
+        with started(2) as lanes:
+            print(json.dumps([raised(build_cluster(SPEC, "dp_kfac", 2, seed=0), lanes), where]))
     """)
     assert got == [None, [False]]
 
@@ -191,29 +217,46 @@ def test_a_child_forked_after_a_laned_step_can_step():
     got = _fresh(_PRELUDE, _THREE, """
         lanes_at(2)
         cluster = build_cluster(SPEC, "dp_kfac", 2, seed=0)
-        run_step(cluster, batch(0, 3), KfacHyper(), 0.05, 0.9, 0)
-        assert len(distsim._LANES) == 1
-        pid = os.fork()
-        if pid == 0:
-            run_step(cluster, batch(1, 3), KfacHyper(), 0.05, 0.9, 1)
-            os._exit(0 if len(distsim._LANES) == 1 else 1)
-        deadline = time.monotonic() + 60
-        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        if done[0] == 0:
-            os.kill(pid, 9)
-            os.waitpid(pid, 0)
-        print(json.dumps(None if done[0] == 0 else os.waitstatus_to_exitcode(done[1])))
+        with started(2) as lanes:
+            run_step(cluster, batch(0, 3), KfacHyper(), 0.05, 0.9, 0, lanes)
+            assert lane_threads() == 1
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child steps with its parent's lanes, which it lacks
+                real_refresh, on_main = kfac.refresh_inverses, []
+
+                def refresh(state, hyper, t):
+                    on_main.append(threading.current_thread() is threading.main_thread())
+                    return real_refresh(state, hyper, t)
+
+                kfac.refresh_inverses = refresh
+                try:
+                    run_step(cluster, batch(1, 3), KfacHyper(), 0.05, 0.9, 1, lanes)
+                    os.write(write_end, json.dumps([on_main, threading.active_count()]).encode())
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            deadline = time.monotonic() + 60
+            while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            if done[0] == 0:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+            child = os.read(read_end, 1 << 16).decode()
+        print(json.dumps([None if done[0] == 0 else os.waitstatus_to_exitcode(done[1]),
+                          child and json.loads(child)]))
     """)
-    assert got == 0
+    # every refresh of the child's step ran on its main thread, its only one
+    assert got == [0, [[True, True, True], 1]]
 
 
 _TRAIN = """
     from kfaclab import config, trainer
     lanes_at(8)
     cfg = config.load_config({config!r}, {overrides!r})
-    trainer.run_training(cfg)
-    print(json.dumps([len(distsim._LANES), threading.active_count()]))
+    seen = []
+    trainer.run_training(cfg, row_sink=lambda row: seen.append(lane_threads()))
+    print(json.dumps([sorted(set(seen)), threading.active_count()]))
 """
 _BUNDLED = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "blobs_dp_kfac.ini")
 
@@ -224,7 +267,7 @@ _BUNDLED = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "blobs_
 ])
 def test_runs_that_cannot_use_lanes_start_no_thread(overrides):
     overrides = {"data.samples": "600", "train.epochs": "1", "train.workers": "4", **overrides}
-    assert _fresh(_PRELUDE, _TRAIN.format(config=_BUNDLED, overrides=overrides)) == [0, 1]
+    assert _fresh(_PRELUDE, _TRAIN.format(config=_BUNDLED, overrides=overrides)) == [[0], 1]
 
 
 _MULTITHREADED = pytest.mark.skipif((os.cpu_count() or 1) < 2,
@@ -232,46 +275,58 @@ _MULTITHREADED = pytest.mark.skipif((os.cpu_count() or 1) < 2,
 
 
 @_MULTITHREADED
-def test_a_multithreaded_blas_starts_no_lane():
-    # a library caller of run_step keeps its own BLAS threads, and no lane
+@pytest.mark.parametrize("blas_threads", [None, "1"])
+def test_a_multithreaded_blas_starts_no_lane(blas_threads):
+    # a library caller of run_step keeps its own BLAS threads, and a step
+    # handed no lanes starts none, under any BLAS thread count
     got = _fresh(_PRELUDE, _THREE, """
         lanes_at(8)
         cluster = build_cluster(SPEC, "dp_kfac", 4, seed=0)
         for t in range(3):
             run_step(cluster, batch(t, 3), KfacHyper(), 0.05, 0.9, t)
-        print(json.dumps([numerics.openblas("numpy")[0](), len(distsim._LANES),
-                          threading.active_count()]))
-    """, blas_threads=None)
-    assert got[0] > 1 and got[1:] == [0, 1]
+        print(json.dumps([numerics.openblas("numpy")[0](), threading.active_count()]))
+    """, blas_threads=blas_threads)
+    assert (got[0] == 1 if blas_threads else got[0] > 1) and got[1] == 1
 
 
 @_MULTITHREADED
 def test_a_run_steps_on_one_blas_thread_and_restores_the_callers_count():
+    overrides = {"data.samples": "600", "train.epochs": "1", "train.workers": "4"}
     got = _fresh(_PRELUDE, """
         from kfaclab import config, trainer
         lanes_at(8)
         threads, set_threads = numerics.openblas("numpy")[:2]
         cfg = config.load_config({config!r}, {overrides!r})
-        seen = [threads()]
+        diverging = config.load_config({config!r}, {diverging!r})
+        caller, rows, after = threads(), set(), []
+
+        def sink(row):
+            rows.add((threads(), lane_threads()))
 
         def failing(row):
-            seen.append(threads())
+            sink(row)
             raise KeyboardInterrupt
 
-        trainer.run_training(cfg, row_sink=lambda row: seen.append(threads()))
-        seen.append(threads())
+        trainer.run_training(cfg, row_sink=sink)
+        after.append([threads(), lane_threads()])
         set_threads(2)
         try:
             trainer.run_training(cfg, row_sink=failing)
         except KeyboardInterrupt:
-            seen.append(threads())
-        print(json.dumps([seen[0], sorted(set(seen[1:-3])), seen[-3:], len(distsim._LANES)]))
-    """.format(config=_BUNDLED, overrides={"data.samples": "600", "train.epochs": "1",
-                                             "train.workers": "4"}), blas_threads=None)
-    caller, during, after, lanes = got
-    # the steps ran on one thread and started the lanes; each exit restored
-    # the caller's count, also after a run the row sink interrupted
-    assert caller > 1 and during == [1] and after == [caller, 1, 2] and lanes == 3
+            after.append([threads(), lane_threads()])
+        try:
+            trainer.run_training(diverging, row_sink=sink)
+        except NumericError:
+            after.append([threads(), lane_threads()])
+        print(json.dumps([caller, sorted(rows), after]))
+    """.format(config=_BUNDLED, overrides=overrides,
+               diverging={**overrides, "hyper.lr": "1e300", "network.activation": "identity"}),
+        blas_threads=None)
+    caller, during, after = got
+    # the steps ran on one thread and on the run's three lanes; each exit
+    # stopped the lanes and restored the caller's count, also after a run the
+    # row sink interrupted and after a run that diverged
+    assert caller > 1 and during == [[1, 3]] and after == [[caller, 0], [2, 0], [2, 0]]
 
 
 _WIDE_RUN = """
