@@ -46,7 +46,9 @@ broadcast.  The passes take two decisions from the algorithm:
 One compute ledger serves all three: on a factor step each worker is
 credited N_f for every layer it builds factors for, on a refresh step the
 owner is credited N_f, and FactorComp and InverseComp are the per-worker
-maxima.  One momentum-SGD update of the shared weights ends the step.
+maxima.  Each pass is a list of per-layer jobs that carry their credits, and
+one runner, :func:`_run_pass`, runs every pass, sums the credits and records
+the failures.  One momentum-SGD update of the shared weights ends the step.
 
 A broadcast hands every receiver the same read-only tensor instead of P
 copies; its element count is still counted as (P-1) * N.
@@ -62,14 +64,14 @@ starts side lanes 1 .. ``min(P, usable CPUs) - 1``, threads pinned to a CPU
 each (:func:`start_lanes`), hands them to every :func:`run_step` and stops
 them when it ends.  Lane 0 is the calling thread; layer i refreshes on lane
 ``owners[i] % n_lanes``, or on lane 0 in a step handed no lanes.  Only the
-refresh pass touches a lane: it hands the side-lane layers to their lanes,
-runs the lane-0 layers itself and waits for every answer, so a side lane
-starts after the whole build pass (:func:`_precondition` gives the cost) and
-ends with the pass.  Lanes make the same single-threaded LAPACK calls on the
-same arrays, so no bit or count changes.  Pinning is what pays: an unpinned
-woken thread stays on the caller's CPU (six 193x193 ``eigh`` calls: 1.02x
-their serial time, pinned 0.63x).  A lane found on the caller's current CPU
-is moved; the caller's affinity is never touched.
+refresh pass gets the lanes (:func:`_run_pass` says how a pass uses them),
+so a side lane starts after the whole build pass (:func:`_precondition`
+gives the cost) and ends with the pass.  Lanes make the same
+single-threaded LAPACK calls on the same arrays, so no bit or count
+changes.  Pinning is what pays: an unpinned woken thread stays on the
+caller's CPU (six 193x193 ``eigh`` calls: 1.02x their serial time, pinned
+0.63x).  A lane found on the caller's current CPU is moved; the caller's
+affinity is never touched.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ import functools
 import os
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -267,19 +269,6 @@ class StepResult:
     counters: StepCounters
 
 
-def _where(worker: Optional[int], layer: int, t: int) -> str:
-    """Where in a step something failed: ``worker p, layer i, iteration t``."""
-    return f"{'' if worker is None else f'worker {worker}, '}layer {layer}, iteration {t}"
-
-
-def _check_finite(update: Sequence[np.ndarray], t: int, what: str,
-                  owners: Optional[Sequence[int]] = None):
-    for i, g in enumerate(update):
-        if not np.isfinite(g).all():
-            worker = None if owners is None else owners[i]
-            raise NumericError(f"{_where(worker, i, t)}: {what} is not finite")
-
-
 # ---------------------------------------------------------------------------
 # owner lanes (see the module docstring)
 
@@ -338,6 +327,46 @@ def _side_lanes(lanes: Sequence[_Lane]) -> Sequence[_Lane]:
     return lanes
 
 
+def _run_pass(jobs: Sequence[tuple], lanes: Sequence[_Lane],
+              failed: dict[int, tuple[BaseException, int]]) -> int:
+    """Run one pass of the step: its ``(layer, worker, credit, fn, args)``
+    jobs, given in layer order, each calling ``fn(*args)``.  Returns the
+    largest per-worker sum of the credits of the jobs it ran.
+
+    Only the jobs below the lowest layer in ``failed`` run.  A job runs on
+    lane ``worker % n_lanes``: lane 0 is the calling thread, the others are
+    :func:`_side_lanes` (``lanes``), and with no lanes every job runs on the
+    caller.  The side-lane jobs are handed out first, in order, then the
+    caller runs its own jobs until one raises, and in any case waits for
+    every handed job, so the pass ends with every lane idle.  Each failure is
+    recorded in ``failed`` under its layer, with its job's worker.  A lane
+    job credits nothing itself: the caller sums the credits as it hands out
+    and collects the jobs."""
+    lanes = _side_lanes(lanes)
+    limit = min(failed) if failed else float("inf")
+    work: dict[int, int] = {}
+    mine, handed = [], []
+    for layer, worker, credit, fn, args in jobs:
+        if layer >= limit:
+            break
+        work[worker] = work.get(worker, 0) + credit
+        if lane := worker % (len(lanes) + 1):
+            lanes[lane - 1].jobs.put((np.geterr(), fn, args))
+            handed.append((layer, worker, lanes[lane - 1]))
+        else:
+            mine.append((layer, worker, fn, args))
+    try:
+        for layer, worker, fn, args in mine:
+            fn(*args)
+    except Exception as exc:
+        failed[layer] = exc, worker
+    finally:  # the step ends with every lane idle
+        for layer, worker, lane in handed:
+            if (error := lane.answers.get()) is not None:
+                failed[layer] = error, worker
+    return max(work.values()) if work else 0
+
+
 def _precondition(
     cluster: Cluster,
     captures: list[np.ndarray],
@@ -350,13 +379,15 @@ def _precondition(
     lanes: Sequence[_Lane],
 ) -> list[np.ndarray]:
     """K-FAC preconditioning of the aggregated gradients in the three passes
-    the module docstring gives, with the algorithm's two decisions, the
-    compute ledger and the lanes.  Builder p reads its span of the one
-    pass's captures.  Only one layer's P raw factor pairs are alive at a
-    time.  Each pass stops below the lowest failed layer, and the step
-    raises that layer's first failure, as a layer-by-layer step would: a
-    factor-build failure names the worker that built the factors, any later
-    one the owner.
+    the module docstring gives, with the algorithm's two decisions.  Each
+    pass is a job list for :func:`_run_pass`, which credits the compute
+    ledger and records the failures; only the refresh pass gets ``lanes``.
+    Builder p reads its span of the one pass's captures.  Only one layer's P
+    raw factor pairs are alive at a time: they go when the next layer's first
+    build starts, and the folded pair when the next fold assigns, as in one
+    loop over the layers.  The step raises the lowest failed layer's first
+    failure, as a layer-by-layer step would: a factor-build failure names the
+    worker that built the factors, any later one the owner.
 
     A side lane gets its refreshes after the whole build pass, not right
     after its own layer's build.  Where lane 0 carries the longer refresh
@@ -365,71 +396,54 @@ def _precondition(
     side-lane refreshes outweigh lane 0's could lose up to the build time of
     the layers after them."""
     dp = cluster.algorithm == "dp_kfac"
-    comm_opt = cluster.algorithm == "mpd_kfac_co"
     P, owners, n_layers = cluster.n_workers, cluster.owners, cluster.n_layers
     k_up = kfac.is_inverse_update(t, hyper)
     n_fs = [layer_counts(dims)[1] for dims in cluster.layer_dims()]
-    factor_work, inverse_work = [0] * P, [0] * P
     failed: dict[int, tuple[BaseException, int]] = {}  # a layer's first failure and its worker
+    raw, update = [], []  # raw: the layer's factor pairs, in builder order
+    a_new = g_new = None
 
+    def build(i, span):
+        raw.append(kfac.compute_factors(captures[i][:, span], preact_grads[i][:, span]))
+
+    def fold(i):
+        nonlocal a_new, g_new  # kept until the next fold assigns, as in one loop
+        if dp:
+            a_new, g_new = raw[0]
+        else:
+            a_new = all_reduce_avg([a for a, _ in raw], counters, "factorcomm")
+            g_new = all_reduce_avg([g for _, g in raw], counters, "factorcomm")
+        kfac.update_running_average(cluster.factors[i], a_new, g_new, hyper.xi, t)
+
+    def precondition(i):
+        pg = kfac.apply_preconditioner(cluster.factors[i], agg[i], hyper)
+        if not np.isfinite(pg).all():
+            raise NumericError("preconditioned gradient is not finite")
+        if cluster.algorithm != "mpd_kfac_co":
+            pg = broadcast(owners[i], pg, P, counters, "predcomm")
+        elif k_up:
+            for arr in kfac.decomposition_arrays(cluster.factors[i]).values():
+                broadcast(owners[i], arr, P, counters, "inversecomm")
+        update.append(pg)
+
+    jobs = []
     if kfac.is_factor_update(t, hyper):
-        try:
-            for i in range(n_layers):
-                raw = []
-                for worker in (owners[i],) if dp else range(P):
-                    raw.append(kfac.compute_factors(captures[i][:, spans[worker]],
-                                                    preact_grads[i][:, spans[worker]]))
-                    factor_work[worker] += n_fs[i]
-                worker = owners[i]
-                if dp:
-                    a_new, g_new = raw[0]
-                else:
-                    a_new = all_reduce_avg([a for a, _ in raw], counters, "factorcomm")
-                    g_new = all_reduce_avg([g for _, g in raw], counters, "factorcomm")
-                kfac.update_running_average(cluster.factors[i], a_new, g_new, hyper.xi, t)
-        except Exception as exc:
-            failed[i] = exc, worker
-
+        for i in range(n_layers):
+            jobs.append((i, owners[i], 0, raw.clear, ()))  # the previous layer's pairs go
+            for worker in (owners[i],) if dp else range(P):
+                jobs.append((i, worker, n_fs[i], build, (i, spans[worker])))
+            jobs.append((i, owners[i], 0, fold, (i,)))
+    counters.factorcomp = _run_pass(jobs, (), failed)
     if k_up:
-        lanes = _side_lanes(lanes)
-        lane = [owner % (len(lanes) + 1) for owner in owners]
-        limit = min(failed, default=n_layers)
-        handed = [i for i in range(limit) if lane[i]]
-        for i in handed:
-            lanes[lane[i] - 1].jobs.put((np.geterr(), kfac.refresh_inverses,
-                                         (cluster.factors[i], hyper, t)))
-        try:
-            for i in range(limit):
-                inverse_work[owners[i]] += n_fs[i]
-                if not lane[i]:
-                    kfac.refresh_inverses(cluster.factors[i], hyper, t)
-        except Exception as exc:
-            failed[i] = exc, owners[i]
-        finally:  # the step ends with every lane idle
-            for i in handed:
-                if (error := lanes[lane[i] - 1].answers.get()) is not None:
-                    failed[i] = error, owners[i]
-
-    update = []
-    try:
-        for i in range(min(failed, default=n_layers)):
-            state = cluster.factors[i]
-            pg = kfac.apply_preconditioner(state, agg[i], hyper)
-            if not comm_opt:
-                pg = broadcast(owners[i], pg, P, counters, "predcomm")
-            elif k_up:
-                for arr in kfac.decomposition_arrays(state).values():
-                    broadcast(owners[i], arr, P, counters, "inversecomm")
-            update.append(pg)
-    except Exception as exc:
-        failed[i] = exc, owners[i]
+        refreshes = [(i, owners[i], n_fs[i], kfac.refresh_inverses, (cluster.factors[i], hyper, t))
+                     for i in range(n_layers)]
+        counters.inversecomp = _run_pass(refreshes, lanes, failed)
+    _run_pass([(i, owners[i], 0, precondition, (i,)) for i in range(n_layers)], (), failed)
     if failed:
         exc, worker = failed[i := min(failed)]
         if isinstance(exc, KfacLabError):
-            raise type(exc)(f"{_where(worker, i, t)}: {exc}") from exc
+            raise type(exc)(f"worker {worker}, layer {i}, iteration {t}: {exc}") from exc
         raise exc
-    counters.factorcomp = max(factor_work)
-    counters.inversecomp = max(inverse_work)
     return update
 
 
@@ -460,11 +474,12 @@ def run_step(
         # grads[p][i]: worker p's gradient of layer i
         update = [all_reduce_avg([g[i] for g in grads], counters, "gradcomm")
                   for i in range(cluster.n_layers)]
-        _check_finite(update, t, "aggregated gradient")
+        for i, g in enumerate(update):
+            if not np.isfinite(g).all():
+                raise NumericError(f"layer {i}, iteration {t}: aggregated gradient is not finite")
         counters.gradcomp = sum(g.size for g in update)
         if cluster.algorithm != "ssgd":
             update = _precondition(cluster, captures, preact_grads, spans, update, hyper,
                                    counters, t, lanes)
-            _check_finite(update, t, "preconditioned gradient", cluster.owners)
         sgd_step(cluster.net, update, lr, cluster.momentum, momentum)
     return StepResult(float(np.mean(losses)), counters)

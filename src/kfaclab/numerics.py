@@ -142,6 +142,21 @@ def openblas(package: str) -> tuple:
     return threads, set_threads, config, lib
 
 
+def simd_targets() -> list[str] | None:
+    """The SIMD targets numpy dispatches to here: its ``__cpu_dispatch__``
+    entries that the CPU has and ``NPY_DISABLE_CPU_FEATURES`` left on.  They
+    pick the kernels of ``exp``, ``log1p`` and ``tanh``, and so their last
+    bits.  None when numpy has no such table (numpy 2 keeps it in
+    ``numpy._core``, earlier versions in ``numpy.core``)."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            umath = importlib.import_module(name)
+        except ImportError:
+            continue
+        return [k for k in umath.__cpu_dispatch__ if umath.__cpu_features__[k]]
+    return None
+
+
 def sym_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix via Cholesky.
 

@@ -27,7 +27,7 @@ from .datasets import Dataset, gen_synthetic, load_idx, write_all_or_nothing
 from .distsim import Cluster, build_cluster, run_step, start_lanes
 from .errors import ArgumentError, DataFormatError
 from .model import Batch, predict, _per_sample_losses
-from .numerics import openblas
+from .numerics import openblas, simd_targets
 
 CHECKPOINT_MAGIC = b"KFACLAB\0"
 CHECKPOINT_VERSION = 2
@@ -230,12 +230,17 @@ def write_run_manifest(path: Path, cfg: RunConfig, extra: Optional[dict] = None)
         "config": cfg.to_dict(),
         "csv_columns": list(CSV_COLUMNS),
         # what the bytes depend on besides the config: run_prepared's one BLAS
-        # thread (unknown unless OpenBLAS) and the OpenBLAS build that inverts
+        # thread (unknown unless OpenBLAS), the OpenBLAS build that inverts,
+        # numpy's SIMD kernels and the settings that steer both libraries' kernels
         "numeric_env": {"numpy": np.__version__, "blas": blas and blas().decode(),
                         "blas_threads": 1 if set_blas_threads else None,
                         "cholesky_blas": cholesky and cholesky().decode(),
                         "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                        else os.cpu_count()},
+                        else os.cpu_count(),
+                        "numpy_simd": simd_targets(),
+                        **{name: os.environ.get(name) for name in (
+                            "OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES",
+                            "NPY_ENABLE_CPU_FEATURES")}},
         **(extra or {}),
     }
     write_all_or_nothing([(path, [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()])])

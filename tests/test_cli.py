@@ -8,6 +8,7 @@ import pytest
 
 from kfaclab import cli, config, errors, numerics, trainer, verify
 from kfaclab.datasets import load_idx
+from test_footprint import _fresh
 
 SMALL_CONFIG = """
 [network]
@@ -136,6 +137,32 @@ def test_finished_run_manifest_records_its_outcome(config_path, tmp_path):
         # the build of the library that inverts, for a run that does
         cholesky = manifest["numeric_env"]["cholesky_blas"]
         assert cholesky is None if inv_type == "eigen" else cholesky.startswith("OpenBLAS ")
+
+
+_KERNEL_SETTINGS = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")
+_NUMERIC_ENV = """
+    import json, os
+    from kfaclab import cli
+    assert cli.main(["--out-dir", {out!r}, "train", {config!r}]) == 0
+    print(json.dumps(json.load(open(os.path.join({out!r}, "run.json")))["numeric_env"]))
+"""
+
+
+def test_numeric_env_records_numpys_simd_dispatch(config_path, tmp_path, monkeypatch):
+    # numpy's exp and tanh change their last bits with the SIMD target, so a
+    # run without the AVX-512 targets must not look like the default run
+    for name in _KERNEL_SETTINGS:
+        monkeypatch.delenv(name, raising=False)
+    default = _fresh(_NUMERIC_ENV.format(out=str(tmp_path / "default"), config=str(config_path)))
+    assert [default[name] for name in _KERNEL_SETTINGS] == [None] * 3
+    if "X86_V4" not in (default["numpy_simd"] or ()):
+        pytest.skip("this host's numpy does not dispatch X86_V4, so there is nothing to disable")
+    disabled = "AVX512_SPR AVX512_ICL X86_V4"
+    monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", disabled)
+    narrow = _fresh(_NUMERIC_ENV.format(out=str(tmp_path / "narrow"), config=str(config_path)))
+    assert narrow != default
+    assert narrow["NPY_DISABLE_CPU_FEATURES"] == disabled
+    assert "X86_V4" not in narrow["numpy_simd"]
 
 
 def test_dp_and_mpd_loss_columns_identical_single_worker(config_path, tmp_path):

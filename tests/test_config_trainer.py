@@ -19,6 +19,7 @@ from kfaclab.config import (
     parse_overrides,
 )
 from kfaclab.costmodel import ALGORITHMS, STAGES, CostReport, StepCounters
+from kfaclab.distsim import StepResult
 from kfaclab.errors import ArgumentError, ConfigError, DataFormatError
 from kfaclab.kfac import KfacHyper
 from kfaclab.model import NetworkSpec
@@ -397,6 +398,29 @@ def test_run_training_row_structure():
     eval_rows = [r for r in res.rows if r.eval_loss is not None]
     assert [r.epoch for r in eval_rows] == [0, 1]
     assert all(r.eval_accuracy is not None for r in eval_rows)
+    # after each epoch's last step
+    ipe = res.iters_per_epoch
+    assert [r.iteration for r in eval_rows] == [ipe - 1, 2 * ipe - 1]
+
+
+def test_each_epoch_draws_its_own_shuffle(monkeypatch):
+    # epoch e takes its batches in the order of its own child stream,
+    # default_rng([shuffle seed, e]), not epoch 0's
+    run, inputs = prepare_training(_small_cfg()), []
+
+    def step(cluster, batch, *rest):
+        inputs.append(batch.inputs)
+        return StepResult(0.0, StepCounters())
+
+    monkeypatch.setattr(trainer, "run_step", step)
+    run_prepared(run)
+    B, ipe, n = run.cfg.train.batch_size, run.iters_per_epoch, len(run.train_idx)
+    shuffle_seed = trainer._child_seeds(run.cfg.train.seed)["shuffle"]
+    for epoch in (0, 1):
+        order = run.train_idx[np.random.default_rng([shuffle_seed, epoch]).permutation(n)]
+        expected = [run.dataset.inputs[:, order[b * B:(b + 1) * B]] for b in range(ipe)]
+        got = inputs[epoch * ipe:(epoch + 1) * ipe]
+        assert all(np.array_equal(x, y) for x, y in zip(got, expected, strict=True))
 
 
 def test_row_counters_match_cluster_log(monkeypatch):

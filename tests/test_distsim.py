@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -498,6 +500,18 @@ def test_non_finite_preconditioned_gradient_names_owner_layer_and_iteration(
         run_step(cluster, _batch(), KfacHyper(), 0.05, 0.9, 3)
     assert np.array_equal(_weights(cluster), before)
 
+    def double_fault(state, grad, hyper):  # layer 0 not finite, then layer 1 raises
+        if grad.shape == (4, 9):
+            raise NumericError("layer 1's preconditioning failed")
+        return original(state, grad, hyper) * np.inf
+
+    # the lower layer's failure wins, as for every other failure of the step
+    monkeypatch.setattr(kfac, "apply_preconditioner", double_fault)
+    with pytest.raises(NumericError, match=r"^worker 0, layer 0, iteration 4: "
+                                           r"preconditioned gradient is not finite$"):
+        run_step(cluster, _batch(), KfacHyper(), 0.05, 0.9, 4)
+    assert np.array_equal(_weights(cluster), before)
+
 
 def test_comm_opt_preconditioner_failure_names_the_owner():
     # the same owner the non-finite check above names, not the worker the
@@ -509,6 +523,37 @@ def test_comm_opt_preconditioner_failure_names_the_owner():
     cluster.factors[1].a_eig = None  # no decomposition to apply at step 1
     with pytest.raises(OrderingError, match=r"^worker 1, layer 1, iteration 1: preconditioning requested"):
         run_step(cluster, _batch(), hyper, 0.05, 0.9, 1)
+
+
+@pytest.mark.parametrize("algorithm", ["mpd_kfac_mo", "dp_kfac"])
+def test_at_most_one_layers_raw_factor_pairs_are_alive_at_a_build(monkeypatch, algorithm):
+    # _precondition's bound: a layer's raw factor pairs go before the next
+    # layer's builds start, so each build finds at most P earlier ones alive
+    P, real, results, alive = 4, kfac.compute_factors, [], []
+
+    def build(a, g):
+        alive.append(sum(any(ref() is not None for ref in refs) for refs in results))
+        pair = real(a, g)
+        results.append([weakref.ref(x) for x in pair])
+        return pair
+
+    monkeypatch.setattr(kfac, "compute_factors", build)
+    spec = NetworkSpec((6, 8, 5, 4), activation="tanh", bias_mode="homogeneous")
+    cluster = build_cluster(spec, algorithm, P, seed=0)
+    for t in range(3):
+        results.clear()
+        run_step(cluster, _batch(t), KfacHyper(), 0.05, 0.9, t)
+    assert len(alive) == 3 * 3 * (1 if algorithm == "dp_kfac" else P)
+    assert max(alive) <= P
+
+
+@pytest.mark.parametrize("algorithm", distsim.ALGORITHMS)
+def test_step_loss_is_the_mean_of_the_span_losses_on_the_pre_step_weights(algorithm):
+    batch, P = _batch(3), 4
+    cluster = build_cluster(SPEC, algorithm, P, seed=1)
+    losses, _ = forward(cluster.net, batch, worker_spans(batch.size, P))
+    assert len(set(losses)) == P  # no one span's loss is the mean
+    assert run_step(cluster, batch, KfacHyper(), 0.05, 0.9, 0).loss == float(np.mean(losses))
 
 
 def test_replicas_identical_after_each_algorithm():
